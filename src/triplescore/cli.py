@@ -112,8 +112,7 @@ def cmd_extract(config: RunConfig) -> int:
     relation = _resolve_relation(config)
     store, corpus, universe, triples = _load_extract_inputs(config, relation)
     vectors, _ = extract_matrix(
-        store, corpus, universe, triples,
-        ops_denominator=config.ops_denominator, max_workers=config.max_workers,
+        store, corpus, universe, triples, ops_denominator=config.ops_denominator
     )
     _emit(matrix_to_tsv(triples, vectors), config.output)
     print(missing_summary(vectors), file=sys.stderr)
@@ -126,8 +125,7 @@ def cmd_train(config: RunConfig) -> int:
     relation = _resolve_relation(config)
     store, corpus, universe, triples = _load_extract_inputs(config, relation)
     _, X = extract_matrix(
-        store, corpus, universe, triples,
-        ops_denominator=config.ops_denominator, max_workers=config.max_workers,
+        store, corpus, universe, triples, ops_denominator=config.ops_denominator
     )
     model = train_model(
         triples, X, model_type=config.model_type,
@@ -162,8 +160,7 @@ def cmd_predict(config: RunConfig) -> int:
     relation = _resolve_relation(config, fallback=model.relation)
     store, corpus, universe, triples = _load_extract_inputs(config, relation)
     _, X = extract_matrix(
-        store, corpus, universe, triples,
-        ops_denominator=config.ops_denominator, max_workers=config.max_workers,
+        store, corpus, universe, triples, ops_denominator=config.ops_denominator
     )
     scores = predict_scores(model, X, config.prediction_rule)
     text = "".join(f"{t.entity}\t{t.object}\t{s}\n" for t, s in zip(triples, scores))
@@ -228,8 +225,7 @@ def cmd_cv(config: RunConfig) -> int:
     relation = _resolve_relation(config)
     store, corpus, universe, triples = _load_extract_inputs(config, relation)
     _, X = extract_matrix(
-        store, corpus, universe, triples,
-        ops_denominator=config.ops_denominator, max_workers=config.max_workers,
+        store, corpus, universe, triples, ops_denominator=config.ops_denominator
     )
     results = run_cv_comparison(
         triples, X, corpus,
@@ -270,7 +266,7 @@ def _add_flags(parser, *names) -> None:
         "tau_variant": ("rank correlation variant: b or a", str),
         "singleton_policy": ("one-triple entity groups: one or skip", str),
         "ops_denominator": ("ops average denominator: embedded or all", str),
-        "max_workers": ("worker threads for extraction and folds", int),
+        "max_workers": ("worker threads for cross-validation folds (cv only)", int),
     }
     for name in names:
         help_text, value_type = specs[name]

@@ -44,9 +44,9 @@ class RunConfig:
     seed: int = 0
     tau_variant: str = "b"
     singleton_policy: str = "one"
+    max_workers: int = 1  # cross-validation fold threads
     # feature extraction
     ops_denominator: str = OPS_DENOM_EMBEDDED
-    max_workers: int = 1
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -86,7 +86,9 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingStore:
 
     Format: header line "<count> <dim>", then one "<key> <v1> ... <v_dim>"
     per line, space-separated. Keys contain no spaces. Duplicate keys are
-    an error rather than last-wins so that runs stay reproducible.
+    an error rather than last-wins so that runs stay reproducible, and so
+    are nan or infinite components (including ones that overflow, such as
+    1e999), which would otherwise reach the features as nan.
     """
     entries: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
@@ -125,9 +127,11 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingStore:
             if key in entries:
                 raise DuplicateKeyError(key, path)
             try:
-                vec = np.array([float(t) for t in tokens[1:]], dtype=float)
+                vec = np.array(tokens[1:], dtype=float)
             except ValueError:
                 raise MalformedLineError(path, line_no, "non-numeric vector component") from None
+            if not np.isfinite(vec).all():
+                raise MalformedLineError(path, line_no, "non-finite vector component")
             entries[key] = vec
 
     if len(entries) != count:

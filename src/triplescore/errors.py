@@ -73,8 +73,8 @@ class ArtifactError(InputFormatError):
 class ZeroVectorError(TripleScoreError):
     """Cosine similarity is undefined for a zero-norm vector.
 
-    Raised instead of silently returning 0 so data problems surface;
-    feature extraction catches it and applies the missing-value policy.
+    Raised instead of silently returning 0 so data problems surface.
+    Feature extraction never raises it: it flags such vectors as missing.
     """
 
 

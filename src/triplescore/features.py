@@ -14,21 +14,20 @@ files stay visible without killing a run.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .corpus import FULL_PAGE, Corpus, mentions
-from .embeddings import EmbeddingStore, cosine, normalize_key
+from .embeddings import EmbeddingStore, normalize_key
 from .errors import (
     DuplicateKeyError,
     EmptyTrainingSetError,
     EmptyUniverseError,
     MalformedLineError,
     RelationMismatchError,
-    ZeroVectorError,
 )
 
 FEATURE_NAMES = ("obj_entity_sim", "ops", "ops_rank", "object_mention")
@@ -111,46 +110,76 @@ class FeatureVector:
         return (self.obj_entity_sim, self.ops, self.ops_rank, self.object_mention)
 
 
+def _unit_rows(vectors, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normalised rows of the vectors, and which rows are usable.
+
+    A vector is usable iff it exists and its norm is a positive finite
+    number. This one rule decides the similarity flags, the ops terms and
+    the ops_terms flag. The rows of unusable vectors are meaningless.
+    """
+    rows = np.zeros((len(vectors), dim))
+    for i, vec in enumerate(vectors):
+        if vec is not None:
+            rows[i] = vec
+    norms = np.linalg.norm(rows, axis=1)
+    usable = (norms > 0.0) & np.isfinite(norms)
+    rows[usable] /= norms[usable, None]
+    return rows, usable
+
+
 def object_entity_similarity(store: EmbeddingStore, entity: str, obj: str) -> float:
     """Cosine between the entity and object embeddings, 0.0 when unavailable."""
-    value, _ = _similarity_with_flags(store, entity, obj)
-    return value
+    rows, usable = _unit_rows([store.lookup(entity), store.lookup(obj)], store.dim)
+    return float(rows[0] @ rows[1]) if usable.all() else 0.0
 
 
-def _similarity_with_flags(store, entity, obj):
-    flags = set()
-    ev = store.lookup(entity)
-    ov = store.lookup(obj)
-    if ev is None or not np.any(ev):
-        flags.add(FLAG_ENTITY_EMBEDDING)
-    if ov is None or not np.any(ov):
-        flags.add(FLAG_OBJECT_EMBEDDING)
-    if flags:
-        return 0.0, flags
-    return cosine(ev, ov), flags
+class _OpsKernel:
+    """ops of any object against one entity's page.
 
-
-def _ops_terms(store, record, obj):
-    """Cosine terms between the object and each embedded page entity.
-
-    Returns (terms in document order, total linked-entity count). Page
-    entities without a usable embedding contribute no term; duplicates
-    contribute one term per occurrence.
+    The mean cosine between an object and the page's usable linked
+    entities (duplicates counted per occurrence) is the dot product of the
+    object's unit vector with the sum of the page's unit vectors, over the
+    denominator. Each object row is reduced on its own, so an object gets
+    the same value whatever other rows it is computed with.
     """
-    n_linked = len(record.linked_entities)
-    obj_vec = store.lookup(obj)
-    if obj_vec is None or not np.any(obj_vec):
-        return [], n_linked
-    terms = []
-    for ent in record.linked_entities:
-        vec = store.lookup(ent)
-        if vec is None:
-            continue
-        try:
-            terms.append(cosine(obj_vec, vec))
-        except ZeroVectorError:
-            continue
-    return terms, n_linked
+
+    def __init__(self, store, corpus, entity, denominator):
+        if denominator not in (OPS_DENOM_EMBEDDED, OPS_DENOM_ALL):
+            raise ValueError(
+                f"denominator must be {OPS_DENOM_EMBEDDED!r} or {OPS_DENOM_ALL!r}, "
+                f"got {denominator!r}"
+            )
+        self.record = corpus.get(entity)
+        linked = self.record.linked_entities if self.record is not None else ()
+        page, usable = _unit_rows([store.lookup(ent) for ent in linked], store.dim)
+        self.n_terms = int(usable.sum())
+        self.page_sum = page[usable].sum(axis=0)
+        self.denom = self.n_terms if denominator == OPS_DENOM_EMBEDDED else len(linked)
+
+    def values(self, units: np.ndarray, usable: np.ndarray) -> np.ndarray:
+        """ops of each object row; 0.0 for unusable objects and pages without a usable term."""
+        if self.n_terms == 0:
+            return np.zeros(len(units))
+        return np.where(usable, (units * self.page_sum).sum(axis=1) / self.denom, 0.0)
+
+
+class _Ranking:
+    """ops of every universe object for one entity, and their 1-based ranks."""
+
+    def __init__(self, kernel: _OpsKernel, keys: tuple[str, ...], units, usable):
+        self.kernel, self.keys = kernel, keys
+        self.ops = kernel.values(units, usable)
+        # keys are sorted, so a stable sort breaks ties on ascending key
+        order = np.argsort(-self.ops, kind="stable")
+        self.ranks = np.empty(len(keys), dtype=int)
+        self.ranks[order] = np.arange(1, len(keys) + 1)
+
+    def place(self, key: str, units, usable) -> tuple[float, int]:
+        """ops of an object outside the universe, and the rank it would take."""
+        value = self.kernel.values(units, usable)[0]
+        ahead = np.count_nonzero(self.ops > value)
+        tied = np.count_nonzero(self.ops[:bisect_left(self.keys, key)] == value)
+        return float(value), int(ahead + tied) + 1
 
 
 def ops(store: EmbeddingStore, corpus: Corpus, entity: str, obj: str,
@@ -161,19 +190,8 @@ def ops(store: EmbeddingStore, corpus: Corpus, entity: str, obj: str,
     "all" divides by the total linked-entity count, so unembeddable page
     entities drag the average toward zero.
     """
-    if denominator not in (OPS_DENOM_EMBEDDED, OPS_DENOM_ALL):
-        raise ValueError(
-            f"denominator must be {OPS_DENOM_EMBEDDED!r} or {OPS_DENOM_ALL!r}, "
-            f"got {denominator!r}"
-        )
-    record = corpus.get(entity)
-    if record is None:
-        return 0.0
-    terms, n_linked = _ops_terms(store, record, obj)
-    if not terms:
-        return 0.0
-    n = len(terms) if denominator == OPS_DENOM_EMBEDDED else n_linked
-    return sum(terms) / n
+    kernel = _OpsKernel(store, corpus, entity, denominator)
+    return float(kernel.values(*_unit_rows([store.lookup(obj)], store.dim))[0])
 
 
 def ops_rank(store: EmbeddingStore, corpus: Corpus, entity: str,
@@ -185,9 +203,10 @@ def ops_rank(store: EmbeddingStore, corpus: Corpus, entity: str,
     """
     if not universe.objects:
         raise EmptyUniverseError("object universe is empty")
-    scored = [(obj, ops(store, corpus, entity, obj, denominator)) for obj in universe.objects]
-    order = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
-    return {obj: position for position, (obj, _) in enumerate(order, start=1)}
+    units, usable = _unit_rows([store.lookup(obj) for obj in universe.objects], store.dim)
+    ranking = _Ranking(_OpsKernel(store, corpus, entity, denominator),
+                       universe.objects, units, usable)
+    return dict(zip(universe.objects, ranking.ranks.tolist()))
 
 
 def object_mention_feature(corpus: Corpus, entity: str, obj: str) -> float:
@@ -198,46 +217,12 @@ def object_mention_feature(corpus: Corpus, entity: str, obj: str) -> float:
     return 1.0 if mentions(record, obj, FULL_PAGE) else 0.0
 
 
-class _EntityContext:
-    """Per-entity memo shared by all of that entity's triples."""
-
-    def __init__(self, store, corpus, universe, entity_key, denominator):
-        self.record = corpus.get(entity_key)
-        if self.record is None:
-            self.n_page_terms = 0
-        else:
-            self.n_page_terms = sum(
-                1
-                for ent in self.record.linked_entities
-                if (vec := store.lookup(ent)) is not None and np.any(vec)
-            )
-        self.ops_values = {
-            obj: ops(store, corpus, entity_key, obj, denominator) for obj in universe.objects
-        }
-        order = sorted(self.ops_values.items(), key=lambda pair: (-pair[1], pair[0]))
-        self.ranks = {obj: position for position, (obj, _) in enumerate(order, start=1)}
-
-    def rank_of(self, obj_key, obj_ops):
-        # Objects outside the universe take the position they would occupy
-        # in the sorted list.
-        if obj_key in self.ranks:
-            return self.ranks[obj_key]
-        ahead = sum(
-            1
-            for other, score in self.ops_values.items()
-            if score > obj_ops or (score == obj_ops and other < obj_key)
-        )
-        return ahead + 1
-
-
 def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
-            triples: list[Triple], *, ops_denominator: str = "embedded",
-            max_workers: int = 1) -> list[FeatureVector]:
+            triples: list[Triple], *, ops_denominator: str = "embedded") -> list[FeatureVector]:
     """Feature vectors for the triples, in input order.
 
-    Ranking context is computed once per distinct entity and reused for
-    all of that entity's triples. Results are independent of max_workers;
-    workers only spread the per-entity context builds.
+    The universe is normalised once; the page and the ranking are built
+    once per distinct entity and reused for all of that entity's triples.
     """
     for t in triples:
         if t.relation != universe.relation:
@@ -246,47 +231,46 @@ def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
                 f"universe relation {universe.relation.value!r}"
             )
 
-    entity_keys = list(dict.fromkeys(t.entity_key for t in triples))
-
-    def build(key):
-        return _EntityContext(store, corpus, universe, key, ops_denominator)
-
-    if max_workers > 1 and len(entity_keys) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            contexts = dict(zip(entity_keys, pool.map(build, entity_keys)))
-    else:
-        contexts = {key: build(key) for key in entity_keys}
-
+    keys = universe.objects
+    index = {key: i for i, key in enumerate(keys)}
+    units, usable = _unit_rows([store.lookup(obj) for obj in keys], store.dim)
+    entities = {}
     out = []
     for t in triples:
         ekey, okey = t.entity_key, t.object_key
-        ctx = contexts[ekey]
-        flags = set()
+        if ekey not in entities:
+            e_units, e_usable = _unit_rows([store.lookup(ekey)], store.dim)
+            kernel = _OpsKernel(store, corpus, ekey, ops_denominator)
+            entities[ekey] = (e_units[0], e_usable[0], _Ranking(kernel, keys, units, usable))
+        e_unit, e_usable, ranking = entities[ekey]
+        kernel = ranking.kernel
 
-        sim, sim_flags = _similarity_with_flags(store, ekey, okey)
-        flags |= sim_flags
-
-        if ctx.record is None:
-            flags.add(FLAG_PAGE_RECORD)
-
-        if okey in ctx.ops_values:
-            ops_value = ctx.ops_values[okey]
+        if okey in index:
+            i = index[okey]
+            o_unit, o_usable = units[i], usable[i]
+            ops_value, rank = float(ranking.ops[i]), int(ranking.ranks[i])
         else:
-            ops_value = ops(store, corpus, ekey, okey, ops_denominator)
-        # No term exists when the record or object vector is unusable or no
-        # page entity has an embedding; same condition _ops_terms applies.
-        if ctx.record is None or FLAG_OBJECT_EMBEDDING in sim_flags or ctx.n_page_terms == 0:
-            flags.add(FLAG_OPS_TERMS)
+            o_units, o_usables = _unit_rows([store.lookup(okey)], store.dim)
+            o_unit, o_usable = o_units[0], o_usables[0]
+            ops_value, rank = ranking.place(okey, o_units, o_usables)
 
-        rank = float(ctx.rank_of(okey, ops_value))
-        mention = object_mention_feature(corpus, ekey, okey)
+        flags = set()
+        if not e_usable:
+            flags.add(FLAG_ENTITY_EMBEDDING)
+        if not o_usable:
+            flags.add(FLAG_OBJECT_EMBEDDING)
+        if kernel.record is None:
+            flags.add(FLAG_PAGE_RECORD)
+        if kernel.record is None or not o_usable or kernel.n_terms == 0:
+            flags.add(FLAG_OPS_TERMS)
+        sim = float(e_unit @ o_unit) if e_usable and o_usable else 0.0
 
         out.append(
             FeatureVector(
                 obj_entity_sim=sim,
                 ops=ops_value,
-                ops_rank=rank,
-                object_mention=mention,
+                ops_rank=float(rank),
+                object_mention=object_mention_feature(corpus, ekey, okey),
                 missing=frozenset(flags),
             )
         )

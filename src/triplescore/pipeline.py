@@ -44,13 +44,9 @@ def truth_labels(triples: list[Triple]) -> np.ndarray:
 
 
 def extract_matrix(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
-                   triples: list[Triple], *, ops_denominator: str = "embedded",
-                   max_workers: int = 1):
+                   triples: list[Triple], *, ops_denominator: str = "embedded"):
     """Feature vectors plus their (n, 4) matrix form."""
-    vectors = extract(
-        store, corpus, universe, triples,
-        ops_denominator=ops_denominator, max_workers=max_workers,
-    )
+    vectors = extract(store, corpus, universe, triples, ops_denominator=ops_denominator)
     return vectors, matrix(vectors)
 
 

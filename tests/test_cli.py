@@ -156,6 +156,30 @@ class TestExtract:
         assert code == 2
         assert "max_workers" in err
 
+    def test_non_finite_embedding_is_exit_2(self, micro_paths, tmp_path, capsys):
+        emb = tmp_path / "emb.txt"
+        emb.write_text(micro_paths["embeddings"].read_text().replace("ben 0 1", "ben 0 nan"))
+        args = input_args(micro_paths)
+        args[args.index(str(micro_paths["embeddings"]))] = str(emb)
+        code, _, err = invoke(capsys, "extract", *args)
+        assert code == 2
+        assert f"{emb}:3:" in err and "non-finite" in err
+
+    def test_underflowing_vectors_are_flagged_not_fatal(self, micro_paths, tmp_path, capsys):
+        # nonzero components whose norm underflows to 0: usable by no rule
+        emb = tmp_path / "emb.txt"
+        emb.write_text(micro_paths["embeddings"].read_text()
+                       .replace("ada 1 0", "ada 1e-170 1e-170")
+                       .replace("coder 1 0", "coder 1e-170 1e-170"))
+        args = input_args(micro_paths)
+        args[args.index(str(micro_paths["embeddings"]))] = str(emb)
+        code, out, _ = invoke(capsys, "extract", *args)
+        assert code == 0
+        rows = {tuple(line.split("\t")[:2]): line.split("\t")[-1]
+                for line in out.splitlines()[1:]}
+        assert rows[("ada", "poet")] == "entity_embedding"
+        assert rows[("ben", "coder")] == "object_embedding,ops_terms"
+
     def test_bad_ops_denominator(self, micro_paths, capsys):
         code, _, err = invoke(
             capsys, "extract", *input_args(micro_paths), "--ops-denominator", "mean"

@@ -67,6 +67,14 @@ class TestLoad:
         with pytest.raises(MalformedLineError):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "NaN"])
+    def test_non_finite_component(self, tmp_path, token):
+        path = write(tmp_path, f"2 2\nparis 1 0\nrome 1 {token}\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_embeddings(path)
+        assert err.value.line_no == 3
+        assert "non-finite" in str(err.value)
+
     def test_expected_dim_mismatch(self, tmp_path):
         path = write(tmp_path, "1 3\nparis 1 0 0\n")
         with pytest.raises(DimensionMismatchError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triplescore.embeddings import EmbeddingStore
 from triplescore.errors import (
     DuplicateKeyError,
     EmptyTrainingSetError,
@@ -44,6 +45,13 @@ VEC = {
     "coder": (1.0, 0.0), "poet": (0.0, 1.0), "pilot": (0.8, 0.6),
     "math": (0.6, 0.8), "verse": (-0.6, 0.8), "wing": (1.0, 1.0),
 }
+
+
+def with_vectors(store, **replaced):
+    """A copy of the store with some vectors replaced."""
+    entries = {key: store.lookup(key) for key in VEC}
+    entries.update({key: np.array(vec) for key, vec in replaced.items()})
+    return EmbeddingStore(store.dim, entries)
 
 
 def oracle_cos(a, b):
@@ -187,11 +195,43 @@ class TestExtract:
         with pytest.raises(RelationMismatchError):
             extract(micro["store"], micro["corpus"], micro["universe"], triples)
 
-    def test_worker_count_does_not_change_output(self, micro):
+    def test_repeated_calls_give_equal_output(self, micro):
         args = (micro["store"], micro["corpus"], micro["universe"], micro["triples"])
-        sequential = extract(*args, max_workers=1)
-        parallel = extract(*args, max_workers=4)
-        assert sequential == parallel
+        assert extract(*args) == extract(*args)
+
+    def test_underflowing_entity_vector_is_flagged(self, micro):
+        # [1e-170, 1e-170] has nonzero components but a norm of 0.0
+        store = with_vectors(micro["store"], ada=(1e-170, 1e-170))
+        triples = [Triple("ada", Relation.PROFESSION, "coder")]
+        (fv,) = extract(store, micro["corpus"], micro["universe"], triples)
+        assert fv.missing == {FLAG_ENTITY_EMBEDDING}
+        assert fv.obj_entity_sim == 0.0
+        assert object_entity_similarity(store, "ada", "coder") == 0.0
+
+    def test_underflowing_object_vector_is_flagged(self, micro):
+        store = with_vectors(micro["store"], coder=(1e-170, 1e-170))
+        triples = [Triple("ada", Relation.PROFESSION, "coder")]
+        (fv,) = extract(store, micro["corpus"], micro["universe"], triples)
+        assert fv.missing == {FLAG_OBJECT_EMBEDDING, FLAG_OPS_TERMS}
+        assert (fv.obj_entity_sim, fv.ops) == (0.0, 0.0)
+        assert ops(store, micro["corpus"], "ada", "coder") == 0.0
+
+    def test_underflowing_only_page_vector_flags_ops_terms(self, micro):
+        # verse is ben's only linked entity
+        store = with_vectors(micro["store"], verse=(1e-170, 1e-170))
+        triples = [Triple("ben", Relation.PROFESSION, "poet")]
+        (fv,) = extract(store, micro["corpus"], micro["universe"], triples)
+        assert fv.missing == {FLAG_OPS_TERMS}
+        assert fv.ops == 0.0
+
+    def test_overflowing_norm_is_unusable(self, micro):
+        # finite components whose norm overflows cannot be normalised
+        store = with_vectors(micro["store"], coder=(1e200, 1e200))
+        triples = [Triple("ada", Relation.PROFESSION, "coder")]
+        with np.errstate(over="ignore"):
+            (fv,) = extract(store, micro["corpus"], micro["universe"], triples)
+        assert fv.missing == {FLAG_OBJECT_EMBEDDING, FLAG_OPS_TERMS}
+        assert (fv.obj_entity_sim, fv.ops) == (0.0, 0.0)
 
     def test_empty_triples(self, micro):
         assert extract(micro["store"], micro["corpus"], micro["universe"], []) == []
