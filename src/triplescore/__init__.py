@@ -53,7 +53,8 @@ from .features import (
     ops,
     ops_rank,
 )
-from .ordinal import FitConfig, OrdinalModel, logistic
+from .model import FitConfig
+from .ordinal import OrdinalModel, logistic
 from .ordinal import fit as fit_ordinal
 from .pipeline import (
     CV_MODEL_TYPES,

@@ -16,40 +16,29 @@ import numpy as np
 from .baselines import MultinomialModel
 from .errors import ArtifactError
 from .features import Relation, Standardizer
-from .ordinal import FitConfig, OrdinalModel
+from .model import FitConfig, LearnedModel
+from .ordinal import OrdinalModel
 
 ARTIFACT_VERSION = "1"
-MODEL_ORDINAL = "ordinal"
-MODEL_MULTINOMIAL = "multinomial"
+MODEL_TYPES = {cls.model_type: cls for cls in (OrdinalModel, MultinomialModel)}
 
 
-def model_to_dict(model: OrdinalModel | MultinomialModel) -> dict:
+def model_to_dict(model: LearnedModel) -> dict:
     """Serializable form of a fitted model, without the timestamp."""
-    if isinstance(model, OrdinalModel):
-        params = {
-            "model_type": MODEL_ORDINAL,
-            "w": [float(v) for v in model.w],
-            "theta": [float(v) for v in model.theta],
-        }
-    elif isinstance(model, MultinomialModel):
-        params = {
-            "model_type": MODEL_MULTINOMIAL,
-            "W": [[float(v) for v in row] for row in model.W],
-            "b": [float(v) for v in model.b],
-        }
-    else:
+    if type(model) not in MODEL_TYPES.values():
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     return {
         "version": ARTIFACT_VERSION,
+        "model_type": model.model_type,
         "feature_names": list(model.feature_names),
         "relation": str(model.relation) if model.relation is not None else None,
         "standardizer": model.standardizer.to_dict() if model.standardizer else None,
         "fit_config": model.fit_config.to_dict(),
-        **params,
+        **{name: getattr(model, name).tolist() for name in model.param_names},
     }
 
 
-def model_from_dict(data: dict) -> OrdinalModel | MultinomialModel:
+def model_from_dict(data: dict) -> LearnedModel:
     try:
         version = data["version"]
         model_type = data["model_type"]
@@ -59,44 +48,31 @@ def model_from_dict(data: dict) -> OrdinalModel | MultinomialModel:
         raise ArtifactError(
             f"unsupported artifact version {version!r}; this build reads {ARTIFACT_VERSION!r}"
         )
+    if model_type not in MODEL_TYPES:
+        raise ArtifactError(f"unknown model_type {model_type!r}")
+    model_cls = MODEL_TYPES[model_type]
 
     try:
-        feature_names = tuple(data["feature_names"])
-        relation = Relation.parse(data["relation"]) if data.get("relation") else None
-        standardizer = (
-            Standardizer.from_dict(data["standardizer"]) if data.get("standardizer") else None
+        return model_cls(
+            **{name: np.array(data[name], dtype=float) for name in model_cls.param_names},
+            feature_names=tuple(data["feature_names"]),
+            standardizer=(
+                Standardizer.from_dict(data["standardizer"]) if data.get("standardizer") else None
+            ),
+            relation=Relation.parse(data["relation"]) if data.get("relation") else None,
+            fit_config=FitConfig.from_dict(data["fit_config"]),
         )
-        fit_config = FitConfig.from_dict(data["fit_config"])
-        if model_type == MODEL_ORDINAL:
-            return OrdinalModel(
-                w=np.array(data["w"], dtype=float),
-                theta=np.array(data["theta"], dtype=float),
-                feature_names=feature_names,
-                standardizer=standardizer,
-                relation=relation,
-                fit_config=fit_config,
-            )
-        if model_type == MODEL_MULTINOMIAL:
-            return MultinomialModel(
-                W=np.array(data["W"], dtype=float),
-                b=np.array(data["b"], dtype=float),
-                feature_names=feature_names,
-                standardizer=standardizer,
-                relation=relation,
-                fit_config=fit_config,
-            )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"model artifact is malformed: {exc}") from exc
-    raise ArtifactError(f"unknown model_type {model_type!r}")
 
 
-def save_model(model: OrdinalModel | MultinomialModel, path) -> None:
+def save_model(model: LearnedModel, path) -> None:
     data = model_to_dict(model)
     data["created"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def load_model(path) -> OrdinalModel | MultinomialModel:
+def load_model(path) -> LearnedModel:
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:

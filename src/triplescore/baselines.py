@@ -7,17 +7,15 @@ and an 8-way multinomial logistic classifier that ignores class order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from .corpus import Corpus, first_mentioned
 from .embeddings import normalize_key
-from .errors import DegenerateLabelsError, NonFiniteError
-from .features import FEATURE_NAMES, Relation, Standardizer, Triple
-from .ordinal import NUM_CLASSES, FitConfig
+from .features import Relation, Standardizer, Triple
+from .model import NUM_CLASSES, FitConfig, LearnedModel, fit_model
 
 FIRST_MATCH_SCORE = 7
 FIRST_MISS_SCORE = 0
@@ -80,38 +78,34 @@ def multinomial_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 
 @dataclass(eq=False)
-class MultinomialModel:
-    """8-way softmax classifier sharing the ordinal model's interface."""
+class MultinomialModel(LearnedModel):
+    """8-way softmax classifier: one weight row W[k] and bias b[k] per class."""
+
+    model_type = "multinomial"
+    param_names = ("W", "b")
 
     W: np.ndarray
     b: np.ndarray
-    feature_names: tuple[str, ...] = FEATURE_NAMES
-    standardizer: Standardizer | None = None
-    relation: Relation | None = None
-    fit_config: FitConfig = field(default_factory=FitConfig)
 
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if self.W.shape[0] != NUM_CLASSES or self.b.shape != (NUM_CLASSES,):
+    def _check_shapes(self) -> None:
+        if self.W.ndim != 2 or self.W.shape[0] != NUM_CLASSES or self.b.shape != (NUM_CLASSES,):
             raise ValueError(f"expected {NUM_CLASSES} rows of weights and biases")
-        if len(self.feature_names) != self.W.shape[1]:
-            raise ValueError("feature_names length must match weight columns")
 
-    def class_distribution(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        logits = self.W @ x + self.b
-        shifted = np.exp(logits - logits.max())
-        return shifted / shifted.sum()
+    def logits(self, X) -> np.ndarray:
+        return self._rows(X) @ self.W.T + self.b
 
-    def predict(self, x) -> int:
-        """Argmax class; exact ties resolve to the lower class."""
-        x = np.asarray(x, dtype=float)
+    def class_probs(self, X) -> np.ndarray:
+        logits = self.logits(X)
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return shifted / shifted.sum(axis=1, keepdims=True)
+
+    def _argmax_basis(self, X) -> np.ndarray:
         # softmax is order-preserving, so the logits decide the argmax
-        return int(np.argmax(self.W @ x + self.b))
+        return self.logits(X)
 
-    def predict_many(self, X) -> list[int]:
-        return [self.predict(x) for x in np.asarray(X, dtype=float)]
+    def summary(self) -> str:
+        return (f"fitted multinomial model: {NUM_CLASSES} classes"
+                f" x {len(self.feature_names)} features")
 
 
 def fit_multinomial(X, y, config: FitConfig | None = None, *,
@@ -119,40 +113,10 @@ def fit_multinomial(X, y, config: FitConfig | None = None, *,
                     standardizer: Standardizer | None = None,
                     relation: Relation | None = None) -> MultinomialModel:
     """Deterministic penalized fit from a zero start."""
-    config = config or FitConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("X must be a non-empty 2-d matrix")
-    if y.shape != (X.shape[0],):
-        raise ValueError("y length must match X rows")
-    if np.any((y < 0) | (y >= NUM_CLASSES)):
-        raise ValueError(f"labels must be integers in [0, {NUM_CLASSES - 1}]")
-    if np.unique(y).size < 2:
-        raise DegenerateLabelsError("training labels contain a single class")
-
-    n, p = X.shape
-    if feature_names is None:
-        feature_names = FEATURE_NAMES if p == len(FEATURE_NAMES) else tuple(
-            f"x{i}" for i in range(p)
-        )
-
-    result = minimize(
-        multinomial_nll,
-        np.zeros(NUM_CLASSES * p + NUM_CLASSES),
-        args=(X, y, config.reg_lambda),
-        method="L-BFGS-B",
-        jac=True,
-        options={"maxiter": config.max_iters, "gtol": config.tol, "ftol": 1e-14},
-    )
-    if not np.all(np.isfinite(result.x)) or not np.isfinite(result.fun):
-        raise NonFiniteError("multinomial objective diverged; check feature scaling")
-
-    return MultinomialModel(
-        W=result.x[:NUM_CLASSES * p].reshape(NUM_CLASSES, p),
-        b=result.x[NUM_CLASSES * p:],
-        feature_names=tuple(feature_names),
-        standardizer=standardizer,
-        relation=relation,
-        fit_config=config,
+    return fit_model(
+        MultinomialModel, multinomial_nll,
+        lambda y, p: np.zeros(NUM_CLASSES * p + NUM_CLASSES),
+        lambda x, p: {"W": x[:NUM_CLASSES * p].reshape(NUM_CLASSES, p), "b": x[NUM_CLASSES * p:]},
+        X, y, config,
+        feature_names=feature_names, standardizer=standardizer, relation=relation,
     )

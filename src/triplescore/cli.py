@@ -31,7 +31,7 @@ from .features import (
     matrix_to_tsv,
     missing_summary,
 )
-from .ordinal import NUM_CLASSES, FitConfig, OrdinalModel
+from .model import FitConfig
 from .pipeline import (
     CV_MODEL_TYPES,
     extract_matrix,
@@ -132,17 +132,7 @@ def cmd_train(config: RunConfig) -> int:
         fit_config=_fit_config(config), relation=relation,
     )
     save_model(model, config.model)
-    if isinstance(model, OrdinalModel):
-        rows = model.feature_weights()
-        width = max(len(name) for name, _ in rows)
-        print("feature weights (descending |weight|):")
-        for name, weight in rows:
-            print(f"  {name:<{width}}  {weight:+9.4f}  abs {abs(weight):.4f}")
-    else:
-        print(
-            f"fitted multinomial model: {NUM_CLASSES} classes"
-            f" x {len(model.feature_names)} features"
-        )
+    print(model.summary())
     print(f"model written to {config.model}")
     return 0
 
@@ -266,7 +256,7 @@ def _add_flags(parser, *names) -> None:
         "tau_variant": ("rank correlation variant: b or a", str),
         "singleton_policy": ("one-triple entity groups: one or skip", str),
         "ops_denominator": ("ops average denominator: embedded or all", str),
-        "max_workers": ("worker threads for cross-validation folds (cv only)", int),
+        "max_workers": ("worker threads for cross-validation folds", int),
     }
     for name in names:
         help_text, value_type = specs[name]
@@ -289,22 +279,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit_flags = ("model_type", "reg_lambda", "max_iters", "tol")
     eval_flags = ("delta", "tau_variant", "singleton_policy")
-    feature_flags = ("ops_denominator", "max_workers")
 
     p = sub.add_parser("extract", help="write the feature matrix as TSV")
     p.add_argument("--config", help="key = value config file; flags override")
-    _add_flags(p, *_EXTRACT_INPUTS, "relation", "output", *feature_flags)
+    _add_flags(p, *_EXTRACT_INPUTS, "relation", "output", "ops_denominator")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="fit a model and save its artifact")
     p.add_argument("--config", help="key = value config file; flags override")
-    _add_flags(p, *_EXTRACT_INPUTS, "relation", "model", *fit_flags, *feature_flags)
+    _add_flags(p, *_EXTRACT_INPUTS, "relation", "model", *fit_flags, "ops_denominator")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score triples with a saved model")
     p.add_argument("--config", help="key = value config file; flags override")
     _add_flags(p, *_EXTRACT_INPUTS, "relation", "model", "output",
-               "prediction_rule", *feature_flags)
+               "prediction_rule", "ops_denominator")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="compare a prediction file to a truth file")
@@ -316,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value config file; flags override")
     _add_flags(p, *_EXTRACT_INPUTS, "relation", "output", "prediction_rule",
                "folds", "seed", *eval_flags, "reg_lambda", "max_iters", "tol",
-               *feature_flags)
+               "ops_denominator", "max_workers")
     p.set_defaults(func=cmd_cv)
 
     return parser

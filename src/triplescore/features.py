@@ -292,6 +292,10 @@ class Standardizer:
     means: tuple[float, ...]
     stddevs: tuple[float, ...]
 
+    def __post_init__(self):
+        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.stddevs))):
+            raise ValueError("standardizer means and stddevs must be finite")
+
     def apply(self, X) -> np.ndarray:
         X = _as_matrix(X)
         means = np.asarray(self.means)

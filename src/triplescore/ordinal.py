@@ -13,19 +13,14 @@ exp(s_j), which keeps every iterate's thresholds strictly ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import DegenerateLabelsError, NonFiniteError
-from .features import FEATURE_NAMES, Relation, Standardizer
+from .features import Relation, Standardizer
+from .model import NUM_CLASSES, FitConfig, LearnedModel, fit_model
 
-NUM_CLASSES = 8
 NUM_THRESHOLDS = NUM_CLASSES - 1
-
-ARGMAX = "argmax"
-EXPECTED_ROUNDED = "expected-rounded"
 
 
 def logistic(t):
@@ -47,26 +42,6 @@ def logistic(t):
 
 def _log_sigmoid(t):
     return -np.logaddexp(0.0, -np.asarray(t, dtype=float))
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Optimizer settings; defaults give a deterministic penalized MLE."""
-
-    reg_lambda: float = 1e-3
-    max_iters: int = 500
-    tol: float = 1e-6
-
-    def to_dict(self) -> dict:
-        return {"reg_lambda": self.reg_lambda, "max_iters": self.max_iters, "tol": self.tol}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FitConfig":
-        return cls(
-            reg_lambda=float(data["reg_lambda"]),
-            max_iters=int(data["max_iters"]),
-            tol=float(data["tol"]),
-        )
 
 
 def thresholds_from_params(params: np.ndarray, n_features: int) -> np.ndarray:
@@ -153,56 +128,41 @@ def penalized_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 
 @dataclass(eq=False)
-class OrdinalModel:
-    """Fitted proportional-odds model; immutable in practice, safe to share."""
+class OrdinalModel(LearnedModel):
+    """Fitted proportional-odds model: weights w and ordered thresholds theta."""
+
+    model_type = "ordinal"
+    param_names = ("w", "theta")
 
     w: np.ndarray
     theta: np.ndarray
-    feature_names: tuple[str, ...] = FEATURE_NAMES
-    standardizer: Standardizer | None = None
-    relation: Relation | None = None
-    fit_config: FitConfig = field(default_factory=FitConfig)
 
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        self.theta = np.asarray(self.theta, dtype=float)
+    def _check_shapes(self) -> None:
+        if self.w.ndim != 1:
+            raise ValueError(f"expected a weight vector, got shape {self.w.shape}")
         if self.theta.shape != (NUM_THRESHOLDS,):
             raise ValueError(f"expected {NUM_THRESHOLDS} thresholds, got {self.theta.shape}")
         if np.any(np.diff(self.theta) < 0):
             raise ValueError("thresholds must be nondecreasing")
-        if len(self.feature_names) != self.w.shape[0]:
-            raise ValueError("feature_names length must match weight vector length")
 
-    def cumulative_prob(self, x, j: int) -> float:
-        """P(y <= j | x) for a cut index j in 0..6."""
-        if not 0 <= j <= NUM_THRESHOLDS - 1:
-            raise IndexError(f"cut index must be in [0, {NUM_THRESHOLDS - 1}], got {j}")
-        x = np.asarray(x, dtype=float)
-        return float(logistic(self.theta[j] - np.dot(self.w, x)))
+    def cumulative_probs(self, X) -> np.ndarray:
+        """(n, 7) matrix of P(y <= j | x) for the cut indices j = 0..6."""
+        return logistic(self.theta[None, :] - (self._rows(X) @ self.w)[:, None])
 
-    def class_distribution(self, x) -> np.ndarray:
-        """Probabilities of the 8 classes; nonnegative, sums to 1."""
-        x = np.asarray(x, dtype=float)
-        cum = logistic(self.theta - np.dot(self.w, x))
-        return np.diff(np.concatenate(([0.0], cum, [1.0])))
-
-    def predict(self, x, rule: str = ARGMAX) -> int:
-        """Integer score 0..7; argmax ties resolve to the lower class."""
-        probs = self.class_distribution(x)
-        if rule == ARGMAX:
-            return int(np.argmax(probs))
-        if rule == EXPECTED_ROUNDED:
-            expectation = float(np.dot(np.arange(NUM_CLASSES), probs))
-            return int(np.clip(np.rint(expectation), 0, NUM_CLASSES - 1))
-        raise ValueError(f"unknown prediction rule {rule!r}")
-
-    def predict_many(self, X, rule: str = ARGMAX) -> list[int]:
-        return [self.predict(x, rule) for x in np.asarray(X, dtype=float)]
+    def class_probs(self, X) -> np.ndarray:
+        return np.diff(self.cumulative_probs(X), axis=1, prepend=0.0, append=1.0)
 
     def feature_weights(self) -> list[tuple[str, float]]:
         """(name, weight) pairs in descending |weight| order."""
         order = sorted(range(len(self.w)), key=lambda i: (-abs(self.w[i]), i))
         return [(self.feature_names[i], float(self.w[i])) for i in order]
+
+    def summary(self) -> str:
+        rows = self.feature_weights()
+        width = max(len(name) for name, _ in rows)
+        return "\n".join(["feature weights (descending |weight|):"] + [
+            f"  {name:<{width}}  {weight:+9.4f}  abs {abs(weight):.4f}" for name, weight in rows
+        ])
 
 
 def initial_params(y: np.ndarray, n_features: int) -> np.ndarray:
@@ -229,41 +189,8 @@ def fit(X, y, config: FitConfig | None = None, *,
     Deterministic: fixed initialization, no randomized steps; identical
     inputs produce bit-identical models.
     """
-    config = config or FitConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("X must be a non-empty 2-d matrix")
-    if y.shape != (X.shape[0],):
-        raise ValueError("y length must match X rows")
-    if np.any((y < 0) | (y >= NUM_CLASSES)):
-        raise ValueError(f"labels must be integers in [0, {NUM_CLASSES - 1}]")
-    if np.unique(y).size < 2:
-        raise DegenerateLabelsError("training labels contain a single class")
-
-    n, p = X.shape
-    if feature_names is None:
-        feature_names = FEATURE_NAMES if p == len(FEATURE_NAMES) else tuple(
-            f"x{i}" for i in range(p)
-        )
-
-    result = minimize(
-        penalized_nll,
-        initial_params(y, p),
-        args=(X, y, config.reg_lambda),
-        method="L-BFGS-B",
-        jac=True,
-        options={"maxiter": config.max_iters, "gtol": config.tol, "ftol": 1e-14},
-    )
-    if not np.all(np.isfinite(result.x)) or not np.isfinite(result.fun):
-        raise NonFiniteError("ordinal objective diverged; check feature scaling")
-
-    theta = thresholds_from_params(result.x, p)
-    return OrdinalModel(
-        w=result.x[:p],
-        theta=theta,
-        feature_names=tuple(feature_names),
-        standardizer=standardizer,
-        relation=relation,
-        fit_config=config,
+    return fit_model(
+        OrdinalModel, penalized_nll, initial_params,
+        lambda x, p: {"w": x[:p], "theta": thresholds_from_params(x, p)}, X, y, config,
+        feature_names=feature_names, standardizer=standardizer, relation=relation,
     )

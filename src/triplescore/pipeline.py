@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .artifact import MODEL_MULTINOMIAL, MODEL_ORDINAL
 from .baselines import MultinomialModel, first_baseline_predictions, fit_multinomial
 from .corpus import Corpus
 from .embeddings import EmbeddingStore
@@ -23,10 +22,13 @@ from .features import (
     fit_standardizer,
     matrix,
 )
-from .ordinal import ARGMAX, FitConfig, OrdinalModel
+from .model import ARGMAX, FitConfig, LearnedModel
+from .ordinal import OrdinalModel
 from .ordinal import fit as fit_ordinal
 
 MODEL_FIRST = "first"
+MODEL_MULTINOMIAL = MultinomialModel.model_type
+MODEL_ORDINAL = OrdinalModel.model_type
 CV_MODEL_TYPES = (MODEL_FIRST, MODEL_MULTINOMIAL, MODEL_ORDINAL)
 
 
@@ -54,27 +56,21 @@ def train_model(triples: list[Triple], X, *, model_type: str = MODEL_ORDINAL,
                 fit_config: FitConfig | None = None,
                 relation: Relation | None = None):
     """Standardize on the given rows, then fit the requested model."""
+    fit = {MODEL_ORDINAL: fit_ordinal, MODEL_MULTINOMIAL: fit_multinomial}.get(model_type)
+    if fit is None:
+        raise ValueError(f"unknown model type {model_type!r}")
     y = truth_labels(triples)
     standardizer = fit_standardizer(X)
-    X_std = standardizer.apply(X)
-    if model_type == MODEL_ORDINAL:
-        return fit_ordinal(X_std, y, fit_config, standardizer=standardizer,
-                           relation=relation)
-    if model_type == MODEL_MULTINOMIAL:
-        return fit_multinomial(X_std, y, fit_config, standardizer=standardizer,
-                               relation=relation)
-    raise ValueError(f"unknown model type {model_type!r}")
+    return fit(standardizer.apply(X), y, fit_config, standardizer=standardizer,
+               relation=relation)
 
 
-def predict_scores(model: OrdinalModel | MultinomialModel, X,
-                   rule: str = ARGMAX) -> list[int]:
+def predict_scores(model: LearnedModel, X, rule: str = ARGMAX) -> list[int]:
     """Apply the model's own standardizer, then predict raw feature rows."""
     X = np.asarray(X, dtype=float)
     if model.standardizer is not None:
         X = model.standardizer.apply(X)
-    if isinstance(model, OrdinalModel):
-        return model.predict_many(X, rule)
-    return model.predict_many(X)
+    return model.predict(X, rule)
 
 
 def make_trainer(model_type: str, *, fit_config: FitConfig | None = None,

@@ -15,7 +15,8 @@ from triplescore.artifact import (
 from triplescore.baselines import MultinomialModel, fit_multinomial
 from triplescore.errors import ArtifactError
 from triplescore.features import Relation, Standardizer
-from triplescore.ordinal import FitConfig, OrdinalModel, fit
+from triplescore.model import FitConfig
+from triplescore.ordinal import OrdinalModel, fit
 
 
 @pytest.fixture(scope="module")
@@ -51,10 +52,8 @@ class TestRoundTrip:
         assert isinstance(loaded, OrdinalModel)
         assert np.array_equal(loaded.w, ordinal_model.w)
         assert np.array_equal(loaded.theta, ordinal_model.theta)
-        assert loaded.predict_many(X) == ordinal_model.predict_many(X)
-        for x in X[:20]:
-            assert np.array_equal(loaded.class_distribution(x),
-                                  ordinal_model.class_distribution(x))
+        assert loaded.predict(X) == ordinal_model.predict(X)
+        assert np.array_equal(loaded.class_probs(X[:20]), ordinal_model.class_probs(X[:20]))
 
     def test_multinomial_predictions_bit_identical(self, multinomial_model, training_data, tmp_path):
         X, _ = training_data
@@ -64,7 +63,7 @@ class TestRoundTrip:
         assert isinstance(loaded, MultinomialModel)
         assert np.array_equal(loaded.W, multinomial_model.W)
         assert np.array_equal(loaded.b, multinomial_model.b)
-        assert loaded.predict_many(X) == multinomial_model.predict_many(X)
+        assert loaded.predict(X) == multinomial_model.predict(X)
 
     def test_fields_preserved(self, ordinal_model, tmp_path):
         path = tmp_path / "model.json"
@@ -124,6 +123,24 @@ class TestMalformedArtifacts:
         data = model_to_dict(ordinal_model)
         data["theta"] = data["theta"][:3]  # wrong length
         with pytest.raises(ArtifactError):
+            model_from_dict(data)
+
+    @pytest.mark.parametrize("model_name, path", [
+        ("ordinal_model", ("w", 0)),
+        ("ordinal_model", ("theta", 6)),
+        ("multinomial_model", ("W", 3, 1)),
+        ("multinomial_model", ("b", 7)),
+        ("ordinal_model", ("standardizer", "means", 2)),
+        ("ordinal_model", ("standardizer", "stddevs", 1)),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected(self, request, model_name, path, value):
+        data = json.loads(json.dumps(model_to_dict(request.getfixturevalue(model_name))))
+        holder = data
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        with pytest.raises(ArtifactError, match="finite"):
             model_from_dict(data)
 
     def test_invalid_json_file(self, tmp_path):

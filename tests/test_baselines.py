@@ -15,7 +15,7 @@ from triplescore.baselines import (
 from triplescore.corpus import Corpus, PageRecord
 from triplescore.errors import DegenerateLabelsError
 from triplescore.features import Relation, Triple
-from triplescore.ordinal import NUM_CLASSES, FitConfig
+from triplescore.model import NUM_CLASSES, FitConfig
 
 
 def one_person_corpus(abstract, page=None):
@@ -129,7 +129,7 @@ class TestMultinomialModel:
         m = MultinomialModel(W=rng.normal(size=(8, 3)), b=rng.normal(size=8),
                              feature_names=("a", "b", "c"))
         for _ in range(20):
-            probs = m.class_distribution(rng.normal(scale=4.0, size=3))
+            probs = m.class_probs(rng.normal(scale=4.0, size=(1, 3)))[0]
             assert np.all(probs >= 0)
             assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -138,8 +138,8 @@ class TestMultinomialModel:
         m = MultinomialModel(W=rng.normal(size=(8, 3)), b=rng.normal(size=8),
                              feature_names=("a", "b", "c"))
         for _ in range(50):
-            x = rng.normal(size=3)
-            assert m.predict(x) == int(np.argmax(m.class_distribution(x)))
+            x = rng.normal(size=(1, 3))
+            assert m.predict(x) == [int(np.argmax(m.class_probs(x)[0]))]
 
     def test_bias_shift_preserves_predictions(self):
         # adding a constant to every logit leaves the ordering untouched
@@ -149,7 +149,7 @@ class TestMultinomialModel:
         m1 = MultinomialModel(W=W, b=b, feature_names=("a", "b"))
         m2 = MultinomialModel(W=W, b=b + 11.5, feature_names=("a", "b"))
         X = rng.normal(size=(40, 2))
-        assert m1.predict_many(X) == m2.predict_many(X)
+        assert m1.predict(X) == m2.predict(X)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -165,7 +165,7 @@ class TestFitMultinomial:
     def test_fits_separable_classes(self):
         X, y = multiclass_instance(97)
         model = fit_multinomial(X, y, FitConfig(reg_lambda=1e-4))
-        acc = np.mean(np.array(model.predict_many(X)) == y)
+        acc = np.mean(np.array(model.predict(X)) == y)
         assert acc >= 0.85
 
     def test_deterministic(self):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from triplescore import __version__
@@ -11,7 +12,7 @@ from triplescore.config import RunConfig, apply_overrides, parse_config_file
 from triplescore.errors import MalformedLineError
 from triplescore.features import extract, matrix_to_tsv
 from triplescore.ordinal import OrdinalModel
-from triplescore.pipeline import extract_matrix, predict_scores
+from triplescore.pipeline import extract_matrix, predict_scores, run_cv_comparison
 
 
 def invoke(capsys, *args):
@@ -116,13 +117,6 @@ class TestExtract:
         assert out.startswith("entity\tobject\ttruth\t")
         assert "missing data" in err
 
-    def test_worker_count_equivalent(self, micro_paths, tmp_path, capsys):
-        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        invoke(capsys, "extract", *input_args(micro_paths), "--output", str(a))
-        invoke(capsys, "extract", *input_args(micro_paths), "--output", str(b),
-               "--max-workers", "3")
-        assert a.read_text() == b.read_text()
-
     def test_missing_input_flag(self, micro_paths, capsys):
         code, _, err = invoke(
             capsys, "extract",
@@ -149,12 +143,12 @@ class TestExtract:
         assert code == 2
         assert "error:" in err
 
-    def test_nonpositive_workers_rejected(self, micro_paths, capsys):
-        code, _, err = invoke(
-            capsys, "extract", *input_args(micro_paths), "--max-workers", "0"
-        )
-        assert code == 2
-        assert "max_workers" in err
+    @pytest.mark.parametrize("command", ["extract", "train", "predict"])
+    def test_max_workers_is_cv_only(self, micro_paths, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *input_args(micro_paths), "--max-workers", "2"])
+        assert exc.value.code == 2
+        assert "--max-workers" in capsys.readouterr().err
 
     def test_non_finite_embedding_is_exit_2(self, micro_paths, tmp_path, capsys):
         emb = tmp_path / "emb.txt"
@@ -304,12 +298,55 @@ class TestPredict:
         scores = [int(line.split("\t")[2]) for line in out.splitlines()]
         assert all(0 <= s <= 7 for s in scores)
 
+    def test_multinomial_honours_expected_rounded(self, micro, micro_paths, tmp_path,
+                                                   capsys):
+        model_path = tmp_path / "multinomial.json"
+        invoke(capsys, "train", *input_args(micro_paths), "--model", str(model_path),
+               "--model-type", "multinomial", "--reg-lambda", "1")
+        model = load_model(model_path)
+        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
+                              micro["triples"])
+        X_std = model.standardizer.apply(X)
+        expected = np.rint(model.class_probs(X_std) @ np.arange(8)).astype(int).tolist()
+        assert expected != model.predict(X_std)  # the two rules differ on this model
+        code, out, _ = invoke(
+            capsys, "predict", *input_args(micro_paths),
+            "--model", str(model_path), "--prediction-rule", "expected-rounded",
+        )
+        assert code == 0
+        assert [int(line.split("\t")[2]) for line in out.splitlines()] == expected
+
     def test_unknown_rule(self, micro_paths, trained, capsys):
         code, _, err = invoke(
             capsys, "predict", *input_args(micro_paths),
             "--model", str(trained), "--prediction-rule", "mode",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("model_type, field, value", [
+        ("ordinal", "w", "NaN"),
+        ("ordinal", "theta", "NaN"),
+        ("multinomial", "W", "NaN"),
+        ("ordinal", "stddevs", "Infinity"),
+    ])
+    def test_non_finite_artifact_value_is_exit_2(self, micro_paths, tmp_path, capsys,
+                                                 model_type, field, value):
+        model_path = tmp_path / "model.json"
+        invoke(capsys, "train", *input_args(micro_paths), "--model", str(model_path),
+               "--model-type", model_type)
+        data = json.loads(model_path.read_text())
+        values = data["standardizer"][field] if field == "stddevs" else data[field]
+        if field == "W":
+            values = values[2]
+        values[1] = float(value)
+        model_path.write_text(json.dumps(data, indent=2, sort_keys=True))
+        assert value in model_path.read_text()
+        code, out, err = invoke(
+            capsys, "predict", *input_args(micro_paths), "--model", str(model_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "model artifact is malformed" in err and "finite" in err
 
 
 class TestEvaluate:
@@ -446,6 +483,36 @@ class TestCv:
         )
         assert code == 2
         assert "entities" in err
+
+
+    def test_worker_count_equivalent(self, micro_paths, capsys):
+        args = ["cv", *input_args(micro_paths), "--folds", "3", "--seed", "11"]
+        _, out_one, _ = invoke(capsys, *args, "--max-workers", "1")
+        _, out_two, _ = invoke(capsys, *args, "--max-workers", "2")
+        assert out_one and out_one == out_two
+
+    def test_nonpositive_workers_rejected(self, micro_paths, capsys):
+        code, _, err = invoke(
+            capsys, "cv", *input_args(micro_paths), "--max-workers", "0"
+        )
+        assert code == 2
+        assert "max_workers" in err
+
+    def test_multinomial_honours_expected_rounded(self, micro, micro_paths, capsys):
+        args = ["cv", *input_args(micro_paths), "--folds", "3", "--seed", "11"]
+        payloads = {}
+        for rule in ("argmax", "expected-rounded"):
+            code, out, _ = invoke(capsys, *args, "--prediction-rule", rule)
+            assert code == 0
+            payloads[rule] = json.loads(out[out.index("{"):])
+        argmax, rounded = payloads["argmax"], payloads["expected-rounded"]
+        assert rounded["first"] == argmax["first"]
+        assert rounded["multinomial"] != argmax["multinomial"]
+        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
+                              micro["triples"])
+        library = run_cv_comparison(micro["triples"], X, micro["corpus"], folds=3, seed=11,
+                                    prediction_rule="expected-rounded")
+        assert rounded["multinomial"] == library["multinomial"].to_dict()
 
 
 class TestConfigPrecedence:

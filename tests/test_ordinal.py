@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplescore.errors import DegenerateLabelsError
+from triplescore.model import ARGMAX, EXPECTED_ROUNDED, NUM_CLASSES, FitConfig
 from triplescore.ordinal import (
-    ARGMAX,
-    EXPECTED_ROUNDED,
-    NUM_CLASSES,
-    FitConfig,
     OrdinalModel,
     fit,
     initial_params,
@@ -21,6 +18,19 @@ from triplescore.ordinal import (
 )
 
 THETA_LADDER = np.array([-2.25, -1.5, -0.75, 0.0, 0.75, 1.5, 2.25])
+
+
+def cum_row(m, x):
+    """P(y <= j | x) for j = 0..6, through the batch API on a one-row matrix."""
+    return m.cumulative_probs(np.asarray(x, dtype=float)[None, :])[0]
+
+
+def probs_row(m, x):
+    return m.class_probs(np.asarray(x, dtype=float)[None, :])[0]
+
+
+def predict_row(m, x, rule=ARGMAX):
+    return m.predict(np.asarray(x, dtype=float)[None, :], rule)[0]
 
 
 def hand_model(w, theta, names=None):
@@ -69,12 +79,12 @@ class TestCumulativeProb:
     def test_half_at_threshold(self):
         m = hand_model([1.0, 0.0], THETA_LADDER)
         for j in range(7):
-            assert m.cumulative_prob([THETA_LADDER[j], 5.0], j) == 0.5
+            assert cum_row(m, [THETA_LADDER[j], 5.0])[j] == 0.5
 
     def test_zero_weights_ignore_features(self):
         m = hand_model([0.0, 0.0], THETA_LADDER)
-        a = [m.cumulative_prob([0.0, 0.0], j) for j in range(7)]
-        b = [m.cumulative_prob([100.0, -3.0], j) for j in range(7)]
+        a = cum_row(m, [0.0, 0.0]).tolist()
+        b = cum_row(m, [100.0, -3.0]).tolist()
         assert a == b
 
     def test_nondecreasing_in_cut(self):
@@ -82,14 +92,12 @@ class TestCumulativeProb:
         for _ in range(20):
             m = random_model(rng)
             x = rng.normal(size=m.w.shape[0])
-            cum = [m.cumulative_prob(x, j) for j in range(7)]
+            cum = cum_row(m, x)
             assert all(cum[j] <= cum[j + 1] for j in range(6))
 
-    @pytest.mark.parametrize("j", [-1, 7, 10])
-    def test_cut_index_bounds(self, j):
+    def test_one_column_per_cut(self):
         m = hand_model([1.0], THETA_LADDER)
-        with pytest.raises(IndexError):
-            m.cumulative_prob([0.0], j)
+        assert m.cumulative_probs(np.zeros((5, 1))).shape == (5, 7)
 
 
 class TestClassDistribution:
@@ -98,8 +106,8 @@ class TestClassDistribution:
         for _ in range(30):
             m = random_model(rng)
             x = rng.normal(size=m.w.shape[0])
-            probs = m.class_distribution(x)
-            cum = [m.cumulative_prob(x, j) for j in range(7)]
+            probs = probs_row(m, x)
+            cum = cum_row(m, x)
             assert probs[0] == pytest.approx(cum[0], abs=1e-15)
             for j in range(1, 7):
                 assert probs[j] == pytest.approx(cum[j] - cum[j - 1], abs=1e-15)
@@ -110,13 +118,13 @@ class TestClassDistribution:
         for _ in range(50):
             m = random_model(rng)
             x = rng.normal(scale=3.0, size=m.w.shape[0])
-            probs = m.class_distribution(x)
+            probs = probs_row(m, x)
             assert np.all(probs >= 0.0)
             assert abs(probs.sum() - 1.0) < 1e-10
 
     def test_ladder_midpoint(self):
         m = hand_model([0.0], np.array([0.0, 800, 801, 802, 803, 804, 805]))
-        probs = m.class_distribution([0.0])
+        probs = probs_row(m, [0.0])
         assert probs[0] == 0.5
         assert probs[1] == 0.5
 
@@ -125,56 +133,56 @@ class TestPredict:
     def test_unique_maximum(self):
         m = hand_model([1.0], THETA_LADDER * 3)
         # strong negative score concentrates mass at class 0, etc.
-        assert m.predict([-50.0]) == 0
-        assert m.predict([50.0]) == 7
+        assert predict_row(m, [-50.0]) == 0
+        assert predict_row(m, [50.0]) == 7
 
     def test_exact_tie_resolves_to_lower_class(self):
         m = hand_model([0.0], np.array([-800.0, -800, 0, 0, 0, 800, 800]))
-        probs = m.class_distribution([0.0])
+        probs = probs_row(m, [0.0])
         assert probs[2] == 0.5 and probs[5] == 0.5  # exact two-way tie
-        assert m.predict([0.0]) == 2
+        assert predict_row(m, [0.0]) == 2
 
     def test_endpoint_tie(self):
         m = hand_model([0.0], np.zeros(7))
-        probs = m.class_distribution([0.0])
+        probs = probs_row(m, [0.0])
         assert probs[0] == 0.5 and probs[7] == 0.5
-        assert m.predict([0.0]) == 0
+        assert predict_row(m, [0.0]) == 0
 
     def test_agrees_with_bruteforce_argmax(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             m = random_model(rng)
             x = rng.normal(scale=2.0, size=m.w.shape[0])
-            probs = m.class_distribution(x)
+            probs = probs_row(m, x)
             best = min(range(NUM_CLASSES), key=lambda k: (-probs[k], k))
-            assert m.predict(x) == best
+            assert predict_row(m, x) == best
 
     def test_expected_rounded(self):
         m = hand_model([0.0], np.array([-800.0, -800, -800, 0, 800, 800, 800]))
-        probs = m.class_distribution([0.0])
+        probs = probs_row(m, [0.0])
         assert probs[3] == 0.5 and probs[4] == 0.5
-        assert m.predict([0.0], rule=ARGMAX) == 3
+        assert predict_row(m, [0.0], rule=ARGMAX) == 3
         # expectation 3.5 rounds half-to-even up to 4
-        assert m.predict([0.0], rule=EXPECTED_ROUNDED) == 4
+        assert predict_row(m, [0.0], rule=EXPECTED_ROUNDED) == 4
 
     def test_expected_rounded_tracks_expectation(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
             m = random_model(rng)
             x = rng.normal(size=m.w.shape[0])
-            expectation = float(np.dot(np.arange(8), m.class_distribution(x)))
-            assert m.predict(x, rule=EXPECTED_ROUNDED) == int(np.rint(expectation))
+            expectation = float(np.dot(np.arange(8), probs_row(m, x)))
+            assert predict_row(m, x, rule=EXPECTED_ROUNDED) == int(np.rint(expectation))
 
     def test_unknown_rule(self):
         m = hand_model([1.0], THETA_LADDER)
         with pytest.raises(ValueError):
-            m.predict([0.0], rule="mode")
+            predict_row(m, [0.0], rule="mode")
 
-    def test_predict_many_matches_scalar(self):
+    def test_batch_matches_row_by_row(self):
         rng = np.random.default_rng(23)
         m = random_model(rng)
         X = rng.normal(size=(12, m.w.shape[0]))
-        assert m.predict_many(X) == [m.predict(x) for x in X]
+        assert m.predict(X) == [predict_row(m, x) for x in X]
 
     @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.1, max_value=5.0))
     @settings(max_examples=60)
@@ -188,7 +196,7 @@ class TestPredict:
         if norm2 == 0.0:
             return
         e = [
-            float(np.dot(np.arange(8), m.class_distribution(x + t * m.w)))
+            float(np.dot(np.arange(8), probs_row(m, x + t * m.w)))
             for t in (0.0, step)
         ]
         assert e[1] >= e[0] - 1e-12
@@ -279,7 +287,7 @@ class TestFit:
         if np.unique(y).size < 2:
             pytest.fail("fixture degenerate")
         model = fit(X, y, FitConfig(reg_lambda=1e-4))
-        acc = np.mean(np.array(model.predict_many(X)) == y)
+        acc = np.mean(np.array(model.predict(X)) == y)
         assert acc >= 0.9
 
     def test_two_class_labels_yield_valid_model(self):
@@ -288,9 +296,9 @@ class TestFit:
         y = np.where(X @ np.array([2.0, -1.0]) > 0, 7, 0)
         model = fit(X, y, FitConfig(reg_lambda=1e-3))
         assert np.all(np.isfinite(model.w)) and np.all(np.isfinite(model.theta))
-        probs = model.class_distribution(rng.normal(size=2))
+        probs = probs_row(model, rng.normal(size=2))
         assert np.all(probs >= 0) and abs(probs.sum() - 1.0) < 1e-10
-        acc = np.mean(np.array(model.predict_many(X)) == y)
+        acc = np.mean(np.array(model.predict(X)) == y)
         assert acc >= 0.9
 
     def test_deterministic(self):

@@ -7,7 +7,8 @@ from triplescore.baselines import MultinomialModel
 from triplescore.errors import InputFormatError
 from triplescore.evaluation import cross_validate
 from triplescore.features import Relation, Triple, fit_standardizer
-from triplescore.ordinal import EXPECTED_ROUNDED, FitConfig, OrdinalModel
+from triplescore.model import EXPECTED_ROUNDED, FitConfig
+from triplescore.ordinal import OrdinalModel
 from triplescore.pipeline import (
     CV_MODEL_TYPES,
     MODEL_FIRST,
@@ -41,7 +42,7 @@ class TestTrainAndPredict:
         assert model.standardizer == fit_standardizer(X)
         # predict_scores standardizes with the model's own transform
         scores = predict_scores(model, X)
-        manual = model.predict_many(model.standardizer.apply(X))
+        manual = model.predict(model.standardizer.apply(X))
         assert scores == manual
 
     def test_multinomial_variant(self, micro):
@@ -62,7 +63,7 @@ class TestTrainAndPredict:
                               micro["triples"])
         model = train_model(micro["triples"], X)
         rounded = predict_scores(model, X, EXPECTED_ROUNDED)
-        manual = model.predict_many(model.standardizer.apply(X), EXPECTED_ROUNDED)
+        manual = model.predict(model.standardizer.apply(X), EXPECTED_ROUNDED)
         assert rounded == manual
 
     def test_predict_without_standardizer(self):
@@ -100,7 +101,7 @@ class TestMakeTrainer:
         model = train_model(train_triples, X[train_idx],
                             fit_config=FitConfig(reg_lambda=0.1))
         assert model.standardizer == fold_std
-        assert got == model.predict_many(fold_std.apply(X[test_idx]))
+        assert got == model.predict(fold_std.apply(X[test_idx]))
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):
