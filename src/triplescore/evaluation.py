@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import kendalltau, rankdata
 
 from .errors import EmptyInputError, TooFewEntitiesError
 from .features import Triple
@@ -72,14 +71,13 @@ def kendall_tau(predicted: Sequence[float], truth: Sequence[float],
                 variant: str = TAU_B) -> float:
     """Rank correlation of two equal-length score lists.
 
-    Identical rank vectors give exactly 1.0 regardless of variant, and
-    under tau-b exactly mirrored rank vectors give exactly -1.0; both
-    short-circuits sidestep float wobble at the ends of the scale. (A
-    tied mirror is genuinely above -1 under tau-a, so that variant takes
-    the counting path.) Otherwise a constant list, which carries no
-    ordering information, gives 0.0. Tau-b applies the tie correction;
-    tau-a divides the concordant-discordant surplus by the raw pair
-    count.
+    Both variants read the pair signs (v_i > v_j) - (v_i < v_j), i < j,
+    which count tied infinities as ties. Equal sign vectors (identical
+    rankings) give exactly 1.0, and under tau-b exactly mirrored ones
+    give exactly -1.0 (a tied mirror is genuinely above -1 under tau-a).
+    Otherwise a list without an untied pair gives 0.0. Tau-a divides the
+    concordant-discordant surplus by the pair count; tau-b by the root
+    of each list's untied-pair count. A nan raises ValueError.
     """
     if variant not in (TAU_B, TAU_A):
         raise ValueError(f"tau variant must be {TAU_B!r} or {TAU_A!r}, got {variant!r}")
@@ -89,22 +87,22 @@ def kendall_tau(predicted: Sequence[float], truth: Sequence[float],
         raise ValueError("predicted and truth must be equal-length 1-d sequences")
     if xs.size == 0:
         raise EmptyInputError("no scores to correlate")
-    ranks_x, ranks_y = rankdata(xs), rankdata(ys)
-    if np.array_equal(ranks_x, ranks_y):
+    for label, values in (("predicted", xs), ("truth", ys)):
+        if np.isnan(values).any():
+            raise ValueError(f"{label} scores contain nan")
+    i, j = np.triu_indices(xs.size, 1)
+    sx, sy = ((v[i] > v[j]).astype(np.int64) - (v[i] < v[j]) for v in (xs, ys))
+    if np.array_equal(sx, sy):
         return 1.0
-    if variant == TAU_B and np.array_equal(ranks_x, xs.size + 1 - ranks_y):
+    if variant == TAU_B and np.array_equal(sx, -sy):
         return -1.0
-    if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+    nx, ny = np.count_nonzero(sx), np.count_nonzero(sy)
+    if nx == 0 or ny == 0:
         return 0.0
-    if variant == TAU_B:
-        return float(kendalltau(xs, ys, variant="b").statistic)
-    surplus = 0
-    n = xs.size
-    for i in range(n):
-        sx = np.sign(xs[i] - xs[i + 1:])
-        sy = np.sign(ys[i] - ys[i + 1:])
-        surplus += int(np.sum(sx * sy))
-    return surplus / (n * (n - 1) / 2)
+    surplus = int(sx @ sy)
+    if variant == TAU_A:
+        return surplus / (xs.size * (xs.size - 1) / 2)
+    return float(min(1.0, max(-1.0, surplus / np.sqrt(nx) / np.sqrt(ny))))
 
 
 def kendall_tau_per_entity(pairs: Sequence[ScoredPair], variant: str = TAU_B,
@@ -296,23 +294,23 @@ def cross_validate(triples: Sequence[Triple], X, trainer: Trainer, *,
         y.append(t.truth)
     y = np.asarray(y, dtype=int)
 
-    entity_order = list(dict.fromkeys(t.entity_key for t in triples))
-    assignment = entity_fold_assignments(entity_order, folds, seed)
+    keys = [t.entity_key for t in triples]
+    assignment = entity_fold_assignments(list(dict.fromkeys(keys)), folds, seed)
+    fold_of = {e: f for f, members in enumerate(assignment) for e in members}
+    row_fold = np.array([fold_of[k] for k in keys])
 
-    def run_fold(fold_entities: list[str]) -> EvalReport:
-        held_out = set(fold_entities)
-        test_idx = [i for i, t in enumerate(triples) if t.entity_key in held_out]
-        train_idx = [i for i, t in enumerate(triples) if t.entity_key not in held_out]
-        train_triples = [triples[i] for i in train_idx]
-        test_triples = [triples[i] for i in test_idx]
-        predict_fn = trainer(train_triples, X[train_idx], y[train_idx])
-        predictions = predict_fn(test_triples, X[test_idx])
+    def run_fold(fold: int) -> EvalReport:
+        test = row_fold == fold
+        train_triples = [t for t, held_out in zip(triples, test) if not held_out]
+        test_triples = [t for t, held_out in zip(triples, test) if held_out]
+        predict_fn = trainer(train_triples, X[~test], y[~test])
+        predictions = predict_fn(test_triples, X[test])
         pairs = pairs_from_predictions(test_triples, predictions)
         return evaluate(pairs, delta, tau_variant, singleton_policy)
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(run_fold, assignment))
+            reports = list(pool.map(run_fold, range(folds)))
     else:
-        reports = [run_fold(fold) for fold in assignment]
+        reports = [run_fold(fold) for fold in range(folds)]
     return CVResult(fold_reports=tuple(reports), mean=mean_report(reports))

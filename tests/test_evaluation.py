@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from triplescore.errors import EmptyInputError, TooFewEntitiesError
 from triplescore.evaluation import (
@@ -162,18 +163,28 @@ class TestKendallTau:
     @pytest.mark.parametrize("variant", [TAU_A, TAU_B])
     def test_matches_pair_counting_definition(self, variant):
         rng = np.random.default_rng(7)
+        # the same codes again as -inf, 0, 1, inf: tied infinities must tie
+        levels = np.array([-np.inf, 0.0, 1.0, np.inf])
         for _ in range(100):
             n = int(rng.integers(2, 12))
-            xs = rng.integers(0, 4, size=n).tolist()  # heavy ties on purpose
-            ys = rng.integers(0, 4, size=n).tolist()
-            got = kendall_tau(xs, ys, variant)
-            from scipy.stats import rankdata
-            if np.array_equal(rankdata(xs), rankdata(ys)):
-                assert got == 1.0
-            elif len(set(xs)) == 1 or len(set(ys)) == 1:
-                assert got == 0.0
-            else:
-                assert got == pytest.approx(brute_force_tau(xs, ys, variant), abs=1e-12)
+            x_codes = rng.integers(0, 4, size=n)  # heavy ties on purpose
+            y_codes = rng.integers(0, 4, size=n)
+            for xs, ys in ((x_codes.tolist(), y_codes.tolist()),
+                           (levels[x_codes].tolist(), levels[y_codes].tolist())):
+                got = kendall_tau(xs, ys, variant)
+                if np.array_equal(rankdata(xs), rankdata(ys)):
+                    assert got == 1.0
+                elif len(set(xs)) == 1 or len(set(ys)) == 1:
+                    assert got == 0.0
+                else:
+                    assert got == pytest.approx(brute_force_tau(xs, ys, variant), abs=1e-12)
+
+    @pytest.mark.parametrize("variant", [TAU_A, TAU_B])
+    def test_nan_rejected_naming_the_argument(self, variant):
+        with pytest.raises(ValueError, match="predicted"):
+            kendall_tau([1.0, float("nan"), 2.0], [1, 2, 3], variant)
+        with pytest.raises(ValueError, match="truth"):
+            kendall_tau([1, 2, 3], [float("nan")] * 3, variant)
 
     def test_errors(self):
         with pytest.raises(EmptyInputError):

@@ -1,0 +1,112 @@
+"""The numpy Kendall-tau kernel against the scipy-based code it replaced.
+
+The oracle below is `kendall_tau` as it stood before the kernel: the
+end-of-scale rules from `scipy.stats.rankdata`, tau-b from
+`scipy.stats.kendalltau`, and tau-a from a per-row sign loop. The kernel
+must return the same float, bit for bit, wherever the oracle returns a
+value. The oracle raises on tied infinities under tau-a (its loop
+subtracts, and inf - inf is nan); there the kernel must still give a
+finite tau in [-1, 1]. Inputs mix heavy integer ties, arbitrary floats,
+signed zeros and infinities, constants, identical and mirrored lists.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import kendalltau, rankdata
+
+import triplescore
+from triplescore.evaluation import TAU_A, TAU_B, kendall_tau
+
+
+def oracle_kendall_tau(predicted, truth, variant=TAU_B):
+    xs = np.asarray(predicted, dtype=float)
+    ys = np.asarray(truth, dtype=float)
+    ranks_x, ranks_y = rankdata(xs), rankdata(ys)
+    if np.array_equal(ranks_x, ranks_y):
+        return 1.0
+    if variant == TAU_B and np.array_equal(ranks_x, xs.size + 1 - ranks_y):
+        return -1.0
+    if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+        return 0.0
+    if variant == TAU_B:
+        return float(kendalltau(xs, ys, variant="b").statistic)
+    surplus = 0
+    n = xs.size
+    for i in range(n):
+        sx = np.sign(xs[i] - xs[i + 1:])
+        sy = np.sign(ys[i] - ys[i + 1:])
+        surplus += int(np.sum(sx * sy))
+    return surplus / (n * (n - 1) / 2)
+
+
+INF = float("inf")
+ELEMENTS = (
+    st.integers(0, 7),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-INF, -1.5, -0.0, 0.0, 2.0, INF]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def score_lists(draw):
+    n = draw(st.integers(1, 40))
+    elements = draw(st.sampled_from(ELEMENTS))
+    xs = draw(st.lists(elements, min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["free", "same", "mirror", "constant"]))
+    if shape == "free":
+        ys = draw(st.lists(elements, min_size=n, max_size=n))
+    elif shape == "same":
+        ys = list(xs)
+    elif shape == "mirror":
+        ys = [-v for v in xs]
+    else:
+        ys = [draw(elements)] * n
+    if draw(st.booleans()):
+        xs, ys = ys, xs
+    return xs, ys
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestAgainstOracle:
+    @given(score_lists(), st.sampled_from([TAU_A, TAU_B]))
+    @example(([INF, INF, 1], [1, 2, 3]), TAU_A)
+    @example(([-INF, 0.0, INF], [INF, 0.0, -INF]), TAU_B)
+    @example(([-0.0, 0.0, 1.0], [0.0, 1.0, 2.0]), TAU_A)
+    @example(([0, 1, 1], [1, 0, 0]), TAU_B)
+    @example(([3], [5]), TAU_B)
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_wherever_the_oracle_answers(self, lists, variant):
+        xs, ys = lists
+        got = kendall_tau(xs, ys, variant)
+        assert type(got) is float
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected = oracle_kendall_tau(xs, ys, variant)
+        except ValueError:
+            assert variant == TAU_A and INF in np.abs(np.asarray(xs + ys, dtype=float))
+            assert -1.0 <= got <= 1.0
+            return
+        assert type(expected) is float
+        assert got == expected
+        assert bits(got) == bits(expected)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(Path(triplescore.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, triplescore.cli; "
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
