@@ -28,13 +28,9 @@ from .embeddings import EmbeddingStore, cosine, load_embeddings, normalize_key
 from .evaluation import (
     CVResult,
     EvalReport,
-    ScoredPair,
-    accuracy_at_delta,
-    average_score_difference,
     cross_validate,
     evaluate,
     kendall_tau,
-    kendall_tau_per_entity,
 )
 from .features import (
     FEATURE_NAMES,
@@ -83,11 +79,8 @@ __all__ = [
     "OrdinalModel",
     "PageRecord",
     "Relation",
-    "ScoredPair",
     "Standardizer",
     "Triple",
-    "accuracy_at_delta",
-    "average_score_difference",
     "cosine",
     "cross_validate",
     "evaluate",
@@ -100,7 +93,6 @@ __all__ = [
     "fit_ordinal",
     "fit_standardizer",
     "kendall_tau",
-    "kendall_tau_per_entity",
     "load_corpus",
     "load_embeddings",
     "load_model",

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .corpus import Corpus, first_mentioned
 from .embeddings import normalize_key
@@ -64,7 +63,8 @@ def multinomial_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     b = params[NUM_CLASSES * p:]
 
     logits = X @ W.T + b
-    log_norm = logsumexp(logits, axis=1)
+    shift = logits.max(axis=1)
+    log_norm = shift + np.log(np.sum(np.exp(logits - shift[:, None]), axis=1))
     value = float(
         -np.sum(logits[np.arange(n), y] - log_norm)
         + 0.5 * reg_lambda * np.sum(W * W)

@@ -23,7 +23,7 @@ from .errors import (
     InputFormatError,
     RelationMismatchError,
 )
-from .evaluation import ScoredPair, evaluate, format_comparison_table
+from .evaluation import evaluate, format_comparison_table
 from .features import (
     Relation,
     load_triples,
@@ -188,20 +188,20 @@ def cmd_evaluate(config: RunConfig) -> int:
                           f"(first: {extra[0][0]}/{extra[0][1]})")
         raise InputFormatError("prediction and truth triple sets differ: " + "; ".join(detail))
 
-    pairs = []
+    predicted = []
     for t in truth_triples:
-        if t.truth is None:
-            raise InputFormatError(
-                f"{config.triples}: triple {t.entity}/{t.object} has no truth score"
-            )
         scored = pred_map[(t.entity_key, t.object_key)]
         if scored.truth is None:
             raise InputFormatError(
                 f"{config.predictions}: triple {scored.entity}/{scored.object} has no score"
             )
-        pairs.append(ScoredPair(t, scored.truth, t.truth))
+        predicted.append(scored.truth)
 
-    report = evaluate(pairs, config.delta, config.tau_variant, config.singleton_policy)
+    try:
+        report = evaluate(truth_triples, predicted, config.delta, config.tau_variant,
+                          config.singleton_policy)
+    except InputFormatError as exc:  # no truth rows, or one without a score
+        raise InputFormatError(f"{config.triples}: {exc}") from None
     print(format_comparison_table([("predictions", report)]))
     text = report.to_json() + "\n"
     sys.stdout.write(text)

@@ -50,8 +50,6 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_PATH_FIELDS = ("embeddings", "corpus", "universe", "triples", "predictions",
-                "model", "output")
 
 
 def _convert(name: str, raw: str):

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, TooFewEntitiesError
+from .errors import EmptyInputError, InputFormatError, TooFewEntitiesError
 from .features import Triple
 
 TAU_B = "b"
@@ -25,46 +25,44 @@ SINGLETON_ONE = "one"
 SINGLETON_SKIP = "skip"
 
 
-@dataclass(frozen=True)
-class ScoredPair:
-    """A triple with its predicted score next to the truth score."""
+def _group_taus(xs: np.ndarray, ys: np.ndarray, group: np.ndarray, n_groups: int,
+                variant: str) -> np.ndarray:
+    """Kendall's tau of xs against ys inside each group, by `kendall_tau`'s rules.
 
-    triple: Triple
-    predicted: int
-    truth: int
+    Rows sort stably by group id, the i < j pairs inside every group are
+    laid out at once, and each per-group count is one bincount over the
+    pairs' group ids. A group of one row has no pair and gives 1.0.
+    """
+    order = np.argsort(group, kind="stable")
+    xs, ys, group = xs[order], ys[order], group[order]
+    sizes = np.bincount(group, minlength=n_groups)
+    # row r pairs with the rows after it up to the last row of its group
+    after = (np.cumsum(sizes) - 1)[group] - np.arange(group.size)
+    i = np.repeat(np.arange(group.size), after)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(after) - after, after)
+    pair_group = group[i]
+    sx, sy = ((v[i] > v[j]).astype(np.int64) - (v[i] < v[j]) for v in (xs, ys))
 
-    def __post_init__(self):
-        for label, value in (("predicted", self.predicted), ("truth", self.truth)):
-            if not 0 <= value <= 7:
-                raise ValueError(f"{label} score must be in [0, 7], got {value}")
+    def per_group(mask: np.ndarray) -> np.ndarray:
+        return np.bincount(pair_group[mask], minlength=n_groups)
+
+    nx, ny = per_group(sx != 0), per_group(sy != 0)
+    surplus = per_group(sx * sy > 0) - per_group(sx * sy < 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if variant == TAU_A:
+            taus = surplus / (sizes * (sizes - 1) / 2)
+        else:
+            taus = np.clip(surplus / np.sqrt(nx) / np.sqrt(ny), -1.0, 1.0)
+    taus[(nx == 0) | (ny == 0)] = 0.0
+    if variant == TAU_B:
+        taus[per_group(sx != -sy) == 0] = -1.0
+    taus[per_group(sx != sy) == 0] = 1.0
+    return taus
 
 
-def pairs_from_predictions(triples: Sequence[Triple],
-                           predicted: Sequence[int]) -> list[ScoredPair]:
-    """Zip triples carrying truth scores with a parallel prediction list."""
-    if len(triples) != len(predicted):
-        raise ValueError("triples and predictions must have equal length")
-    pairs = []
-    for triple, pred in zip(triples, predicted):
-        if triple.truth is None:
-            raise ValueError(f"triple {triple.entity}/{triple.object} has no truth score")
-        pairs.append(ScoredPair(triple, int(pred), triple.truth))
-    return pairs
-
-
-def accuracy_at_delta(pairs: Sequence[ScoredPair], delta: int = 2) -> float:
-    """Fraction of pairs with |predicted - truth| <= delta."""
-    if not pairs:
-        raise EmptyInputError("no scored pairs to evaluate")
-    hits = sum(1 for p in pairs if abs(p.predicted - p.truth) <= delta)
-    return hits / len(pairs)
-
-
-def average_score_difference(pairs: Sequence[ScoredPair]) -> float:
-    """Mean absolute difference between predicted and truth scores."""
-    if not pairs:
-        raise EmptyInputError("no scored pairs to evaluate")
-    return sum(abs(p.predicted - p.truth) for p in pairs) / len(pairs)
+def _check_variant(variant: str) -> None:
+    if variant not in (TAU_B, TAU_A):
+        raise ValueError(f"tau variant must be {TAU_B!r} or {TAU_A!r}, got {variant!r}")
 
 
 def kendall_tau(predicted: Sequence[float], truth: Sequence[float],
@@ -79,8 +77,7 @@ def kendall_tau(predicted: Sequence[float], truth: Sequence[float],
     concordant-discordant surplus by the pair count; tau-b by the root
     of each list's untied-pair count. A nan raises ValueError.
     """
-    if variant not in (TAU_B, TAU_A):
-        raise ValueError(f"tau variant must be {TAU_B!r} or {TAU_A!r}, got {variant!r}")
+    _check_variant(variant)
     xs = np.asarray(predicted, dtype=float)
     ys = np.asarray(truth, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
@@ -90,51 +87,19 @@ def kendall_tau(predicted: Sequence[float], truth: Sequence[float],
     for label, values in (("predicted", xs), ("truth", ys)):
         if np.isnan(values).any():
             raise ValueError(f"{label} scores contain nan")
-    i, j = np.triu_indices(xs.size, 1)
-    sx, sy = ((v[i] > v[j]).astype(np.int64) - (v[i] < v[j]) for v in (xs, ys))
-    if np.array_equal(sx, sy):
-        return 1.0
-    if variant == TAU_B and np.array_equal(sx, -sy):
-        return -1.0
-    nx, ny = np.count_nonzero(sx), np.count_nonzero(sy)
-    if nx == 0 or ny == 0:
-        return 0.0
-    surplus = int(sx @ sy)
-    if variant == TAU_A:
-        return surplus / (xs.size * (xs.size - 1) / 2)
-    return float(min(1.0, max(-1.0, surplus / np.sqrt(nx) / np.sqrt(ny))))
+    return float(_group_taus(xs, ys, np.zeros(xs.size, dtype=np.intp), 1, variant)[0])
 
 
-def kendall_tau_per_entity(pairs: Sequence[ScoredPair], variant: str = TAU_B,
-                           singleton_policy: str = SINGLETON_ONE) -> float:
-    """Mean rank correlation over per-entity groups.
-
-    Pairs group by (entity, relation). A group of one triple is trivially
-    perfectly ordered and contributes 1.0 under the default policy; the
-    "skip" policy drops such groups from the mean instead (0.0 if nothing
-    remains).
-    """
-    if not pairs:
-        raise EmptyInputError("no scored pairs to evaluate")
-    if singleton_policy not in (SINGLETON_ONE, SINGLETON_SKIP):
-        raise ValueError(f"unknown singleton policy {singleton_policy!r}")
-    groups: dict[tuple[str, str], list[ScoredPair]] = {}
-    for pair in pairs:
-        key = (pair.triple.entity_key, str(pair.triple.relation))
-        groups.setdefault(key, []).append(pair)
-
-    taus = []
-    for members in groups.values():
-        if len(members) == 1:
-            if singleton_policy == SINGLETON_ONE:
-                taus.append(1.0)
-            continue
-        taus.append(kendall_tau(
-            [m.predicted for m in members], [m.truth for m in members], variant
-        ))
-    if not taus:
-        return 0.0
-    return sum(taus) / len(taus)
+def truth_labels(triples: Sequence[Triple]) -> np.ndarray:
+    """Ground-truth scores as an int array; every triple must carry one."""
+    labels = [t.truth for t in triples]
+    if None in labels:
+        t = triples[labels.index(None)]
+        raise InputFormatError(
+            f"triple {t.entity}/{t.object} has no truth score; "
+            "training and evaluation need three-column rows"
+        )
+    return np.asarray(labels, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -173,19 +138,46 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def evaluate(pairs: Sequence[ScoredPair], delta: int = 2, tau_variant: str = TAU_B,
+def evaluate(triples: Sequence[Triple], predicted: Sequence[int], delta: int = 2,
+             tau_variant: str = TAU_B,
              singleton_policy: str = SINGLETON_ONE) -> EvalReport:
-    """All three metrics over one set of scored pairs."""
-    if not pairs:
-        raise EmptyInputError("no scored pairs to evaluate")
-    entities = {(p.triple.entity_key, str(p.triple.relation)) for p in pairs}
+    """All three metrics of predicted scores against the triples' truth scores.
+
+    Accuracy is the share of rows with |predicted - truth| <= delta; the
+    score difference is the mean |predicted - truth|. Rows group by
+    (entity, relation), and tau is the mean of the per-group taus in
+    order of first appearance. A group of one triple is trivially
+    perfectly ordered and contributes 1.0 under the default policy; the
+    "skip" policy drops such groups from the mean instead (0.0 if nothing
+    remains).
+    """
+    if len(triples) != len(predicted):
+        raise ValueError("triples and predictions must have equal length")
+    if not triples:
+        raise EmptyInputError("no scored triples to evaluate")
+    _check_variant(tau_variant)
+    if singleton_policy not in (SINGLETON_ONE, SINGLETON_SKIP):
+        raise ValueError(f"unknown singleton policy {singleton_policy!r}")
+    truth = truth_labels(triples)
+    scores = np.asarray(predicted, dtype=np.int64)
+    out_of_range = scores[(scores < 0) | (scores > 7)]
+    if out_of_range.size:
+        raise ValueError(f"predicted score must be in [0, 7], got {out_of_range[0]}")
+    ids: dict[tuple[str, str], int] = {}
+    group = np.array([ids.setdefault((t.entity_key, str(t.relation)), len(ids))
+                      for t in triples])
+    diff = np.abs(scores - truth)
+    taus = _group_taus(scores, truth, group, len(ids), tau_variant)
+    if singleton_policy == SINGLETON_SKIP:
+        taus = taus[np.bincount(group) > 1]
+    taus = taus.tolist()
     return EvalReport(
-        n_triples=len(pairs),
-        n_entities=len(entities),
+        n_triples=len(triples),
+        n_entities=len(ids),
         delta=delta,
-        accuracy=accuracy_at_delta(pairs, delta),
-        avg_score_diff=average_score_difference(pairs),
-        kendall_tau=kendall_tau_per_entity(pairs, tau_variant, singleton_policy),
+        accuracy=int(np.count_nonzero(diff <= delta)) / len(triples),
+        avg_score_diff=int(diff.sum()) / len(triples),
+        kendall_tau=sum(taus) / len(taus) if taus else 0.0,
     )
 
 
@@ -287,12 +279,7 @@ def cross_validate(triples: Sequence[Triple], X, trainer: Trainer, *,
     X = np.asarray(X, dtype=float)
     if X.shape[0] != len(triples):
         raise ValueError("feature matrix rows must match triple count")
-    y = []
-    for t in triples:
-        if t.truth is None:
-            raise ValueError(f"triple {t.entity}/{t.object} has no truth score")
-        y.append(t.truth)
-    y = np.asarray(y, dtype=int)
+    y = truth_labels(triples)
 
     keys = [t.entity_key for t in triples]
     assignment = entity_fold_assignments(list(dict.fromkeys(keys)), folds, seed)
@@ -305,8 +292,7 @@ def cross_validate(triples: Sequence[Triple], X, trainer: Trainer, *,
         test_triples = [t for t, held_out in zip(triples, test) if held_out]
         predict_fn = trainer(train_triples, X[~test], y[~test])
         predictions = predict_fn(test_triples, X[test])
-        pairs = pairs_from_predictions(test_triples, predictions)
-        return evaluate(pairs, delta, tau_variant, singleton_policy)
+        return evaluate(test_triples, predictions, delta, tau_variant, singleton_policy)
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:

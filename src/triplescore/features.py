@@ -297,7 +297,7 @@ class Standardizer:
             raise ValueError("standardizer means and stddevs must be finite")
 
     def apply(self, X) -> np.ndarray:
-        X = _as_matrix(X)
+        X = np.asarray(X, dtype=float)
         means = np.asarray(self.means)
         stds = np.asarray(self.stddevs)
         if X.shape[1] != means.shape[0]:
@@ -313,17 +313,9 @@ class Standardizer:
         return cls(means=tuple(data["means"]), stddevs=tuple(data["stddevs"]))
 
 
-def _as_matrix(X) -> np.ndarray:
-    if isinstance(X, np.ndarray):
-        return np.asarray(X, dtype=float)
-    if X and isinstance(X[0], FeatureVector):
-        return matrix(X)
-    return np.asarray(X, dtype=float)
-
-
 def fit_standardizer(X) -> Standardizer:
     """Column means and population stddevs of a non-empty training matrix."""
-    X = _as_matrix(X)
+    X = np.asarray(X, dtype=float)
     if X.size == 0 or X.shape[0] == 0:
         raise EmptyTrainingSetError("cannot fit a standardizer on an empty matrix")
     means = X.mean(axis=0)

@@ -12,8 +12,7 @@ import numpy as np
 from .baselines import MultinomialModel, first_baseline_predictions, fit_multinomial
 from .corpus import Corpus
 from .embeddings import EmbeddingStore
-from .errors import InputFormatError
-from .evaluation import CVResult, Trainer, cross_validate
+from .evaluation import CVResult, Trainer, cross_validate, truth_labels
 from .features import (
     ObjectUniverse,
     Relation,
@@ -30,19 +29,6 @@ MODEL_FIRST = "first"
 MODEL_MULTINOMIAL = MultinomialModel.model_type
 MODEL_ORDINAL = OrdinalModel.model_type
 CV_MODEL_TYPES = (MODEL_FIRST, MODEL_MULTINOMIAL, MODEL_ORDINAL)
-
-
-def truth_labels(triples: list[Triple]) -> np.ndarray:
-    """Ground-truth scores as an int array; every triple must carry one."""
-    labels = []
-    for t in triples:
-        if t.truth is None:
-            raise InputFormatError(
-                f"triple {t.entity}/{t.object} has no truth score; "
-                "training and evaluation need three-column rows"
-            )
-        labels.append(t.truth)
-    return np.asarray(labels, dtype=int)
 
 
 def extract_matrix(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,

@@ -27,12 +27,10 @@ from triplescore.corpus import load_corpus
 from triplescore.embeddings import load_embeddings
 from triplescore.evaluation import (
     EvalReport,
-    accuracy_at_delta,
-    average_score_difference,
+    evaluate,
     format_metric,
     kendall_tau,
     mean_report,
-    pairs_from_predictions,
 )
 from triplescore.features import (
     FLAG_ENTITY_EMBEDDING,
@@ -268,10 +266,10 @@ def test_criterion_6_metric_fixtures():
     with criterion(6, "metric fixtures and report aggregation"):
         triples = [Triple("e", Relation.PROFESSION, "x", 5),
                    Triple("e", Relation.PROFESSION, "y", 3)]
-        pairs = pairs_from_predictions(triples, [7, 0])
-        assert accuracy_at_delta(pairs, delta=2) == 0.5
-        assert average_score_difference(pairs) == 2.5
-        assert accuracy_at_delta(pairs, delta=7) == 1.0
+        report = evaluate(triples, [7, 0], delta=2)
+        assert report.accuracy == 0.5
+        assert report.avg_score_diff == 2.5
+        assert evaluate(triples, [7, 0], delta=7).accuracy == 1.0
 
         per_relation = [
             EvalReport(515, 134, 2, 0.71, 1.8, 0.5),

@@ -419,6 +419,17 @@ class TestEvaluate:
         assert code == 2
         assert "no score" in err
 
+    def test_unscored_truth_row_names_the_truth_file(self, tmp_path, capsys):
+        truth = tmp_path / "truth.tsv"
+        preds = tmp_path / "preds.tsv"
+        truth.write_text("a\tx\t5\nb\ty\n")
+        preds.write_text("a\tx\t5\nb\ty\t3\n")
+        code, _, err = invoke(
+            capsys, "evaluate", "--triples", str(truth), "--predictions", str(preds)
+        )
+        assert code == 2
+        assert f"{truth}: triple b/y has no truth score" in err
+
     def test_delta_flag(self, tmp_path, capsys):
         truth = [("a", "x", 0), ("a", "y", 7)]
         preds = [("a", "x", 7), ("a", "y", 0)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from triplescore.errors import EmptyInputError, TooFewEntitiesError
+from triplescore.errors import EmptyInputError, InputFormatError, TooFewEntitiesError
 from triplescore.evaluation import (
     SINGLETON_ONE,
     SINGLETON_SKIP,
@@ -14,24 +14,25 @@ from triplescore.evaluation import (
     TAU_B,
     CVResult,
     EvalReport,
-    ScoredPair,
-    accuracy_at_delta,
-    average_score_difference,
     cross_validate,
     entity_fold_assignments,
     evaluate,
     format_comparison_table,
     format_metric,
     kendall_tau,
-    kendall_tau_per_entity,
     mean_report,
-    pairs_from_predictions,
 )
 from triplescore.features import Relation, Triple
 
 
-def pair(entity, obj, predicted, truth, relation=Relation.PROFESSION):
-    return ScoredPair(Triple(entity, relation, obj, truth), predicted, truth)
+def row(entity, obj, predicted, truth, relation=Relation.PROFESSION):
+    """One scored triple and the score predicted for it."""
+    return Triple(entity, relation, obj, truth), predicted
+
+
+def metrics(rows, **kwargs):
+    triples, predicted = zip(*rows)
+    return evaluate(list(triples), list(predicted), **kwargs)
 
 
 def brute_force_tau(xs, ys, variant):
@@ -51,73 +52,79 @@ def brute_force_tau(xs, ys, variant):
 
 class TestAccuracyAndDifference:
     def test_hand_fixture(self):
-        pairs = [pair("a", "x", 7, 5), pair("a", "y", 0, 3)]
-        assert accuracy_at_delta(pairs, delta=2) == 0.5
-        assert average_score_difference(pairs) == 2.5
+        rows = [row("a", "x", 7, 5), row("a", "y", 0, 3)]
+        assert metrics(rows, delta=2).accuracy == 0.5
+        assert metrics(rows).avg_score_diff == 2.5
 
     def test_identical_scores(self):
-        pairs = [pair("a", "x", 4, 4), pair("a", "y", 1, 1)]
-        assert accuracy_at_delta(pairs, delta=2) == 1.0
-        assert average_score_difference(pairs) == 0.0
+        rows = [row("a", "x", 4, 4), row("a", "y", 1, 1)]
+        assert metrics(rows, delta=2).accuracy == 1.0
+        assert metrics(rows).avg_score_diff == 0.0
 
     def test_single_worst_case(self):
-        pairs = [pair("a", "x", 0, 7)]
-        assert accuracy_at_delta(pairs, delta=2) == 0.0
-        assert average_score_difference(pairs) == 7.0
+        rows = [row("a", "x", 0, 7)]
+        assert metrics(rows, delta=2).accuracy == 0.0
+        assert metrics(rows).avg_score_diff == 7.0
 
     def test_delta_seven_accepts_everything(self):
-        pairs = [pair("a", "x", 0, 7), pair("a", "y", 7, 0)]
-        assert accuracy_at_delta(pairs, delta=7) == 1.0
+        rows = [row("a", "x", 0, 7), row("a", "y", 7, 0)]
+        assert metrics(rows, delta=7).accuracy == 1.0
 
     def test_delta_zero_means_exact_match(self):
-        pairs = [pair("a", "x", 3, 3), pair("a", "y", 3, 4)]
-        assert accuracy_at_delta(pairs, delta=0) == 0.5
+        rows = [row("a", "x", 3, 3), row("a", "y", 3, 4)]
+        assert metrics(rows, delta=0).accuracy == 0.5
 
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(3)
-        pairs = [
-            pair("e", f"o{i}", int(rng.integers(0, 8)), int(rng.integers(0, 8)))
+        rows = [
+            row("e", f"o{i}", int(rng.integers(0, 8)), int(rng.integers(0, 8)))
             for i in range(40)
         ]
-        accs = [accuracy_at_delta(pairs, d) for d in range(8)]
+        accs = [metrics(rows, delta=d).accuracy for d in range(8)]
         assert accs == sorted(accs)
         assert accs[7] == 1.0
 
     def test_difference_is_symmetric(self):
-        a = [pair("e", "x", 6, 1), pair("e", "y", 2, 5)]
-        b = [pair("e", "x", 1, 6), pair("e", "y", 5, 2)]
-        assert average_score_difference(a) == average_score_difference(b)
+        a = [row("e", "x", 6, 1), row("e", "y", 2, 5)]
+        b = [row("e", "x", 1, 6), row("e", "y", 5, 2)]
+        assert metrics(a).avg_score_diff == metrics(b).avg_score_diff
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            accuracy_at_delta([], delta=2)
+            evaluate([], [], delta=2)
         with pytest.raises(EmptyInputError):
-            average_score_difference([])
+            evaluate([], [])
 
 
 class TestScoredPair:
+    """The checks evaluate makes on triples and their parallel predictions."""
+
     def test_range_validation(self):
         t = Triple("a", Relation.PROFESSION, "x", 3)
+        with pytest.raises(ValueError, match="predicted score"):
+            evaluate([t], [8])
+        with pytest.raises(ValueError, match="predicted score"):
+            evaluate([t], [-1])
         with pytest.raises(ValueError):
-            ScoredPair(t, 8, 3)
-        with pytest.raises(ValueError):
-            ScoredPair(t, 3, -1)
+            evaluate([Triple("a", Relation.PROFESSION, "x", -1)], [3])
 
     def test_pairs_from_predictions(self):
         triples = [Triple("a", Relation.PROFESSION, "x", 5),
                    Triple("a", Relation.PROFESSION, "y", 1)]
-        pairs = pairs_from_predictions(triples, [4, 2])
-        assert [(p.predicted, p.truth) for p in pairs] == [(4, 5), (2, 1)]
+        # rows pair by position: |4 - 5| and |2 - 1|
+        report = evaluate(triples, [4, 2], delta=0)
+        assert (report.accuracy, report.avg_score_diff) == (0.0, 1.0)
+        assert evaluate(triples, [5, 1], delta=0).accuracy == 1.0
 
     def test_length_mismatch(self):
         triples = [Triple("a", Relation.PROFESSION, "x", 5)]
         with pytest.raises(ValueError):
-            pairs_from_predictions(triples, [1, 2])
+            evaluate(triples, [1, 2])
 
     def test_truth_required(self):
         triples = [Triple("a", Relation.PROFESSION, "x")]
-        with pytest.raises(ValueError):
-            pairs_from_predictions(triples, [1])
+        with pytest.raises(InputFormatError, match="no truth score"):
+            evaluate(triples, [1])
 
 
 class TestKendallTau:
@@ -197,53 +204,53 @@ class TestKendallTau:
 
 class TestKendallTauPerEntity:
     def test_mean_over_entities(self):
-        pairs = [
-            pair("a", "x", 1, 1), pair("a", "y", 2, 2), pair("a", "z", 3, 3),
-            pair("b", "x", 3, 1), pair("b", "y", 2, 2), pair("b", "z", 1, 3),
+        rows = [
+            row("a", "x", 1, 1), row("a", "y", 2, 2), row("a", "z", 3, 3),
+            row("b", "x", 3, 1), row("b", "y", 2, 2), row("b", "z", 1, 3),
         ]
         # entity a perfectly ordered (+1), entity b reversed (-1)
-        assert kendall_tau_per_entity(pairs) == 0.0
+        assert metrics(rows).kendall_tau == 0.0
 
     def test_singleton_counts_as_one_by_default(self):
-        pairs = [pair("a", "x", 0, 7), pair("b", "x", 1, 1), pair("b", "y", 2, 2)]
-        assert kendall_tau_per_entity(pairs, singleton_policy=SINGLETON_ONE) == 1.0
+        rows = [row("a", "x", 0, 7), row("b", "x", 1, 1), row("b", "y", 2, 2)]
+        assert metrics(rows, singleton_policy=SINGLETON_ONE).kendall_tau == 1.0
 
     def test_singleton_skip_drops_group(self):
-        pairs = [
-            pair("a", "x", 0, 7),
-            pair("b", "x", 3, 1), pair("b", "y", 2, 2), pair("b", "z", 1, 3),
+        rows = [
+            row("a", "x", 0, 7),
+            row("b", "x", 3, 1), row("b", "y", 2, 2), row("b", "z", 1, 3),
         ]
-        assert kendall_tau_per_entity(pairs, singleton_policy=SINGLETON_SKIP) == -1.0
+        assert metrics(rows, singleton_policy=SINGLETON_SKIP).kendall_tau == -1.0
 
     def test_all_singletons_skipped_gives_zero(self):
-        pairs = [pair("a", "x", 0, 7), pair("b", "x", 5, 5)]
-        assert kendall_tau_per_entity(pairs, singleton_policy=SINGLETON_SKIP) == 0.0
+        rows = [row("a", "x", 0, 7), row("b", "x", 5, 5)]
+        assert metrics(rows, singleton_policy=SINGLETON_SKIP).kendall_tau == 0.0
 
     def test_groups_split_by_relation(self):
-        pairs = [
-            pair("a", "x", 1, 1), pair("a", "y", 2, 2),
-            pair("a", "fr", 3, 1, relation=Relation.NATIONALITY),
-            pair("a", "de", 1, 3, relation=Relation.NATIONALITY),
+        rows = [
+            row("a", "x", 1, 1), row("a", "y", 2, 2),
+            row("a", "fr", 3, 1, relation=Relation.NATIONALITY),
+            row("a", "de", 1, 3, relation=Relation.NATIONALITY),
         ]
         # profession group +1, nationality group -1
-        assert kendall_tau_per_entity(pairs) == 0.0
+        assert metrics(rows).kendall_tau == 0.0
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            kendall_tau_per_entity([pair("a", "x", 1, 1)], singleton_policy="zero")
+            metrics([row("a", "x", 1, 1)], singleton_policy="zero")
 
     def test_empty(self):
         with pytest.raises(EmptyInputError):
-            kendall_tau_per_entity([])
+            evaluate([], [])
 
 
 class TestEvaluateAndReports:
     def test_counts_and_metrics(self):
-        pairs = [
-            pair("a", "x", 7, 5), pair("a", "y", 0, 3),
-            pair("b", "x", 4, 4),
+        rows = [
+            row("a", "x", 7, 5), row("a", "y", 0, 3),
+            row("b", "x", 4, 4),
         ]
-        report = evaluate(pairs, delta=2)
+        report = metrics(rows, delta=2)
         assert report.n_triples == 3
         assert report.n_entities == 2
         assert report.delta == 2
@@ -251,7 +258,7 @@ class TestEvaluateAndReports:
         assert report.avg_score_diff == pytest.approx(5 / 3)
 
     def test_report_round_trip(self):
-        report = evaluate([pair("a", "x", 7, 5), pair("a", "y", 0, 3)])
+        report = metrics([row("a", "x", 7, 5), row("a", "y", 0, 3)])
         again = EvalReport.from_dict(report.to_dict())
         assert again == report
         assert '"accuracy"' in report.to_json()
@@ -414,7 +421,7 @@ class TestCrossValidate:
     def test_truth_required(self):
         triples = [Triple("a", Relation.PROFESSION, "x"),
                    Triple("b", Relation.PROFESSION, "y", 3)]
-        with pytest.raises(ValueError):
+        with pytest.raises(InputFormatError, match="no truth score"):
             cross_validate(triples, np.zeros((2, 1)), oracle_trainer, folds=2)
 
     def test_result_serializes(self):

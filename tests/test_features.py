@@ -298,7 +298,7 @@ class TestStandardizer:
     def test_accepts_feature_vectors(self, micro):
         vectors = extract(micro["store"], micro["corpus"], micro["universe"],
                           micro["triples"])
-        std = fit_standardizer(vectors)
+        std = fit_standardizer(matrix(vectors))
         assert len(std.means) == len(FEATURE_NAMES)
 
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10_000))
