@@ -24,7 +24,7 @@ from .corpus import (
     load_corpus,
     mentions,
 )
-from .embeddings import EmbeddingStore, cosine, load_embeddings, normalize_key
+from .embeddings import EmbeddingStore, load_embeddings, normalize_key
 from .evaluation import (
     CVResult,
     EvalReport,
@@ -81,7 +81,6 @@ __all__ = [
     "Relation",
     "Standardizer",
     "Triple",
-    "cosine",
     "cross_validate",
     "evaluate",
     "extract",

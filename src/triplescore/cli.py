@@ -18,6 +18,7 @@ from .config import DEFAULT_RELATION, RunConfig, apply_overrides, parse_config_f
 from .corpus import load_corpus
 from .embeddings import load_embeddings
 from .errors import (
+    ArtifactError,
     DuplicateKeyError,
     FitError,
     InputFormatError,
@@ -25,6 +26,7 @@ from .errors import (
 )
 from .evaluation import evaluate, format_comparison_table
 from .features import (
+    FEATURE_NAMES,
     Relation,
     load_triples,
     load_universe,
@@ -147,6 +149,11 @@ def cmd_predict(config: RunConfig) -> int:
                 f"model artifact was trained for relation '{model.relation}' "
                 f"but '{requested}' was requested"
             )
+    if tuple(model.feature_names) != FEATURE_NAMES:
+        raise ArtifactError(
+            f"{config.model}: model artifact has feature_names "
+            f"{list(model.feature_names)}, expected {list(FEATURE_NAMES)}"
+        )
     relation = _resolve_relation(config, fallback=model.relation)
     store, corpus, universe, triples = _load_extract_inputs(config, relation)
     _, X = extract_matrix(

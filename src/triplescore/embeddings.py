@@ -1,4 +1,4 @@
-"""Entity embedding store: textual word-vector loading, lookups, cosine.
+"""Entity embedding store: textual word-vector loading and lookups.
 
 Multi-word entities are bridged to single-token embedding keys by
 normalization: lowercase, internal whitespace collapsed to underscores.
@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DuplicateKeyError,
-    MalformedLineError,
-    ZeroVectorError,
-)
+from .errors import DimensionMismatchError, DuplicateKeyError, MalformedLineError
 
 
 def normalize_key(raw: str) -> str:
@@ -24,23 +19,6 @@ def normalize_key(raw: str) -> str:
     Idempotent: normalize(normalize(x)) == normalize(x).
     """
     return "_".join(raw.lower().split())
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity sum(a_i b_i) / (||a|| ||b||), in [-1, 1].
-
-    Raises ZeroVectorError when either norm is zero: the quotient is
-    undefined there and a silent 0 would mask data problems.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"vector lengths differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine undefined for zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
 
 
 class EmbeddingStore:
@@ -70,18 +48,8 @@ class EmbeddingStore:
         """Vector for the normalized key, or None if unknown."""
         return self._entries.get(normalize_key(key))
 
-    def similarity(self, key_a: str, key_b: str) -> float:
-        """Cosine between two stored entries; KeyError if either is absent."""
-        va = self.lookup(key_a)
-        vb = self.lookup(key_b)
-        if va is None:
-            raise KeyError(key_a)
-        if vb is None:
-            raise KeyError(key_b)
-        return cosine(va, vb)
 
-
-def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingStore:
+def load_embeddings(path) -> EmbeddingStore:
     """Load a textual word-vector file.
 
     Format: header line "<count> <dim>", then one "<key> <v1> ... <v_dim>"
@@ -108,10 +76,6 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingStore:
             ) from None
         if dim <= 0:
             raise MalformedLineError(path, 1, f"dimension must be positive, got {dim}")
-        if expected_dim is not None and dim != expected_dim:
-            raise DimensionMismatchError(
-                f"{path}: file declares dimension {dim}, expected {expected_dim}"
-            )
 
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():

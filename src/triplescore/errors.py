@@ -70,14 +70,6 @@ class ArtifactError(InputFormatError):
     """Model artifact file is malformed or incompatible."""
 
 
-class ZeroVectorError(TripleScoreError):
-    """Cosine similarity is undefined for a zero-norm vector.
-
-    Raised instead of silently returning 0 so data problems surface.
-    Feature extraction never raises it: it flags such vectors as missing.
-    """
-
-
 class FitError(TripleScoreError):
     """Model fitting failed. CLI maps this family to exit code 3."""
 

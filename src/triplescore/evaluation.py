@@ -144,9 +144,10 @@ def evaluate(triples: Sequence[Triple], predicted: Sequence[int], delta: int = 2
     """All three metrics of predicted scores against the triples' truth scores.
 
     Accuracy is the share of rows with |predicted - truth| <= delta; the
-    score difference is the mean |predicted - truth|. Rows group by
-    (entity, relation), and tau is the mean of the per-group taus in
-    order of first appearance. A group of one triple is trivially
+    score difference is the mean |predicted - truth|. Predictions must be
+    whole numbers in 0..7; integral floats such as 3.0 are accepted. Rows
+    group by (entity, relation), and tau is the mean of the per-group taus
+    in order of first appearance. A group of one triple is trivially
     perfectly ordered and contributes 1.0 under the default policy; the
     "skip" policy drops such groups from the mean instead (0.0 if nothing
     remains).
@@ -159,10 +160,13 @@ def evaluate(triples: Sequence[Triple], predicted: Sequence[int], delta: int = 2
     if singleton_policy not in (SINGLETON_ONE, SINGLETON_SKIP):
         raise ValueError(f"unknown singleton policy {singleton_policy!r}")
     truth = truth_labels(triples)
-    scores = np.asarray(predicted, dtype=np.int64)
-    out_of_range = scores[(scores < 0) | (scores > 7)]
-    if out_of_range.size:
-        raise ValueError(f"predicted score must be in [0, 7], got {out_of_range[0]}")
+    scores = np.asarray(predicted, dtype=float)
+    invalid = scores[~np.isin(scores, np.arange(8))]
+    if invalid.size:
+        raise ValueError(
+            f"predicted score must be a whole number in [0, 7], got {invalid[0]:g}"
+        )
+    scores = scores.astype(np.int64)
     ids: dict[tuple[str, str], int] = {}
     group = np.array([ids.setdefault((t.entity_key, str(t.relation)), len(ids))
                       for t in triples])
@@ -272,8 +276,8 @@ def cross_validate(triples: Sequence[Triple], X, trainer: Trainer, *,
 
     Fold assignment depends only on (entity order, folds, seed), so
     different trainers evaluated on the same triples share the exact
-    same splits. Folds may run concurrently; reports come back in fold
-    order either way.
+    same splits. Folds run on a pool of max_workers threads (at least 1;
+    one worker runs them in order); reports come back in fold order.
     """
     triples = list(triples)
     X = np.asarray(X, dtype=float)
@@ -294,9 +298,6 @@ def cross_validate(triples: Sequence[Triple], X, trainer: Trainer, *,
         predictions = predict_fn(test_triples, X[test])
         return evaluate(test_triples, predictions, delta, tau_variant, singleton_policy)
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(run_fold, range(folds)))
-    else:
-        reports = [run_fold(fold) for fold in range(folds)]
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        reports = list(pool.map(run_fold, range(folds)))
     return CVResult(fold_reports=tuple(reports), mean=mean_report(reports))

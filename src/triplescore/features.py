@@ -15,7 +15,7 @@ files stay visible without killing a run.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -60,32 +60,36 @@ class Relation(str, Enum):
 
 @dataclass(frozen=True)
 class Triple:
-    """(entity, relation, object) with an optional ground-truth score 0..7."""
+    """(entity, relation, object) with an optional ground-truth score 0..7.
+
+    The normalized entity and object keys are computed once, at
+    construction; they take no part in equality, hashing or repr.
+    """
 
     entity: str
     relation: Relation
     object: str
     truth: int | None = None
+    entity_key: str = field(init=False, repr=False, compare=False)
+    object_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.truth is not None and not (0 <= self.truth <= 7):
             raise ValueError(f"truth score must be in [0, 7], got {self.truth}")
-
-    @property
-    def entity_key(self) -> str:
-        return normalize_key(self.entity)
-
-    @property
-    def object_key(self) -> str:
-        return normalize_key(self.object)
+        object.__setattr__(self, "entity_key", normalize_key(self.entity))
+        object.__setattr__(self, "object_key", normalize_key(self.object))
 
 
 @dataclass(frozen=True)
 class ObjectUniverse:
-    """All objects of one relation, as sorted unique normalized keys."""
+    """All objects of one relation, as sorted unique normalized keys; never empty."""
 
     relation: Relation
     objects: tuple[str, ...]
+
+    def __post_init__(self):
+        if not self.objects:
+            raise EmptyUniverseError("object universe is empty")
 
     @classmethod
     def from_names(cls, relation: Relation, names) -> "ObjectUniverse":
@@ -110,15 +114,17 @@ class FeatureVector:
         return (self.obj_entity_sim, self.ops, self.ops_rank, self.object_mention)
 
 
-def _unit_rows(vectors, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalised rows of the vectors, and which rows are usable.
+def _unit_rows(store: EmbeddingStore, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normalised rows of the keys' vectors, and which rows are usable.
 
-    A vector is usable iff it exists and its norm is a positive finite
-    number. This one rule decides the similarity flags, the ops terms and
-    the ops_terms flag. The rows of unusable vectors are meaningless.
+    A vector is usable iff the store holds it and its norm is a positive
+    finite number. This one rule decides the similarity flags, the ops
+    terms and the ops_terms flag. The rows of unusable vectors are
+    meaningless.
     """
-    rows = np.zeros((len(vectors), dim))
-    for i, vec in enumerate(vectors):
+    rows = np.zeros((len(keys), store.dim))
+    for i, key in enumerate(keys):
+        vec = store.lookup(key)
         if vec is not None:
             rows[i] = vec
     norms = np.linalg.norm(rows, axis=1)
@@ -129,7 +135,7 @@ def _unit_rows(vectors, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def object_entity_similarity(store: EmbeddingStore, entity: str, obj: str) -> float:
     """Cosine between the entity and object embeddings, 0.0 when unavailable."""
-    rows, usable = _unit_rows([store.lookup(entity), store.lookup(obj)], store.dim)
+    rows, usable = _unit_rows(store, (entity, obj))
     return float(rows[0] @ rows[1]) if usable.all() else 0.0
 
 
@@ -151,7 +157,7 @@ class _OpsKernel:
             )
         self.record = corpus.get(entity)
         linked = self.record.linked_entities if self.record is not None else ()
-        page, usable = _unit_rows([store.lookup(ent) for ent in linked], store.dim)
+        page, usable = _unit_rows(store, linked)
         self.n_terms = int(usable.sum())
         self.page_sum = page[usable].sum(axis=0)
         self.denom = self.n_terms if denominator == OPS_DENOM_EMBEDDED else len(linked)
@@ -191,7 +197,7 @@ def ops(store: EmbeddingStore, corpus: Corpus, entity: str, obj: str,
     entities drag the average toward zero.
     """
     kernel = _OpsKernel(store, corpus, entity, denominator)
-    return float(kernel.values(*_unit_rows([store.lookup(obj)], store.dim))[0])
+    return float(kernel.values(*_unit_rows(store, (obj,)))[0])
 
 
 def ops_rank(store: EmbeddingStore, corpus: Corpus, entity: str,
@@ -201,9 +207,7 @@ def ops_rank(store: EmbeddingStore, corpus: Corpus, entity: str,
     Ties break on ascending object key so the ranking is a deterministic
     bijection onto 1..len(universe).
     """
-    if not universe.objects:
-        raise EmptyUniverseError("object universe is empty")
-    units, usable = _unit_rows([store.lookup(obj) for obj in universe.objects], store.dim)
+    units, usable = _unit_rows(store, universe.objects)
     ranking = _Ranking(_OpsKernel(store, corpus, entity, denominator),
                        universe.objects, units, usable)
     return dict(zip(universe.objects, ranking.ranks.tolist()))
@@ -233,13 +237,13 @@ def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
 
     keys = universe.objects
     index = {key: i for i, key in enumerate(keys)}
-    units, usable = _unit_rows([store.lookup(obj) for obj in keys], store.dim)
+    units, usable = _unit_rows(store, keys)
     entities = {}
     out = []
     for t in triples:
         ekey, okey = t.entity_key, t.object_key
         if ekey not in entities:
-            e_units, e_usable = _unit_rows([store.lookup(ekey)], store.dim)
+            e_units, e_usable = _unit_rows(store, (ekey,))
             kernel = _OpsKernel(store, corpus, ekey, ops_denominator)
             entities[ekey] = (e_units[0], e_usable[0], _Ranking(kernel, keys, units, usable))
         e_unit, e_usable, ranking = entities[ekey]
@@ -250,7 +254,7 @@ def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
             o_unit, o_usable = units[i], usable[i]
             ops_value, rank = float(ranking.ops[i]), int(ranking.ranks[i])
         else:
-            o_units, o_usables = _unit_rows([store.lookup(okey)], store.dim)
+            o_units, o_usables = _unit_rows(store, (okey,))
             o_unit, o_usable = o_units[0], o_usables[0]
             ops_value, rank = ranking.place(okey, o_units, o_usables)
 
@@ -385,6 +389,8 @@ def load_universe(path, relation: Relation) -> ObjectUniverse:
         return ObjectUniverse.from_names(relation, names)
     except DuplicateKeyError as exc:
         raise DuplicateKeyError(exc.key, path) from None
+    except EmptyUniverseError:
+        raise EmptyUniverseError(f"{path}: object universe is empty") from None
 
 
 def matrix_to_tsv(triples: list[Triple], vectors: list[FeatureVector]) -> str:

@@ -10,7 +10,7 @@ from triplescore.artifact import ARTIFACT_VERSION, load_model
 from triplescore.cli import main
 from triplescore.config import RunConfig, apply_overrides, parse_config_file
 from triplescore.errors import MalformedLineError
-from triplescore.features import extract, matrix_to_tsv
+from triplescore.features import FEATURE_NAMES, extract, matrix_to_tsv
 from triplescore.ordinal import OrdinalModel
 from triplescore.pipeline import extract_matrix, predict_scores, run_cv_comparison
 
@@ -174,6 +174,16 @@ class TestExtract:
         assert rows[("ada", "poet")] == "entity_embedding"
         assert rows[("ben", "coder")] == "object_embedding,ops_terms"
 
+    def test_universe_without_objects_is_exit_2(self, micro_paths, tmp_path, capsys):
+        universe = tmp_path / "universe.txt"
+        universe.write_text("# relation: profession\n# no objects yet\n")
+        args = input_args(micro_paths)
+        args[args.index(str(micro_paths["universe"]))] = str(universe)
+        code, out, err = invoke(capsys, "extract", *args)
+        assert code == 2
+        assert out == ""
+        assert f"{universe}: object universe is empty" in err
+
     def test_bad_ops_denominator(self, micro_paths, capsys):
         code, _, err = invoke(
             capsys, "extract", *input_args(micro_paths), "--ops-denominator", "mean"
@@ -322,6 +332,18 @@ class TestPredict:
             "--model", str(trained), "--prediction-rule", "mode",
         )
         assert code == 2
+
+    def test_permuted_feature_names_is_exit_2(self, micro_paths, trained, tmp_path, capsys):
+        data = json.loads(trained.read_text())
+        data["feature_names"] = data["feature_names"][::-1]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(data, indent=2, sort_keys=True))
+        code, out, err = invoke(
+            capsys, "predict", *input_args(micro_paths), "--model", str(model_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert str(data["feature_names"]) in err and str(list(FEATURE_NAMES)) in err
 
     @pytest.mark.parametrize("model_type, field, value", [
         ("ordinal", "w", "NaN"),

@@ -1,24 +1,12 @@
-"""Embedding file loading, key normalization, and cosine similarity."""
-
-import math
+"""Embedding file loading, lookups and key normalization."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplescore.embeddings import (
-    EmbeddingStore,
-    cosine,
-    load_embeddings,
-    normalize_key,
-)
-from triplescore.errors import (
-    DimensionMismatchError,
-    DuplicateKeyError,
-    MalformedLineError,
-    ZeroVectorError,
-)
+from triplescore.embeddings import EmbeddingStore, load_embeddings, normalize_key
+from triplescore.errors import DimensionMismatchError, DuplicateKeyError, MalformedLineError
 
 
 def write(tmp_path, text, name="emb.txt"):
@@ -75,15 +63,6 @@ class TestLoad:
         assert err.value.line_no == 3
         assert "non-finite" in str(err.value)
 
-    def test_expected_dim_mismatch(self, tmp_path):
-        path = write(tmp_path, "1 3\nparis 1 0 0\n")
-        with pytest.raises(DimensionMismatchError):
-            load_embeddings(path, expected_dim=100)
-
-    def test_expected_dim_match(self, tmp_path):
-        path = write(tmp_path, "1 3\nparis 1 0 0\n")
-        assert load_embeddings(path, expected_dim=3).dim == 3
-
 
 class TestLookup:
     def test_normalizes_case(self, tmp_path):
@@ -101,11 +80,6 @@ class TestLookup:
         store = load_embeddings(write(tmp_path, "1 2\nparis 1 0\n"))
         assert store.lookup("atlantis_xyz") is None
 
-    def test_similarity_raises_on_unknown(self, tmp_path):
-        store = load_embeddings(write(tmp_path, "1 2\nparis 1 0\n"))
-        with pytest.raises(KeyError):
-            store.similarity("paris", "atlantis")
-
 
 class TestNormalizeKey:
     def test_examples(self):
@@ -117,65 +91,6 @@ class TestNormalizeKey:
     def test_idempotent(self, raw):
         once = normalize_key(raw)
         assert normalize_key(once) == once
-
-
-class TestCosine:
-    def test_identity(self):
-        assert cosine([1, 0], [1, 0]) == 1.0
-
-    def test_orthogonal(self):
-        assert cosine([1, 0], [0, 1]) == 0.0
-
-    def test_right_angle_half(self):
-        assert cosine([1, 0], [1, 1]) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-
-    def test_hand_computed(self):
-        assert cosine([1, 2, 3], [4, 5, 6]) == pytest.approx(
-            32 / (math.sqrt(14) * math.sqrt(77)), abs=1e-8
-        )
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroVectorError):
-            cosine([0, 0], [1, 0])
-        with pytest.raises(ZeroVectorError):
-            cosine([1, 0], [0, 0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            cosine([1, 0], [1, 0, 0])
-
-    nonzero_vec = st.lists(
-        st.integers(min_value=-5, max_value=5), min_size=2, max_size=6
-    ).filter(lambda v: any(v))
-
-    nonzero_pair = st.integers(min_value=2, max_value=6).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.integers(-5, 5), min_size=n, max_size=n).filter(any),
-            st.lists(st.integers(-5, 5), min_size=n, max_size=n).filter(any),
-        )
-    )
-
-    @given(nonzero_pair)
-    @settings(max_examples=80)
-    def test_symmetry(self, pair):
-        a, b = pair
-        assert cosine(a, b) == pytest.approx(cosine(b, a), abs=1e-12)
-
-    @given(nonzero_vec, st.floats(min_value=0.01, max_value=100))
-    @settings(max_examples=80)
-    def test_positive_scaling(self, a, s):
-        assert cosine(a, [s * x for x in a]) == pytest.approx(1.0, abs=1e-9)
-
-    @given(nonzero_vec)
-    @settings(max_examples=80)
-    def test_negation(self, a):
-        assert cosine(a, [-x for x in a]) == pytest.approx(-1.0, abs=1e-9)
-
-    @given(nonzero_pair)
-    @settings(max_examples=80)
-    def test_bounded(self, pair):
-        a, b = pair
-        assert -1 - 1e-12 <= cosine(a, b) <= 1 + 1e-12
 
 
 class TestStore:

@@ -108,6 +108,15 @@ class TestScoredPair:
         with pytest.raises(ValueError):
             evaluate([Triple("a", Relation.PROFESSION, "x", -1)], [3])
 
+    def test_non_integer_prediction_rejected(self):
+        triples = [Triple("a", Relation.PROFESSION, "x", 3),
+                   Triple("a", Relation.PROFESSION, "y", 5)]
+        for bad, named in (([2.5, 5.9], "2.5"), ([3, float("nan")], "nan"),
+                           ([float("inf"), 5], "inf")):
+            with pytest.raises(ValueError, match=rf"whole number in \[0, 7\], got {named}$"):
+                evaluate(triples, bad)
+        assert evaluate(triples, [3.0, 5.0]) == evaluate(triples, [3, 5])
+
     def test_pairs_from_predictions(self):
         triples = [Triple("a", Relation.PROFESSION, "x", 5),
                    Triple("a", Relation.PROFESSION, "y", 1)]
@@ -412,6 +421,12 @@ class TestCrossValidate:
         a = cross_validate(triples, X, oracle_trainer, folds=3, seed=4, max_workers=1)
         b = cross_validate(triples, X, oracle_trainer, folds=3, seed=4, max_workers=3)
         assert a.to_dict() == b.to_dict()
+
+    def test_nonpositive_workers_rejected(self):
+        triples = toy_triples()
+        with pytest.raises(ValueError):
+            cross_validate(triples, np.zeros((len(triples), 1)), oracle_trainer,
+                           folds=3, max_workers=0)
 
     def test_matrix_length_checked(self):
         triples = toy_triples()

@@ -137,10 +137,11 @@ class TestOpsRank:
         ranks = ops_rank(micro["store"], micro["corpus"], "ben", micro["universe"])
         assert sorted(ranks.values()) == [1, 2, 3, 4]
 
-    def test_empty_universe_rejected(self, micro):
-        empty = ObjectUniverse(relation=Relation.PROFESSION, objects=())
+    def test_empty_universe_rejected(self):
         with pytest.raises(EmptyUniverseError):
-            ops_rank(micro["store"], micro["corpus"], "ada", empty)
+            ObjectUniverse(relation=Relation.PROFESSION, objects=())
+        with pytest.raises(EmptyUniverseError):
+            ObjectUniverse.from_names(Relation.PROFESSION, [])
 
 
 class TestObjectMention:
@@ -322,6 +323,13 @@ class TestTriple:
         t = Triple("Albert Einstein", Relation.PROFESSION, "Theoretical Physicist", 7)
         assert t.entity_key == "albert_einstein"
         assert t.object_key == "theoretical_physicist"
+
+    def test_stored_keys_leave_equality_hash_and_repr_alone(self):
+        a = Triple("Ada Lovelace", Relation.PROFESSION, "Poet", 3)
+        b = Triple("Ada Lovelace", Relation.PROFESSION, "Poet", 3)
+        assert a == b and hash(a) == hash(b)
+        assert Triple("ada_lovelace", Relation.PROFESSION, "poet", 3) != a
+        assert "_key" not in repr(a)
 
     def test_relation_parse(self):
         assert Relation.parse(" Profession ") is Relation.PROFESSION

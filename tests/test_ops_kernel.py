@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplescore.corpus import Corpus, PageRecord
-from triplescore.embeddings import EmbeddingStore, cosine
+from triplescore.embeddings import EmbeddingStore
 from triplescore.features import (
     FLAG_ENTITY_EMBEDDING,
     FLAG_OBJECT_EMBEDDING,
@@ -34,6 +34,15 @@ from triplescore.features import (
 
 def usable(vec):
     return vec is not None and 0.0 < np.linalg.norm(vec) < np.inf
+
+
+def cosine(a, b):
+    """Cosine similarity sum(a_i b_i) / (||a|| ||b||) of two usable vectors."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    return float(np.dot(a, b) / (na * nb))
 
 
 def oracle_ops_terms(store, record, obj):
