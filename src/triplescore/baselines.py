@@ -14,7 +14,7 @@ import numpy as np
 from .corpus import Corpus, first_mentioned
 from .embeddings import normalize_key
 from .features import Relation, Standardizer, Triple
-from .model import NUM_CLASSES, FitConfig, LearnedModel, fit_model
+from .model import NUM_CLASSES, OUTER_LIMIT, FitConfig, LearnedModel, fit_model
 
 FIRST_MATCH_SCORE = 7
 FIRST_MISS_SCORE = 0
@@ -49,22 +49,30 @@ def first_baseline_predictions(corpus: Corpus, triples: list[Triple]) -> list[in
     return [scores[t.entity_key][t.object_key] for t in triples]
 
 
+def _log_softmax_terms(params: np.ndarray, X: np.ndarray):
+    """W (K x p), the (n, K) logits and each row's log normaliser, for the
+    K = params.size / (p + 1) classes."""
+    p = X.shape[1]
+    k = params.size // (p + 1)
+    W = params[:k * p].reshape(k, p)
+    logits = X @ W.T + params[k * p:]
+    shift = logits.max(axis=1)
+    log_norm = shift + np.log(np.sum(np.exp(logits - shift[:, None]), axis=1))
+    return W, logits, log_norm
+
+
 def multinomial_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
                     reg_lambda: float) -> tuple[float, np.ndarray]:
     """Penalized softmax negative log-likelihood with analytic gradient.
 
-    params flattens W (8 x p) row-major followed by the 8 biases; the
-    penalty reg_lambda/2 ||W||_F^2 leaves the biases unpenalized.
+    params flattens W (K x p) row-major followed by the K biases, for labels
+    0..K-1 (K = 8 for the model); the penalty reg_lambda/2 ||W||_F^2 leaves
+    the biases unpenalized.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    n, p = X.shape
-    W = params[:NUM_CLASSES * p].reshape(NUM_CLASSES, p)
-    b = params[NUM_CLASSES * p:]
-
-    logits = X @ W.T + b
-    shift = logits.max(axis=1)
-    log_norm = shift + np.log(np.sum(np.exp(logits - shift[:, None]), axis=1))
+    n = X.shape[0]
+    W, logits, log_norm = _log_softmax_terms(params, X)
     value = float(
         -np.sum(logits[np.arange(n), y] - log_norm)
         + 0.5 * reg_lambda * np.sum(W * W)
@@ -75,6 +83,34 @@ def multinomial_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     grad_W = probs.T @ X + reg_lambda * W
     grad_b = probs.sum(axis=0)
     return value, np.concatenate([grad_W.ravel(), grad_b])
+
+
+def multinomial_hessian(params: np.ndarray, X: np.ndarray, y: np.ndarray,
+                        reg_lambda: float) -> np.ndarray:
+    """Analytic Hessian of `multinomial_nll`, in the same parameter order.
+
+    With z = (x, 1), the entry for classes k, l and columns a, b of z is
+    sum_i pi_ik (delta_kl - pi_il) z_ia z_ib. With G[i, (k, a)] = pi_ik z_ia
+    that is the class-diagonal part of G^T Z minus G^T G. The labels do not
+    enter it.
+    """
+    X = np.asarray(X, dtype=float)
+    n, p = X.shape
+    q = p + 1
+    _, logits, log_norm = _log_softmax_terms(params, X)
+    k = logits.shape[1]
+    probs = np.exp(logits - log_norm[:, None])
+    Z = np.hstack([X, np.ones((n, 1))])
+    G = (probs[:, :, None] * Z[:, None, :]).reshape(n, k * q)
+    row_class = np.repeat(np.arange(k), q)
+    H = ((G.T @ Z)[:, np.tile(np.arange(q), k)]
+         * (row_class[:, None] == row_class[None, :]) - G.T @ G)
+    # rows of (class, column of z) -> parameter order: W row-major, then b
+    index = np.arange(k * q).reshape(k, q)
+    order = np.concatenate([index[:, :p].ravel(), index[:, p]])
+    H = H[np.ix_(order, order)]
+    H[:k * p, :k * p] += reg_lambda * np.eye(k * p)
+    return H
 
 
 @dataclass(eq=False)
@@ -108,15 +144,28 @@ class MultinomialModel(LearnedModel):
                 f" x {len(self.feature_names)} features")
 
 
+def _all_classes(x: np.ndarray, p: int, observed: np.ndarray) -> dict:
+    """W and b over the 8 classes from those fitted for the observed ones.
+
+    An absent class's bias goes to -inf, after which its weight row feels
+    only the penalty: it gets a zero row and a bias OUTER_LIMIT below the
+    lowest fitted one.
+    """
+    k = observed.size
+    W = np.zeros((NUM_CLASSES, p))
+    W[observed] = x[:k * p].reshape(k, p)
+    b = np.full(NUM_CLASSES, x[k * p:].min() - OUTER_LIMIT)
+    b[observed] = x[k * p:]
+    return {"W": W, "b": b}
+
+
 def fit_multinomial(X, y, config: FitConfig | None = None, *,
                     feature_names: tuple[str, ...] | None = None,
                     standardizer: Standardizer | None = None,
                     relation: Relation | None = None) -> MultinomialModel:
     """Deterministic penalized fit from a zero start."""
     return fit_model(
-        MultinomialModel, multinomial_nll,
-        lambda y, p: np.zeros(NUM_CLASSES * p + NUM_CLASSES),
-        lambda x, p: {"W": x[:NUM_CLASSES * p].reshape(NUM_CLASSES, p), "b": x[NUM_CLASSES * p:]},
-        X, y, config,
+        MultinomialModel, multinomial_nll, multinomial_hessian,
+        lambda y, p, k: np.zeros(k * p + k), _all_classes, X, y, config,
         feature_names=feature_names, standardizer=standardizer, relation=relation,
     )

@@ -255,8 +255,8 @@ def _add_flags(parser, *names) -> None:
         "model_type": ("model to train: ordinal or multinomial", str),
         "prediction_rule": ("argmax or expected-rounded", str),
         "reg_lambda": ("L2 penalty strength on the weights", float),
-        "max_iters": ("optimizer iteration cap", int),
-        "tol": ("optimizer gradient tolerance", float),
+        "max_iters": ("Newton iteration cap of the fit", int),
+        "tol": ("the fit stops once max |gradient| <= tol", float),
         "delta": ("accuracy tolerance on the score difference", int),
         "folds": ("cross-validation fold count", int),
         "seed": ("shuffle seed for fold assignment", int),

@@ -6,11 +6,11 @@ turns a feature matrix into class probabilities; the rest lives here once.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegenerateLabelsError, NonFiniteError
 from .features import FEATURE_NAMES, Relation, Standardizer
@@ -20,10 +20,17 @@ NUM_CLASSES = 8
 ARGMAX = "argmax"
 EXPECTED_ROUNDED = "expected-rounded"
 
+# How far beyond the fitted parameters a fit stores one whose limit is
+# infinite; logistic(-40) and exp(-40) are below machine epsilon.
+OUTER_LIMIT = 40.0
+
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings; defaults give a deterministic penalized MLE."""
+    """Optimizer settings; defaults give a deterministic penalized MLE.
+
+    The Newton fit stops once max |gradient| <= tol, or after max_iters steps.
+    """
 
     reg_lambda: float = 1e-3
     max_iters: int = 500
@@ -96,11 +103,83 @@ class LearnedModel:
         return X
 
 
-def fit_model(model_cls, objective, start, unpack, X, y, config: FitConfig | None,
-              *, feature_names, standardizer, relation):
-    """Minimize `objective` with L-BFGS-B from `start(y, p)` and build model_cls
-    from `unpack(x, p)`, the optimum's parameter arrays by name. Deterministic:
-    identical inputs produce bit-identical models.
+ARMIJO = 1e-4                           # share of the predicted decrease a step must achieve
+MIN_STEP = 2.0 ** -40                   # backtracking gives up below this step length
+ROUNDING = 64 * np.finfo(float).eps     # relative size of the objective's rounding error
+
+
+def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+    """(H + shift I)^-1 grad, solved through the Cholesky factor L, then L^T.
+
+    The Levenberg shift is the first of 1e-10 max|diag H| x 10^k, k = 0, 1,
+    ..., that lets the factorization succeed. Even a positive definite H gets
+    the smallest shift: the multinomial objective is flat along equal bias
+    shifts, and without it rounding in that null direction walks the biases.
+    None when no finite shift works (a non-finite Hessian).
+    """
+    eye = np.eye(grad.size)
+    shift = max(1e-10 * np.max(np.abs(np.diag(hessian))), np.finfo(float).tiny)
+    while np.isfinite(shift):
+        try:
+            factor = np.linalg.cholesky(hessian + shift * eye)
+        except np.linalg.LinAlgError:
+            shift *= 10.0
+            continue
+        return np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
+    return None
+
+
+def _newton(objective, hessian, x: np.ndarray, config: FitConfig):
+    """Damped Newton minimization of `objective(x) -> (value, grad)` from x.
+
+    Each step solves against `hessian(x)` and backtracks (halving) until the
+    Armijo condition holds. Near the optimum the objective's change falls
+    below its rounding error, so there a step that keeps the objective within
+    rounding and shrinks max|grad| is accepted too. Stops when max|grad| <=
+    config.tol, after config.max_iters steps, or when backtracking can no
+    longer decrease the objective. Returns the last accepted (x, value, grad)
+    and the step count.
+    """
+    value, grad = objective(x)
+    grad_max = np.max(np.abs(grad))
+    n_iter = 0
+    while n_iter < config.max_iters and grad_max > config.tol:
+        direction = _newton_direction(hessian(x), grad)
+        if direction is None:
+            break
+        decrease = ARMIJO * float(grad @ direction)
+        step = 1.0
+        while step >= MIN_STEP:
+            trial = x - step * direction
+            trial_value, trial_grad = objective(trial)
+            trial_max = np.max(np.abs(trial_grad))
+            if trial_value <= value - step * decrease or (
+                    trial_value <= value + ROUNDING * abs(value) and trial_max < grad_max):
+                break
+            step *= 0.5
+        else:
+            break
+        x, value, grad, grad_max = trial, trial_value, trial_grad, trial_max
+        n_iter += 1
+    return x, value, grad, n_iter
+
+
+def fit_model(model_cls, objective, hessian, start, unpack, X, y,
+              config: FitConfig | None, *, feature_names, standardizer, relation):
+    """Fit model_cls by Newton's method over the classes y contains.
+
+    A class absent from y has no finite maximum-likelihood parameters: they
+    run to a limit (a bias to -inf, a cut to +-inf or onto its neighbour).
+    So the fit runs over the K observed classes, relabelled 0..K-1, and
+    `unpack(x, p, observed)` builds the 8-class parameter arrays by name,
+    putting the absent classes' parameters at their limits; a limit at
+    infinity is stored OUTER_LIMIT beyond the fitted parameters.
+
+    `objective(x, X, y, reg_lambda)` gives (value, gradient) for labels
+    0..K-1, `hessian` with the same arguments the analytic Hessian, and
+    `start(y, p, K)` the starting point. A fit that stops above `config.tol`
+    warns with a RuntimeWarning. Deterministic: identical inputs produce
+    bit-identical models.
     """
     config = config or FitConfig()
     X = np.asarray(X, dtype=float)
@@ -111,7 +190,8 @@ def fit_model(model_cls, objective, start, unpack, X, y, config: FitConfig | Non
         raise ValueError("y length must match X rows")
     if np.any((y < 0) | (y >= NUM_CLASSES)):
         raise ValueError(f"labels must be integers in [0, {NUM_CLASSES - 1}]")
-    if np.unique(y).size < 2:
+    observed = np.flatnonzero(np.bincount(y, minlength=NUM_CLASSES))
+    if observed.size < 2:
         raise DegenerateLabelsError("training labels contain a single class")
 
     p = X.shape[1]
@@ -120,20 +200,21 @@ def fit_model(model_cls, objective, start, unpack, X, y, config: FitConfig | Non
             f"x{i}" for i in range(p)
         )
 
-    result = minimize(
-        objective,
-        start(y, p),
-        args=(X, y, config.reg_lambda),
-        method="L-BFGS-B",
-        jac=True,
-        options={"maxiter": config.max_iters, "gtol": config.tol, "ftol": 1e-14},
-    )
-    if not np.all(np.isfinite(result.x)) or not np.isfinite(result.fun):
+    ranks = np.searchsorted(observed, y)
+    args = (X, ranks, config.reg_lambda)
+    x, value, grad, n_iter = _newton(lambda x: objective(x, *args), lambda x: hessian(x, *args),
+                                    start(ranks, p, observed.size), config)
+    if not np.all(np.isfinite(x)) or not np.isfinite(value):
         raise NonFiniteError(f"{model_cls.model_type} objective diverged; "
                              "check feature scaling")
+    grad_max = float(np.max(np.abs(grad)))
+    if grad_max > config.tol:
+        warnings.warn(f"{model_cls.model_type} fit did not converge: stopped after "
+                      f"{n_iter} Newton iterations with max|gradient| {grad_max:.3g} "
+                      f"> tol {config.tol:g}", RuntimeWarning)
 
     return model_cls(
-        **unpack(result.x, p),
+        **unpack(x, p, observed),
         feature_names=tuple(feature_names),
         standardizer=standardizer,
         relation=relation,

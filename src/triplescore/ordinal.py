@@ -7,8 +7,10 @@ The model keeps one weight vector w and ordered thresholds theta_0 <= ...
 
 Class probabilities are differences of consecutive cumulative terms.
 Fitting maximizes the L2-penalized log-likelihood in an unconstrained
-parametrization (w, theta_0, s_1..s_6) with theta_j = theta_{j-1} +
-exp(s_j), which keeps every iterate's thresholds strictly ordered.
+parametrization (w, theta_0, s_1..s_{K-2}) with theta_j = theta_{j-1} +
+exp(s_j), which keeps every iterate's thresholds strictly ordered. The
+objective and its derivatives take labels 0..K-1 for any K >= 2, with K - 1
+cuts; the fit runs them over the K classes the training labels contain.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import Relation, Standardizer
-from .model import NUM_CLASSES, FitConfig, LearnedModel, fit_model
+from .model import NUM_CLASSES, OUTER_LIMIT, FitConfig, LearnedModel, fit_model
 
 NUM_THRESHOLDS = NUM_CLASSES - 1
 
@@ -45,7 +47,8 @@ def _log_sigmoid(t):
 
 
 def thresholds_from_params(params: np.ndarray, n_features: int) -> np.ndarray:
-    """Recover theta (7,) from the unconstrained parameter vector."""
+    """Recover the cuts theta (7 for the 8 classes) from the unconstrained
+    parameter vector."""
     theta0 = params[n_features]
     s = params[n_features + 1:]
     return theta0 + np.concatenate(([0.0], np.cumsum(np.exp(s))))
@@ -59,25 +62,20 @@ def params_from_thresholds(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.concatenate([w, [theta[0]], np.log(gaps)])
 
 
-def penalized_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                  reg_lambda: float) -> tuple[float, np.ndarray]:
-    """Penalized negative log-likelihood and its analytic gradient.
+def _row_terms(params: np.ndarray, X: np.ndarray, y: np.ndarray):
+    """Per-row log-space pieces shared by the NLL, its gradient and Hessian.
 
-    params is (w, theta_0, s_1..s_6); the L2 penalty reg_lambda/2 ||w||^2
-    applies to the weights only. All pieces use log-space formulas so the
-    value stays finite for extreme linear scores.
+    Returns the cut arguments z_hi = theta_y - w.x and z_lo = theta_{y-1} - w.x
+    (+inf and -inf at the open ends), log P(y | x), and the ratios
+    logistic'(z) / P at each cut (0 at the open ends).
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
     n, p = X.shape
-    w = params[:p]
-    s = params[p + 1:]
     theta = thresholds_from_params(params, p)
-
-    eta = X @ w
-    hi_open = y == NUM_CLASSES - 1     # P(y <= 7) == 1, no upper threshold
+    top = theta.size                   # the highest class
+    eta = X @ params[:p]
+    hi_open = y == top                 # P(y <= top) == 1, no upper threshold
     lo_open = y == 0                   # P(y <= -1) == 0, no lower threshold
-    z_hi = np.where(hi_open, np.inf, theta[np.minimum(y, NUM_THRESHOLDS - 1)] - eta)
+    z_hi = np.where(hi_open, np.inf, theta[np.minimum(y, top - 1)] - eta)
     z_lo = np.where(lo_open, -np.inf, theta[np.maximum(y - 1, 0)] - eta)
 
     log_p = np.empty(n)
@@ -91,13 +89,8 @@ def penalized_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
                 _log_sigmoid(zh) + _log_sigmoid(-zl) + np.log1p(-np.exp(zl - zh))
             )
 
-    value = float(-np.sum(log_p) + 0.5 * reg_lambda * np.dot(w, w))
-    if not np.isfinite(value):
-        grad = np.full_like(params, np.nan)
-        return value, grad
-
-    # ratio_hi = logistic'(z_hi) / P, computed as exp(log phi' - log P);
-    # the derivative of log logistic(t) is logistic(t) * logistic(-t).
+    # ratio = exp(log logistic'(z) - log P); the derivative of logistic(t)
+    # is logistic(t) * logistic(-t).
     ratio_hi = np.zeros(n)
     ratio_lo = np.zeros(n)
     closed_hi = ~hi_open
@@ -108,23 +101,87 @@ def penalized_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     ratio_lo[closed_lo] = np.exp(
         _log_sigmoid(z_lo[closed_lo]) + _log_sigmoid(-z_lo[closed_lo]) - log_p[closed_lo]
     )
+    return z_hi, z_lo, log_p, ratio_hi, ratio_lo
 
-    # d NLL / d eta_i; threshold gradients accumulate per cut index.
-    d_eta = ratio_hi - ratio_lo
-    grad_w = X.T @ d_eta + reg_lambda * w
 
-    d_theta = np.zeros(NUM_THRESHOLDS)
+def _threshold_tail(y: np.ndarray, ratio_hi: np.ndarray, ratio_lo: np.ndarray,
+                    n_cuts: int) -> np.ndarray:
+    """tail[m] = sum over cuts j >= m of d NLL / d theta_j.
+
+    theta_j = theta_0 + sum_{m<=j} exp(s_m), so tail[0] is the theta_0
+    gradient and exp(s_m) * tail[m] the s_m gradient.
+    """
+    d_theta = np.zeros(n_cuts)
+    closed_hi = y < n_cuts
+    closed_lo = y > 0
     np.add.at(d_theta, y[closed_hi], -ratio_hi[closed_hi])
     np.add.at(d_theta, y[closed_lo] - 1, ratio_lo[closed_lo])
+    return np.cumsum(d_theta[::-1])[::-1]
 
-    # theta_j = theta_0 + sum_{m<=j} exp(s_m): the theta_0 gradient sums all
-    # cut gradients, each s_m collects the cuts at or above m.
-    tail = np.cumsum(d_theta[::-1])[::-1]
-    grad_theta0 = tail[0]
-    grad_s = np.exp(s) * tail[1:]
 
-    grad = np.concatenate([grad_w, [grad_theta0], grad_s])
-    return value, grad
+def penalized_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
+                  reg_lambda: float) -> tuple[float, np.ndarray]:
+    """Penalized negative log-likelihood and its analytic gradient.
+
+    params is (w, theta_0, s_1..s_{K-2}) for labels 0..K-1, so (w, theta_0,
+    s_1..s_6) for the 8 classes; the L2 penalty reg_lambda/2 ||w||^2
+    applies to the weights only. All pieces use log-space formulas so the
+    value stays finite for extreme linear scores.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    p = X.shape[1]
+    w = params[:p]
+    _, _, log_p, ratio_hi, ratio_lo = _row_terms(params, X, y)
+
+    value = float(-np.sum(log_p) + 0.5 * reg_lambda * np.dot(w, w))
+    if not np.isfinite(value):
+        grad = np.full_like(params, np.nan)
+        return value, grad
+
+    # d NLL / d eta_i is ratio_hi - ratio_lo
+    grad_w = X.T @ (ratio_hi - ratio_lo) + reg_lambda * w
+    tail = _threshold_tail(y, ratio_hi, ratio_lo, params.size - p)
+    grad_s = np.exp(params[p + 1:]) * tail[1:]
+    return value, np.concatenate([grad_w, [tail[0]], grad_s])
+
+
+def penalized_nll_hessian(params: np.ndarray, X: np.ndarray, y: np.ndarray,
+                          reg_lambda: float) -> np.ndarray:
+    """Analytic Hessian of `penalized_nll` in its (w, theta_0, s) parameters.
+
+    Row i's NLL depends on the parameters through (z_hi, z_lo) only, so the
+    Hessian in (w, theta) is J_hi^T H_hh J_hi + J_hi^T H_hl J_lo + ... with
+    J = dz / d(w, theta) = [-x, one-hot cut]. The chain rule through
+    theta = J_s (theta_0, s) adds diag(grad_s) on the s block.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    p = X.shape[1]
+    n_cuts = params.size - p
+    z_hi, z_lo, _, ratio_hi, ratio_lo = _row_terms(params, X, y)
+
+    # second derivatives of -log(logistic(z_hi) - logistic(z_lo)); the
+    # logistic'' / logistic' factor 1 - 2 logistic(z) is -tanh(z / 2), and
+    # the ratios vanish at the open ends, where z is infinite
+    h_hh = ratio_hi * (ratio_hi + np.tanh(z_hi / 2))
+    h_ll = ratio_lo * (ratio_lo - np.tanh(z_lo / 2))
+    h_hl = -ratio_hi * ratio_lo
+    cuts = np.eye(n_cuts + 1)[y]
+    J_hi = np.hstack([-X, cuts[:, :n_cuts]])
+    J_lo = np.hstack([-X, cuts[:, 1:]])
+    H = (J_hi.T @ (h_hh[:, None] * J_hi + h_hl[:, None] * J_lo)
+         + J_lo.T @ (h_hl[:, None] * J_hi + h_ll[:, None] * J_lo))
+    H[:p, :p] += reg_lambda * np.eye(p)
+
+    # d theta_j / d theta_0 = 1, d theta_j / d s_m = exp(s_m) for m <= j
+    gaps = np.exp(params[p + 1:])
+    chain = np.eye(p + n_cuts)
+    chain[p:, p:] = np.tril(np.ones((n_cuts, n_cuts))) * np.concatenate(([1.0], gaps))
+    H = chain.T @ H @ chain
+    grad_s = gaps * _threshold_tail(y, ratio_hi, ratio_lo, n_cuts)[1:]
+    H[p + 1:, p + 1:] += np.diag(grad_s)
+    return H
 
 
 @dataclass(eq=False)
@@ -165,19 +222,34 @@ class OrdinalModel(LearnedModel):
         ])
 
 
-def initial_params(y: np.ndarray, n_features: int) -> np.ndarray:
-    """Deterministic start: w = 0, cuts at empirical cumulative logits.
+def initial_params(y: np.ndarray, n_features: int,
+                   n_classes: int = NUM_CLASSES) -> np.ndarray:
+    """Deterministic start for labels 0..n_classes-1: w = 0, cuts at empirical
+    cumulative logits.
 
     Class counts are Laplace-smoothed so unobserved classes never yield an
     infinite logit; logits clamp to [-10, 10] and gaps floor at 1e-6 to
     keep the log-gap parametrization finite.
     """
-    counts = np.bincount(y, minlength=NUM_CLASSES).astype(float) + 1.0
+    counts = np.bincount(y, minlength=n_classes).astype(float) + 1.0
     cum = np.cumsum(counts)[:-1] / counts.sum()
     logits = np.clip(np.log(cum / (1.0 - cum)), -10.0, 10.0)
     gaps = np.maximum(np.diff(logits), 1e-6)
     theta = np.concatenate(([logits[0]], logits[0] + np.cumsum(gaps)))
     return params_from_thresholds(np.zeros(n_features), theta)
+
+
+def _all_cuts(fitted: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """The 7 cuts from the cuts fitted between consecutive observed classes.
+
+    Cut j separates classes <= j from the rest. Between two observed classes
+    it is the fitted cut there, so an absent class's two cuts meet; below the
+    lowest or above the highest observed class it stands OUTER_LIMIT beyond
+    the outermost fitted cut.
+    """
+    below = np.searchsorted(observed, np.arange(NUM_THRESHOLDS), side="right")
+    return np.concatenate(([fitted[0] - OUTER_LIMIT], fitted,
+                           [fitted[-1] + OUTER_LIMIT]))[below]
 
 
 def fit(X, y, config: FitConfig | None = None, *,
@@ -190,7 +262,9 @@ def fit(X, y, config: FitConfig | None = None, *,
     inputs produce bit-identical models.
     """
     return fit_model(
-        OrdinalModel, penalized_nll, initial_params,
-        lambda x, p: {"w": x[:p], "theta": thresholds_from_params(x, p)}, X, y, config,
+        OrdinalModel, penalized_nll, penalized_nll_hessian, initial_params,
+        lambda x, p, observed: {
+            "w": x[:p], "theta": _all_cuts(thresholds_from_params(x, p), observed)},
+        X, y, config,
         feature_names=feature_names, standardizer=standardizer, relation=relation,
     )

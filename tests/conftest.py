@@ -1,21 +1,27 @@
-"""Shared fixtures: a hand-built micro-world small enough to verify by hand.
+"""Shared fixtures: a hand-built micro-world small enough to verify by hand,
+and the committed planted-signal world.
 
-Three people, a four-object universe, two-dimensional embeddings, and
-short page texts. Every feature value the suite asserts against was
-computed by hand from these numbers.
+The micro-world has three people, a four-object universe, two-dimensional
+embeddings, and short page texts. Every feature value the suite asserts
+against was computed by hand from these numbers. The planted world's origin
+is described in `test_planted_world.py`.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from triplescore import (
     Relation,
+    extract_matrix,
     load_corpus,
     load_embeddings,
     load_triples,
     load_universe,
 )
+
+PLANTED = Path(__file__).parent / "data" / "planted"
 
 EMBEDDINGS_TEXT = """9 2
 ada 1 0
@@ -96,3 +102,14 @@ def micro(micro_paths):
         "triples": load_triples(micro_paths["triples"], Relation.PROFESSION),
         "paths": micro_paths,
     }
+
+
+@pytest.fixture(scope="session")
+def planted():
+    """(triples, raw feature matrix, corpus) of the planted world."""
+    triples = load_triples(PLANTED / "triples.tsv", Relation.PROFESSION)
+    corpus = load_corpus(PLANTED / "corpus.jsonl")
+    _, X = extract_matrix(load_embeddings(PLANTED / "embeddings.txt"), corpus,
+                          load_universe(PLANTED / "universe.txt", Relation.PROFESSION),
+                          triples)
+    return triples, X, corpus

@@ -11,35 +11,11 @@ the benchmark's world generator, run from `perfbench/`:
                        triples_per_person=5), 7, "../tests/data/planted")
 
 Each person's truth scores there are a noisy monotone function of the
-object's `ops` rank and of its mention on the page.
+object's `ops` rank and of its mention on the page. The `planted`
+fixture that loads them is in `conftest.py`.
 """
 
-from pathlib import Path
-
-import pytest
-
-from triplescore import (
-    Relation,
-    extract_matrix,
-    load_corpus,
-    load_embeddings,
-    load_triples,
-    load_universe,
-    run_cv_comparison,
-    train_model,
-)
-
-PLANTED = Path(__file__).parent / "data" / "planted"
-
-
-@pytest.fixture(scope="module")
-def planted():
-    triples = load_triples(PLANTED / "triples.tsv", Relation.PROFESSION)
-    corpus = load_corpus(PLANTED / "corpus.jsonl")
-    _, X = extract_matrix(load_embeddings(PLANTED / "embeddings.txt"), corpus,
-                          load_universe(PLANTED / "universe.txt", Relation.PROFESSION),
-                          triples)
-    return triples, X, corpus
+from triplescore import Relation, run_cv_comparison, train_model
 
 
 def test_ordinal_beats_first_mention_on_every_metric(planted):
