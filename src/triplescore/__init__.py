@@ -43,6 +43,7 @@ from .features import (
     fit_standardizer,
     load_triples,
     load_universe,
+    lookup_keys,
     matrix,
     object_entity_similarity,
     object_mention_feature,
@@ -98,6 +99,7 @@ __all__ = [
     "load_triples",
     "load_universe",
     "logistic",
+    "lookup_keys",
     "make_trainer",
     "matrix",
     "mentions",

@@ -61,18 +61,13 @@ def _log_softmax_terms(params: np.ndarray, X: np.ndarray):
     return W, logits, log_norm
 
 
-def multinomial_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                    reg_lambda: float) -> tuple[float, np.ndarray]:
-    """Penalized softmax negative log-likelihood with analytic gradient.
-
-    params flattens W (K x p) row-major followed by the K biases, for labels
-    0..K-1 (K = 8 for the model); the penalty reg_lambda/2 ||W||_F^2 leaves
-    the biases unpenalized.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+def newton_objective(params: np.ndarray, X: np.ndarray, y: np.ndarray,
+                     reg_lambda: float):
+    """`multinomial_nll`'s value and gradient for array X and y, and a
+    callable giving the Hessian at params from the same softmax terms."""
     n = X.shape[0]
-    W, logits, log_norm = _log_softmax_terms(params, X)
+    terms = _log_softmax_terms(params, X)
+    W, logits, log_norm = terms
     value = float(
         -np.sum(logits[np.arange(n), y] - log_norm)
         + 0.5 * reg_lambda * np.sum(W * W)
@@ -82,22 +77,37 @@ def multinomial_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     probs[np.arange(n), y] -= 1.0
     grad_W = probs.T @ X + reg_lambda * W
     grad_b = probs.sum(axis=0)
-    return value, np.concatenate([grad_W.ravel(), grad_b])
+    return (value, np.concatenate([grad_W.ravel(), grad_b]),
+            lambda: multinomial_hessian(params, X, y, reg_lambda, terms))
+
+
+def multinomial_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
+                    reg_lambda: float) -> tuple[float, np.ndarray]:
+    """Penalized softmax negative log-likelihood with analytic gradient.
+
+    params flattens W (K x p) row-major followed by the K biases, for labels
+    0..K-1 (K = 8 for the model); the penalty reg_lambda/2 ||W||_F^2 leaves
+    the biases unpenalized.
+    """
+    value, grad, _ = newton_objective(
+        params, np.asarray(X, dtype=float), np.asarray(y, dtype=int), reg_lambda)
+    return value, grad
 
 
 def multinomial_hessian(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                        reg_lambda: float) -> np.ndarray:
+                        reg_lambda: float, terms=None) -> np.ndarray:
     """Analytic Hessian of `multinomial_nll`, in the same parameter order.
 
     With z = (x, 1), the entry for classes k, l and columns a, b of z is
     sum_i pi_ik (delta_kl - pi_il) z_ia z_ib. With G[i, (k, a)] = pi_ik z_ia
     that is the class-diagonal part of G^T Z minus G^T G. The labels do not
-    enter it.
+    enter it. `terms` are `_log_softmax_terms(params, X)` when the caller
+    already has them.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
     q = p + 1
-    _, logits, log_norm = _log_softmax_terms(params, X)
+    _, logits, log_norm = _log_softmax_terms(params, X) if terms is None else terms
     k = logits.shape[1]
     probs = np.exp(logits - log_norm[:, None])
     Z = np.hstack([X, np.ones((n, 1))])
@@ -165,7 +175,7 @@ def fit_multinomial(X, y, config: FitConfig | None = None, *,
                     relation: Relation | None = None) -> MultinomialModel:
     """Deterministic penalized fit from a zero start."""
     return fit_model(
-        MultinomialModel, multinomial_nll, multinomial_hessian,
+        MultinomialModel, newton_objective,
         lambda y, p, k: np.zeros(k * p + k), _all_classes, X, y, config,
         feature_names=feature_names, standardizer=standardizer, relation=relation,
     )

@@ -30,6 +30,7 @@ from .features import (
     Relation,
     load_triples,
     load_universe,
+    lookup_keys,
     matrix_to_tsv,
     missing_summary,
 )
@@ -96,10 +97,11 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _load_extract_inputs(config: RunConfig, relation: Relation):
-    store = load_embeddings(config.embeddings)
+    """Load the four extract inputs; only the vectors extract can reach are parsed."""
     corpus = load_corpus(config.corpus)
     universe = load_universe(config.universe, relation)
     triples = load_triples(config.triples, relation)
+    store = load_embeddings(config.embeddings, lookup_keys(corpus, universe, triples))
     return store, corpus, universe, triples
 
 
@@ -339,3 +341,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -49,7 +49,7 @@ class EmbeddingStore:
         return self._entries.get(normalize_key(key))
 
 
-def load_embeddings(path) -> EmbeddingStore:
+def load_embeddings(path, keys=None) -> EmbeddingStore:
     """Load a textual word-vector file.
 
     Format: header line "<count> <dim>", then one "<key> <v1> ... <v_dim>"
@@ -57,8 +57,15 @@ def load_embeddings(path) -> EmbeddingStore:
     an error rather than last-wins so that runs stay reproducible, and so
     are nan or infinite components (including ones that overflow, such as
     1e999), which would otherwise reach the features as nan.
+
+    With `keys`, only the vectors whose normalized key is among the
+    normalized `keys` are parsed and stored. Every line still gets the
+    token-count and duplicate-key checks and counts toward the header's
+    entry count; the numeric and finiteness checks run on the kept lines.
     """
+    wanted = None if keys is None else {normalize_key(k) for k in keys}
     entries: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.strip():
@@ -78,9 +85,9 @@ def load_embeddings(path) -> EmbeddingStore:
             raise MalformedLineError(path, 1, f"dimension must be positive, got {dim}")
 
         for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
             tokens = line.split()
+            if not tokens:
+                continue
             if len(tokens) != dim + 1:
                 raise MalformedLineError(
                     path,
@@ -88,8 +95,11 @@ def load_embeddings(path) -> EmbeddingStore:
                     f"expected 1 key + {dim} values, got {len(tokens)} tokens",
                 )
             key = normalize_key(tokens[0])
-            if key in entries:
+            if key in seen:
                 raise DuplicateKeyError(key, path)
+            seen.add(key)
+            if wanted is not None and key not in wanted:
+                continue
             try:
                 vec = np.array(tokens[1:], dtype=float)
             except ValueError:
@@ -98,8 +108,8 @@ def load_embeddings(path) -> EmbeddingStore:
                 raise MalformedLineError(path, line_no, "non-finite vector component")
             entries[key] = vec
 
-    if len(entries) != count:
+    if len(seen) != count:
         raise MalformedLineError(
-            path, 1, f"header declares {count} entries, file holds {len(entries)}"
+            path, 1, f"header declares {count} entries, file holds {len(seen)}"
         )
     return EmbeddingStore(dim, entries)

@@ -281,6 +281,23 @@ def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
     return out
 
 
+def lookup_keys(corpus: Corpus, universe: ObjectUniverse,
+                triples: list[Triple]) -> set[str]:
+    """Every normalized key `extract` can look up in the embedding store.
+
+    These are the universe objects, each triple's entity and object, and
+    the linked entities of each triple entity's page record; a store
+    loaded with only these keys gives the same features as the full one.
+    """
+    entities = {t.entity_key for t in triples}
+    keys = set(universe.objects) | entities | {t.object_key for t in triples}
+    for ekey in entities:
+        record = corpus.get(ekey)
+        if record is not None:
+            keys.update(map(normalize_key, record.linked_entities))
+    return keys
+
+
 def matrix(vectors: list[FeatureVector]) -> np.ndarray:
     """Stack feature vectors into an (n, 4) float matrix."""
     return np.array([fv.values() for fv in vectors], dtype=float).reshape(len(vectors), len(FEATURE_NAMES))

@@ -129,29 +129,30 @@ def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray | Non
     return None
 
 
-def _newton(objective, hessian, x: np.ndarray, config: FitConfig):
-    """Damped Newton minimization of `objective(x) -> (value, grad)` from x.
+def _newton(objective, x: np.ndarray, config: FitConfig):
+    """Damped Newton minimization of `objective(x) -> (value, grad, hessian)`
+    from x, where `hessian()` gives the Hessian at x.
 
-    Each step solves against `hessian(x)` and backtracks (halving) until the
-    Armijo condition holds. Near the optimum the objective's change falls
-    below its rounding error, so there a step that keeps the objective within
-    rounding and shrinks max|grad| is accepted too. Stops when max|grad| <=
-    config.tol, after config.max_iters steps, or when backtracking can no
-    longer decrease the objective. Returns the last accepted (x, value, grad)
+    Each step solves against the Hessian at the current point, computed only
+    then, and backtracks (halving) until the Armijo condition holds. Near the
+    optimum the objective's change falls below its rounding error, so there a
+    step that keeps the objective within rounding and shrinks max|grad| is
+    accepted too. Stops when max|grad| <= config.tol, after config.max_iters
+    steps, or when backtracking can no longer decrease the objective. Returns the last accepted (x, value, grad)
     and the step count.
     """
-    value, grad = objective(x)
+    value, grad, hessian = objective(x)
     grad_max = np.max(np.abs(grad))
     n_iter = 0
     while n_iter < config.max_iters and grad_max > config.tol:
-        direction = _newton_direction(hessian(x), grad)
+        direction = _newton_direction(hessian(), grad)
         if direction is None:
             break
         decrease = ARMIJO * float(grad @ direction)
         step = 1.0
         while step >= MIN_STEP:
             trial = x - step * direction
-            trial_value, trial_grad = objective(trial)
+            trial_value, trial_grad, trial_hessian = objective(trial)
             trial_max = np.max(np.abs(trial_grad))
             if trial_value <= value - step * decrease or (
                     trial_value <= value + ROUNDING * abs(value) and trial_max < grad_max):
@@ -160,11 +161,12 @@ def _newton(objective, hessian, x: np.ndarray, config: FitConfig):
         else:
             break
         x, value, grad, grad_max = trial, trial_value, trial_grad, trial_max
+        hessian = trial_hessian
         n_iter += 1
     return x, value, grad, n_iter
 
 
-def fit_model(model_cls, objective, hessian, start, unpack, X, y,
+def fit_model(model_cls, objective, start, unpack, X, y,
               config: FitConfig | None, *, feature_names, standardizer, relation):
     """Fit model_cls by Newton's method over the classes y contains.
 
@@ -175,10 +177,10 @@ def fit_model(model_cls, objective, hessian, start, unpack, X, y,
     putting the absent classes' parameters at their limits; a limit at
     infinity is stored OUTER_LIMIT beyond the fitted parameters.
 
-    `objective(x, X, y, reg_lambda)` gives (value, gradient) for labels
-    0..K-1, `hessian` with the same arguments the analytic Hessian, and
-    `start(y, p, K)` the starting point. A fit that stops above `config.tol`
-    warns with a RuntimeWarning. Deterministic: identical inputs produce
+    `objective(x, X, y, reg_lambda)` gives (value, gradient, hessian) for
+    labels 0..K-1, where `hessian()` computes the analytic Hessian at x from
+    the terms the value came from, and `start(y, p, K)` gives the starting
+    point. A fit that stops above `config.tol` warns with a RuntimeWarning. Deterministic: identical inputs produce
     bit-identical models.
     """
     config = config or FitConfig()
@@ -202,8 +204,8 @@ def fit_model(model_cls, objective, hessian, start, unpack, X, y,
 
     ranks = np.searchsorted(observed, y)
     args = (X, ranks, config.reg_lambda)
-    x, value, grad, n_iter = _newton(lambda x: objective(x, *args), lambda x: hessian(x, *args),
-                                    start(ranks, p, observed.size), config)
+    x, value, grad, n_iter = _newton(lambda x: objective(x, *args),
+                                     start(ranks, p, observed.size), config)
     if not np.all(np.isfinite(x)) or not np.isfinite(value):
         raise NonFiniteError(f"{model_cls.model_type} objective diverged; "
                              "check feature scaling")

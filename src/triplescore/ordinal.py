@@ -119,6 +119,27 @@ def _threshold_tail(y: np.ndarray, ratio_hi: np.ndarray, ratio_lo: np.ndarray,
     return np.cumsum(d_theta[::-1])[::-1]
 
 
+def newton_objective(params: np.ndarray, X: np.ndarray, y: np.ndarray,
+                     reg_lambda: float):
+    """`penalized_nll`'s value and gradient for array X and y, and a
+    callable giving the Hessian at params from the same per-row terms."""
+    p = X.shape[1]
+    w = params[:p]
+    terms = _row_terms(params, X, y)
+    _, _, log_p, ratio_hi, ratio_lo = terms
+
+    value = float(-np.sum(log_p) + 0.5 * reg_lambda * np.dot(w, w))
+    if not np.isfinite(value):
+        grad = np.full_like(params, np.nan)
+    else:
+        # d NLL / d eta_i is ratio_hi - ratio_lo
+        grad_w = X.T @ (ratio_hi - ratio_lo) + reg_lambda * w
+        tail = _threshold_tail(y, ratio_hi, ratio_lo, params.size - p)
+        grad_s = np.exp(params[p + 1:]) * tail[1:]
+        grad = np.concatenate([grad_w, [tail[0]], grad_s])
+    return value, grad, lambda: penalized_nll_hessian(params, X, y, reg_lambda, terms)
+
+
 def penalized_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
                   reg_lambda: float) -> tuple[float, np.ndarray]:
     """Penalized negative log-likelihood and its analytic gradient.
@@ -128,38 +149,28 @@ def penalized_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     applies to the weights only. All pieces use log-space formulas so the
     value stays finite for extreme linear scores.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    p = X.shape[1]
-    w = params[:p]
-    _, _, log_p, ratio_hi, ratio_lo = _row_terms(params, X, y)
-
-    value = float(-np.sum(log_p) + 0.5 * reg_lambda * np.dot(w, w))
-    if not np.isfinite(value):
-        grad = np.full_like(params, np.nan)
-        return value, grad
-
-    # d NLL / d eta_i is ratio_hi - ratio_lo
-    grad_w = X.T @ (ratio_hi - ratio_lo) + reg_lambda * w
-    tail = _threshold_tail(y, ratio_hi, ratio_lo, params.size - p)
-    grad_s = np.exp(params[p + 1:]) * tail[1:]
-    return value, np.concatenate([grad_w, [tail[0]], grad_s])
+    value, grad, _ = newton_objective(
+        params, np.asarray(X, dtype=float), np.asarray(y, dtype=int), reg_lambda)
+    return value, grad
 
 
 def penalized_nll_hessian(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                          reg_lambda: float) -> np.ndarray:
+                          reg_lambda: float, terms=None) -> np.ndarray:
     """Analytic Hessian of `penalized_nll` in its (w, theta_0, s) parameters.
 
     Row i's NLL depends on the parameters through (z_hi, z_lo) only, so the
     Hessian in (w, theta) is J_hi^T H_hh J_hi + J_hi^T H_hl J_lo + ... with
     J = dz / d(w, theta) = [-x, one-hot cut]. The chain rule through
-    theta = J_s (theta_0, s) adds diag(grad_s) on the s block.
+    theta = J_s (theta_0, s) adds diag(grad_s) on the s block. `terms` are
+    `_row_terms(params, X, y)` when the caller already has them.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     p = X.shape[1]
     n_cuts = params.size - p
-    z_hi, z_lo, _, ratio_hi, ratio_lo = _row_terms(params, X, y)
+    if terms is None:
+        terms = _row_terms(params, X, y)
+    z_hi, z_lo, _, ratio_hi, ratio_lo = terms
 
     # second derivatives of -log(logistic(z_hi) - logistic(z_lo)); the
     # logistic'' / logistic' factor 1 - 2 logistic(z) is -tanh(z / 2), and
@@ -262,7 +273,7 @@ def fit(X, y, config: FitConfig | None = None, *,
     inputs produce bit-identical models.
     """
     return fit_model(
-        OrdinalModel, penalized_nll, penalized_nll_hessian, initial_params,
+        OrdinalModel, newton_objective, initial_params,
         lambda x, p, observed: {
             "w": x[:p], "theta": _all_cuts(thresholds_from_params(x, p), observed)},
         X, y, config,

@@ -1,10 +1,15 @@
 """End-to-end command tests: each command is a thin wrapper over the library."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triplescore
 from triplescore import __version__
 from triplescore.artifact import ARTIFACT_VERSION, load_model
 from triplescore.cli import main
@@ -159,6 +164,31 @@ class TestExtract:
         assert code == 2
         assert f"{emb}:3:" in err and "non-finite" in err
 
+    def test_unreachable_non_finite_embedding_is_not_parsed(self, micro_paths, tmp_path,
+                                                            capsys):
+        # no triple, universe object or page of a triple's person reaches "zed"
+        emb = tmp_path / "emb.txt"
+        emb.write_text(micro_paths["embeddings"].read_text().replace("9 2", "10 2")
+                       + "zed 0 nan\n")
+        args = input_args(micro_paths)
+        _, expected, _ = invoke(capsys, "extract", *args)
+        args[args.index(str(micro_paths["embeddings"]))] = str(emb)
+        code, out, _ = invoke(capsys, "extract", *args)
+        assert code == 0
+        assert out == expected
+
+    def test_malformed_triples_reported_before_embeddings(self, micro_paths, tmp_path,
+                                                           capsys):
+        emb, triples = tmp_path / "emb.txt", tmp_path / "triples.tsv"
+        emb.write_text("not a header\n")
+        triples.write_text("ada\n")
+        args = input_args(micro_paths)
+        args[args.index(str(micro_paths["embeddings"]))] = str(emb)
+        args[args.index(str(micro_paths["triples"]))] = str(triples)
+        code, _, err = invoke(capsys, "extract", *args)
+        assert code == 2
+        assert f"{triples}:1:" in err and str(emb) not in err
+
     def test_underflowing_vectors_are_flagged_not_fatal(self, micro_paths, tmp_path, capsys):
         # nonzero components whose norm underflows to 0: usable by no rule
         emb = tmp_path / "emb.txt"
@@ -204,6 +234,20 @@ class TestTrain:
         assert isinstance(model, OrdinalModel)
         assert str(model.relation) == "profession"
         assert model.standardizer is not None
+
+    @pytest.mark.parametrize("module", ["triplescore", "triplescore.cli"])
+    def test_python_m_writes_artifact(self, micro_paths, tmp_path, module):
+        src = str(Path(triplescore.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        model_path = tmp_path / "model.json"
+        result = subprocess.run(
+            [sys.executable, "-m", module, "train", *input_args(micro_paths),
+             "--model", str(model_path)],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert f"model written to {model_path}" in result.stdout
+        assert isinstance(load_model(model_path), OrdinalModel)
 
     def test_rerun_identical_modulo_timestamp(self, micro_paths, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -64,6 +64,66 @@ class TestLoad:
         assert "non-finite" in str(err.value)
 
 
+class TestLoadKeys:
+    """load_embeddings(path, keys): only the vectors for keys are parsed."""
+
+    TEXT = "3 2\nparis 1 0\nrome 0 1\nNew_York 0.5 0.5\n"
+
+    def test_none_equals_full_store(self, tmp_path):
+        path = write(tmp_path, self.TEXT)
+        full, same = load_embeddings(path), load_embeddings(path, None)
+        assert len(same) == len(full) == 3
+        assert same.dim == full.dim
+        for key in ("paris", "rome", "new_york"):
+            assert same.lookup(key).tolist() == full.lookup(key).tolist()
+
+    def test_keeps_only_requested_keys(self, tmp_path):
+        store = load_embeddings(write(tmp_path, self.TEXT), {"Paris", "new york"})
+        assert len(store) == 2
+        assert store.lookup("paris").tolist() == [1.0, 0.0]
+        assert store.lookup("new_york").tolist() == [0.5, 0.5]
+        assert store.lookup("rome") is None
+
+    def test_requested_key_absent_from_file_is_absent(self, tmp_path):
+        store = load_embeddings(write(tmp_path, self.TEXT), {"rome", "atlantis"})
+        assert len(store) == 1
+        assert store.lookup("atlantis") is None
+
+    def test_token_count_checked_on_unkept_line(self, tmp_path):
+        path = write(tmp_path, "2 2\nparis 1 0\nrome 0\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_embeddings(path, {"paris"})
+        assert err.value.line_no == 3
+
+    def test_duplicate_checked_on_unkept_lines(self, tmp_path):
+        path = write(tmp_path, "3 2\nparis 1 0\nRome 0 1\nrome 1 1\n")
+        with pytest.raises(DuplicateKeyError) as err:
+            load_embeddings(path, {"paris"})
+        assert err.value.key == "rome"
+
+    def test_header_count_covers_unkept_lines(self, tmp_path):
+        path = write(tmp_path, "2 2\nparis 1 0\nrome 0 1\noslo 1 1\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_embeddings(path, {"paris"})
+        assert "holds 3" in str(err.value)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "x"])
+    def test_bad_component_on_unkept_line_is_not_parsed(self, tmp_path, token):
+        path = write(tmp_path, f"2 2\nparis 1 0\nrome 1 {token}\n")
+        store = load_embeddings(path, {"paris"})
+        assert len(store) == 1
+        assert store.lookup("rome") is None
+
+    @pytest.mark.parametrize("token, message", [("nan", "non-finite"), ("inf", "non-finite"),
+                                                ("x", "non-numeric")])
+    def test_bad_component_on_kept_line_names_it(self, tmp_path, token, message):
+        path = write(tmp_path, f"2 2\nparis 1 0\nrome 1 {token}\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_embeddings(path, {"rome"})
+        assert err.value.line_no == 3
+        assert message in str(err.value)
+
+
 class TestLookup:
     def test_normalizes_case(self, tmp_path):
         store = load_embeddings(write(tmp_path, "1 3\nparis 1 0 0\n"))

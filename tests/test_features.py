@@ -1,13 +1,15 @@
 """Feature extraction against hand-computed micro-world values."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplescore.embeddings import EmbeddingStore
+from triplescore.corpus import load_corpus
+from triplescore.embeddings import EmbeddingStore, load_embeddings, normalize_key
 from triplescore.errors import (
     DuplicateKeyError,
     EmptyTrainingSetError,
@@ -30,6 +32,7 @@ from triplescore.features import (
     fit_standardizer,
     load_triples,
     load_universe,
+    lookup_keys,
     matrix,
     matrix_to_tsv,
     missing_summary,
@@ -250,6 +253,61 @@ class TestExtract:
             if s > obj_score or (s == obj_score and o < "wing")
         )
         assert fv.ops_rank == float(ahead + 1)
+
+
+class RecordingStore:
+    """A store that records the normalized key of every lookup."""
+
+    def __init__(self, store):
+        self.store, self.dim, self.keys = store, store.dim, set()
+
+    def lookup(self, key):
+        self.keys.add(normalize_key(key))
+        return self.store.lookup(key)
+
+
+PLANTED = Path(__file__).parent / "data" / "planted"
+
+
+class TestLookupKeys:
+    # an out-of-universe object with and without a vector, and a pageless,
+    # unembedded person; ada's page links the unembedded "ghost"
+    EXTRA = [Triple("ada", Relation.PROFESSION, "wing"),
+             Triple("ada", Relation.PROFESSION, "Zeppelin"),
+             Triple("Dex", Relation.PROFESSION, "coder")]
+
+    def test_micro_world_key_set(self, micro):
+        keys = lookup_keys(micro["corpus"], micro["universe"], micro["triples"] + self.EXTRA)
+        assert keys == {"coder", "pilot", "poet", "sailor", "ada", "ben", "cyd", "dex",
+                        "wing", "zeppelin", "math", "ghost", "verse"}
+
+    @pytest.mark.parametrize("denominator", ["embedded", "all"])
+    def test_covers_every_lookup_of_extract_micro(self, micro, denominator):
+        store = RecordingStore(micro["store"])
+        triples = micro["triples"] + self.EXTRA
+        extract(store, micro["corpus"], micro["universe"], triples,
+                ops_denominator=denominator)
+        assert store.keys <= lookup_keys(micro["corpus"], micro["universe"], triples)
+
+    @pytest.mark.parametrize("denominator", ["embedded", "all"])
+    def test_covers_every_lookup_of_extract_planted(self, denominator):
+        corpus = load_corpus(PLANTED / "corpus.jsonl")
+        universe = load_universe(PLANTED / "universe.txt", Relation.PROFESSION)
+        # half the persons, so that the other half's vectors are unreachable
+        triples = load_triples(PLANTED / "triples.tsv", Relation.PROFESSION)
+        persons = sorted({t.entity_key for t in triples})[::2]
+        triples = [t for t in triples if t.entity_key in persons]
+        full = load_embeddings(PLANTED / "embeddings.txt")
+        keys = lookup_keys(corpus, universe, triples)
+        store = RecordingStore(full)
+        vectors = extract(store, corpus, universe, triples, ops_denominator=denominator)
+        assert store.keys <= keys
+
+        filtered = load_embeddings(PLANTED / "embeddings.txt", keys)
+        assert len(filtered) < len(full)
+        assert matrix_to_tsv(triples, extract(filtered, corpus, universe, triples,
+                                              ops_denominator=denominator)) \
+            == matrix_to_tsv(triples, vectors)
 
 
 class TestMatrix:
