@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .embeddings import normalize_key
-from .errors import DuplicatePersonError, MalformedRecordError
+from .errors import DuplicatePersonError, MalformedRecordError, text_lines
 
 ABSTRACT = "abstract"
 FULL_PAGE = "full_page"
@@ -48,38 +48,37 @@ def load_corpus(path) -> Corpus:
     (array of strings, document order), "abstract" and "page" (strings).
     """
     records: dict[str, PageRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(path, line_no, f"invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise MalformedRecordError(path, line_no, "record must be a JSON object")
-            try:
-                person = obj["person"]
-                entities = obj["entities"]
-                abstract = obj["abstract"]
-                page = obj["page"]
-            except KeyError as exc:
-                raise MalformedRecordError(path, line_no, f"missing field {exc.args[0]!r}") from None
-            if not isinstance(person, str) or not person.strip():
-                raise MalformedRecordError(path, line_no, "'person' must be a non-empty string")
-            if not isinstance(entities, list) or any(not isinstance(e, str) for e in entities):
-                raise MalformedRecordError(path, line_no, "'entities' must be an array of strings")
-            if not isinstance(abstract, str) or not isinstance(page, str):
-                raise MalformedRecordError(path, line_no, "'abstract' and 'page' must be strings")
-            key = normalize_key(person)
-            if key in records:
-                raise DuplicatePersonError(key, path)
-            records[key] = PageRecord(
-                person=key,
-                linked_entities=tuple(entities),
-                abstract_text=abstract,
-                page_text=page,
-            )
+    for line_no, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecordError(path, line_no, f"invalid JSON: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise MalformedRecordError(path, line_no, "record must be a JSON object")
+        try:
+            person = obj["person"]
+            entities = obj["entities"]
+            abstract = obj["abstract"]
+            page = obj["page"]
+        except KeyError as exc:
+            raise MalformedRecordError(path, line_no, f"missing field {exc.args[0]!r}") from None
+        if not isinstance(person, str) or not person.strip():
+            raise MalformedRecordError(path, line_no, "'person' must be a non-empty string")
+        if not isinstance(entities, list) or any(not isinstance(e, str) for e in entities):
+            raise MalformedRecordError(path, line_no, "'entities' must be an array of strings")
+        if not isinstance(abstract, str) or not isinstance(page, str):
+            raise MalformedRecordError(path, line_no, "'abstract' and 'page' must be strings")
+        key = normalize_key(person)
+        if key in records:
+            raise DuplicatePersonError(key, path)
+        records[key] = PageRecord(
+            person=key,
+            linked_entities=tuple(entities),
+            abstract_text=abstract,
+            page_text=page,
+        )
     return Corpus(records)
 
 
@@ -97,6 +96,20 @@ def _phrase_pattern(phrase: str) -> re.Pattern:
     return re.compile(rf"(?<![^\W_]){body}(?![^\W_])", re.IGNORECASE | re.UNICODE)
 
 
+def _search(phrase: str, text: str, lowered: str) -> re.Match | None:
+    """First match of the phrase's pattern in text, whose lower case is lowered.
+
+    When phrase and text are both ASCII, a token of the phrase that is not a
+    substring of the lowered text rules out a match without compiling the
+    pattern: under IGNORECASE an ASCII letter matches only its own two
+    cases among ASCII characters. ('s' also matches 'ſ' and 'k' the Kelvin
+    sign, which is why the text must be ASCII too.)
+    """
+    if phrase.isascii() and text.isascii() and any(t not in lowered for t in phrase.split()):
+        return None
+    return _phrase_pattern(phrase).search(text)
+
+
 def mentions(record: PageRecord, obj: str, scope: str = FULL_PAGE) -> bool:
     """Whether the object's surface form occurs in the chosen text scope.
 
@@ -111,7 +124,7 @@ def mentions(record: PageRecord, obj: str, scope: str = FULL_PAGE) -> bool:
     phrase = surface_form(obj)
     if not phrase:
         return False
-    return _phrase_pattern(phrase).search(text) is not None
+    return _search(phrase, text, text.lower()) is not None
 
 
 def first_mentioned(record: PageRecord, candidates: list[str]) -> str | None:
@@ -124,11 +137,13 @@ def first_mentioned(record: PageRecord, candidates: list[str]) -> str | None:
         raise ValueError("candidates must be non-empty")
     best = None  # (start, -match_len, key)
     best_key = None
+    text = record.abstract_text
+    lowered = text.lower()
     for cand in candidates:
         phrase = surface_form(cand)
         if not phrase:
             continue
-        m = _phrase_pattern(phrase).search(record.abstract_text)
+        m = _search(phrase, text, lowered)
         if m is None:
             continue
         key = normalize_key(cand)

@@ -8,6 +8,8 @@ vector.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import DimensionMismatchError, DuplicateKeyError, MalformedLineError
@@ -49,6 +51,11 @@ class EmbeddingStore:
         return self._entries.get(normalize_key(key))
 
 
+# Bytes per read. A block is cut after its last line end, so a line longer
+# than this is read across several reads and scanned whole.
+_BLOCK_BYTES = 1 << 16
+
+
 def load_embeddings(path, keys=None) -> EmbeddingStore:
     """Load a textual word-vector file.
 
@@ -62,12 +69,16 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
     normalized `keys` are parsed and stored. Every line still gets the
     token-count and duplicate-key checks and counts toward the header's
     entry count; the numeric and finiteness checks run on the kept lines.
+
+    The file must be UTF-8; lines end at "\\n", "\\r\\n" or "\\r", and
+    tokens are separated by whitespace as `str.split()` defines it.
     """
     wanted = None if keys is None else {normalize_key(k) for k in keys}
-    entries: dict[str, np.ndarray] = {}
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
+    with open(path, "rb") as fh:
+        blocks = _blocks(fh)
+        first = next(blocks, b"")
+        end = re.search(rb"\r\n?|\n", first)
+        header = _decode(first[: end.start()] if end else first, path, 1)
         if not header.strip():
             raise MalformedLineError(path, 1, "missing header line '<count> <dim>'")
         parts = header.split()
@@ -84,32 +95,164 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
         if dim <= 0:
             raise MalformedLineError(path, 1, f"dimension must be positive, got {dim}")
 
-        for line_no, line in enumerate(fh, start=2):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != dim + 1:
-                raise MalformedLineError(
-                    path,
-                    line_no,
-                    f"expected 1 key + {dim} values, got {len(tokens)} tokens",
-                )
-            key = normalize_key(tokens[0])
-            if key in seen:
-                raise DuplicateKeyError(key, path)
-            seen.add(key)
-            if wanted is not None and key not in wanted:
-                continue
-            try:
-                vec = np.array(tokens[1:], dtype=float)
-            except ValueError:
-                raise MalformedLineError(path, line_no, "non-numeric vector component") from None
-            if not np.isfinite(vec).all():
-                raise MalformedLineError(path, line_no, "non-finite vector component")
-            entries[key] = vec
+        loader = _Loader(path, dim, wanted)
+        line_no = loader.block(first[end.end():] if end else b"", 2)
+        for block in blocks:
+            line_no = loader.block(block, line_no)
 
-    if len(seen) != count:
+    if len(loader.seen) != count:
         raise MalformedLineError(
-            path, 1, f"header declares {count} entries, file holds {len(seen)}"
+            path, 1, f"header declares {count} entries, file holds {len(loader.seen)}"
         )
-    return EmbeddingStore(dim, entries)
+    return EmbeddingStore(dim, loader.entries)
+
+
+def _blocks(fh):
+    """Read fh in blocks that each start a line and end one (the last may not)."""
+    parts = []
+    while data := fh.read(_BLOCK_BYTES):
+        # Cut after the last "\n", or after a "\r" whose next byte is read
+        # and so is not the "\n" of a "\r\n": no line end is split.
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        if cut:
+            parts.append(data[:cut])
+            yield b"".join(parts)
+            parts = [data[cut:]]
+        else:
+            parts.append(data)
+    tail = b"".join(parts)
+    if tail:
+        yield tail
+
+
+def _decode(raw: bytes, path, line_no) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise MalformedLineError(path, line_no, "not valid UTF-8") from None
+
+
+class _Loader:
+    """The checks of the lines after the header, and the vectors they keep.
+
+    `line` checks one line as text. `block` scans a block of lines with
+    numpy and passes to `line` only the lines it cannot vouch for. A line
+    of printable ASCII that starts with its key and holds 1 + dim tokens
+    splits the same as bytes and as text, so the scan reads its key, and
+    its values are split only when the key is kept.
+    """
+
+    def __init__(self, path, dim: int, wanted: set[str] | None):
+        self.path = path
+        self.dim = dim
+        self.wanted = wanted
+        self.entries: dict[str, np.ndarray] = {}
+        self.seen: set[str] = set()
+
+    def line(self, raw: bytes, line_no: int) -> None:
+        tokens = _decode(raw, self.path, line_no).split()
+        if not tokens:
+            return
+        if len(tokens) != self.dim + 1:
+            raise MalformedLineError(
+                self.path,
+                line_no,
+                f"expected 1 key + {self.dim} values, got {len(tokens)} tokens",
+            )
+        self.entry(normalize_key(tokens[0]), tokens[1:], line_no)
+
+    def entry(self, key: str, values: list[str], line_no: int) -> None:
+        self.record((key,))
+        if self.wanted is not None and key not in self.wanted:
+            return
+        try:
+            vec = np.array(values, dtype=float)
+        except ValueError:
+            raise MalformedLineError(self.path, line_no, "non-numeric vector component") from None
+        if not np.isfinite(vec).all():
+            raise MalformedLineError(self.path, line_no, "non-finite vector component")
+        self.entries[key] = vec
+
+    def record(self, keys) -> None:
+        """Add keys to `seen` in line order; one seen before is a duplicate."""
+        batch = set(keys)
+        if len(batch) == len(keys) and self.seen.isdisjoint(batch):
+            self.seen |= batch
+            return
+        for key in keys:
+            if key in self.seen:
+                raise DuplicateKeyError(key, self.path)
+            self.seen.add(key)
+
+    def block(self, buf: bytes, line_no: int) -> int:
+        """Check the lines of buf, numbered from line_no; return the next number."""
+        if not buf:
+            return line_no
+        if b"\r" in buf:
+            lines = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+            if not lines[-1]:
+                lines.pop()
+            for i, raw in enumerate(lines):
+                self.line(raw, line_no + i)
+            return line_no + len(lines)
+        if not buf.endswith(b"\n"):
+            buf += b"\n"
+        a = np.frombuffer(buf, dtype=np.uint8)
+        # The bytes outside printable ASCII (found by uint8 wrap-around); each
+        # "\n" is one of them, and a clean line holds no other.
+        odd = np.flatnonzero(a - np.uint8(32) > 94)
+        is_end = a[odd] == 10
+        ends = odd[is_end]
+        clean = np.diff(np.flatnonzero(is_end), prepend=-1) == 1
+        begins = np.concatenate(([0], ends[:-1] + 1))
+        # On a clean line the bytes <= 32 are spaces and its "\n", which are
+        # all that str.split() takes for whitespace there.
+        space = a <= 32
+        starts = np.empty_like(space)
+        starts[0] = not space[0]
+        np.greater(space[:-1], space[1:], out=starts[1:])
+        counts = np.add.reduceat(starts, begins, dtype=np.int32)
+        blank = clean & (counts == 0)
+        fast = clean & (counts == self.dim + 1) & ~space[begins]
+
+        # A fast line's key runs from its first byte to its first space.
+        # latin-1 maps each byte to one character, so offsets carry over.
+        text = buf.decode("latin-1")
+        fast_lines = np.flatnonzero(fast)
+        spans = list(zip(begins[fast_lines].tolist(), ends[fast_lines].tolist()))
+        keys = [text[b:text.find(" ", b)].lower() for b, _ in spans]
+
+        def values(j):
+            b, e = spans[j]
+            return text[b + len(keys[j]):e].split()
+
+        wanted = self.wanted
+        kept = [j for j, key in enumerate(keys) if wanted is None or key in wanted]
+        # The kept fast lines are parsed together. If that fails, each is
+        # parsed on its own, in line order below, so the first error is raised.
+        try:
+            vectors = np.array([values(j) for j in kept], dtype=float).reshape(-1, self.dim)
+        except ValueError:
+            vectors = None
+        if vectors is not None and np.isfinite(vectors).all():
+            todo = np.flatnonzero(~(fast | blank))
+        else:
+            vectors = None
+            todo = np.union1d(np.flatnonzero(~(fast | blank)), fast_lines[kept])
+        # The other fast lines only record their keys, in a batch before the
+        # next line in todo (at: the index among the fast lines it comes at).
+        at = np.searchsorted(fast_lines, todo).tolist()
+        done = 0
+        for i, j in zip(todo.tolist(), at):
+            if j > done:
+                self.record(keys[done:j])
+            if fast[i]:
+                self.entry(keys[j], values(j), line_no + i)
+                done = j + 1
+            else:
+                self.line(buf[begins[i]:ends[i]], line_no + i)
+                done = j
+        self.record(keys[done:])
+        if vectors is not None:
+            self.entries.update(zip([keys[j] for j in kept], vectors))
+        return line_no + len(ends)

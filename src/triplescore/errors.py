@@ -2,7 +2,9 @@
 
 Two failure families matter to callers: input/format problems (CLI exit
 code 2) and numerical/fit problems (CLI exit code 3). Everything derives
-from TripleScoreError so library users can catch broadly.
+from TripleScoreError so library users can catch broadly. `text_lines`
+reads the line-based input files and turns undecodable bytes into an
+input error that names the file.
 """
 
 
@@ -12,6 +14,22 @@ class TripleScoreError(Exception):
 
 class InputFormatError(TripleScoreError):
     """Bad input data or files. CLI maps this family to exit code 2."""
+
+
+def text_lines(path):
+    """Yield (line number from 1, line) of a UTF-8 text file.
+
+    Bytes that are not UTF-8 raise InputFormatError naming the file and the
+    last line read whole; the decoder reads ahead, so the bad byte is
+    somewhere after it.
+    """
+    line_no = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                yield line_no, line
+    except UnicodeDecodeError:
+        raise InputFormatError(f"{path}: not valid UTF-8 after line {line_no}") from None
 
 
 class MalformedLineError(InputFormatError):

@@ -28,6 +28,7 @@ from .errors import (
     EmptyUniverseError,
     MalformedLineError,
     RelationMismatchError,
+    text_lines,
 )
 
 FEATURE_NAMES = ("obj_entity_sim", "ops", "ops_rank", "object_mention")
@@ -352,30 +353,29 @@ def load_triples(path, relation: Relation) -> list[Triple]:
     must be an integer in [0, 7].
     """
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (2, 3):
+    for line_no, line in text_lines(path):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (2, 3):
+            raise MalformedLineError(
+                path, line_no, f"expected 2 or 3 tab-separated fields, got {len(fields)}"
+            )
+        entity, obj = fields[0].strip(), fields[1].strip()
+        if not entity or not obj:
+            raise MalformedLineError(path, line_no, "entity and object must be non-empty")
+        truth = None
+        if len(fields) == 3 and fields[2].strip():
+            try:
+                truth = int(fields[2].strip())
+            except ValueError:
                 raise MalformedLineError(
-                    path, line_no, f"expected 2 or 3 tab-separated fields, got {len(fields)}"
-                )
-            entity, obj = fields[0].strip(), fields[1].strip()
-            if not entity or not obj:
-                raise MalformedLineError(path, line_no, "entity and object must be non-empty")
-            truth = None
-            if len(fields) == 3 and fields[2].strip():
-                try:
-                    truth = int(fields[2].strip())
-                except ValueError:
-                    raise MalformedLineError(
-                        path, line_no, f"score must be an integer, got {fields[2].strip()!r}"
-                    ) from None
-                if not (0 <= truth <= 7):
-                    raise MalformedLineError(path, line_no, f"score must be in [0, 7], got {truth}")
-            triples.append(Triple(entity=entity, relation=relation, object=obj, truth=truth))
+                    path, line_no, f"score must be an integer, got {fields[2].strip()!r}"
+                ) from None
+            if not (0 <= truth <= 7):
+                raise MalformedLineError(path, line_no, f"score must be in [0, 7], got {truth}")
+        triples.append(Triple(entity=entity, relation=relation, object=obj, truth=truth))
     return triples
 
 
@@ -386,22 +386,21 @@ def load_universe(path, relation: Relation) -> ObjectUniverse:
     declares the file's relation and must match the requested one.
     """
     names = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                body = stripped.lstrip("#").strip()
-                if body.lower().startswith("relation:"):
-                    declared = body.split(":", 1)[1].strip()
-                    if Relation.parse(declared) != relation:
-                        raise RelationMismatchError(
-                            f"{path}:{line_no}: universe file declares relation "
-                            f"{declared!r}, requested {relation.value!r}"
-                        )
-                continue
-            names.append(stripped)
+    for line_no, line in text_lines(path):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            body = stripped.lstrip("#").strip()
+            if body.lower().startswith("relation:"):
+                declared = body.split(":", 1)[1].strip()
+                if Relation.parse(declared) != relation:
+                    raise RelationMismatchError(
+                        f"{path}:{line_no}: universe file declares relation "
+                        f"{declared!r}, requested {relation.value!r}"
+                    )
+            continue
+        names.append(stripped)
     try:
         return ObjectUniverse.from_names(relation, names)
     except DuplicateKeyError as exc:

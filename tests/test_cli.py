@@ -189,6 +189,28 @@ class TestExtract:
         assert code == 2
         assert f"{triples}:1:" in err and str(emb) not in err
 
+    @pytest.mark.parametrize("name, message", [
+        ("embeddings", ":10: not valid UTF-8"),
+        ("corpus", ": not valid UTF-8 after line"),
+        ("universe", ": not valid UTF-8 after line"),
+        ("triples", ": not valid UTF-8 after line"),
+    ])
+    def test_undecodable_input_names_the_file(self, micro_paths, tmp_path, name, message):
+        bad = tmp_path / micro_paths[name].name
+        data = micro_paths[name].read_bytes()
+        bad.write_bytes(data.replace(b"wing", b"w\xffng") if name == "embeddings"
+                        else data + b"\xff\n")
+        args = input_args(micro_paths)
+        args[args.index(str(micro_paths[name]))] = str(bad)
+        src = str(Path(triplescore.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "triplescore", "extract", *args],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {bad}{message}"), result.stderr
+
     def test_underflowing_vectors_are_flagged_not_fatal(self, micro_paths, tmp_path, capsys):
         # nonzero components whose norm underflows to 0: usable by no rule
         emb = tmp_path / "emb.txt"

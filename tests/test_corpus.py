@@ -10,6 +10,8 @@ from triplescore.corpus import (
     ABSTRACT,
     FULL_PAGE,
     PageRecord,
+    _phrase_pattern,
+    _search,
     first_mentioned,
     load_corpus,
     mentions,
@@ -138,6 +140,50 @@ class TestMentions:
         rec_upper = record(page=text.upper())
         for obj in ("poet", "the", "a"):
             assert mentions(rec_lower, obj, FULL_PAGE) == mentions(rec_upper, obj, FULL_PAGE)
+
+
+# ASCII letters in both cases, with the non-ASCII characters that match or
+# lower to ASCII ones under IGNORECASE (long s, Kelvin sign, dotted and
+# dotless i), a few other letters, and word boundaries.
+PREFILTER_CHARS = "aAbBkKsSiItT1 _-.\t\nſKİıéß"
+
+
+class TestSearchPrefilter:
+    """_search skips the regex only where the bare regex cannot match."""
+
+    @given(st.text(PREFILTER_CHARS, min_size=1, max_size=12),
+           st.text(PREFILTER_CHARS, max_size=30), st.text(PREFILTER_CHARS, max_size=30),
+           st.data())
+    @settings(max_examples=500)
+    def test_same_match_as_bare_regex(self, obj, before, after, data):
+        phrase = surface_form(obj)
+        if not phrase:
+            return
+        # plant the phrase half the time, in mixed case with whitespace runs
+        planted = ""
+        if data.draw(st.booleans()):
+            for tok in phrase.split():
+                cased = "".join(c.upper() if data.draw(st.booleans()) else c for c in tok)
+                planted += cased + data.draw(st.sampled_from([" ", "  ", "\t", " \n "]))
+        text = before + planted + after
+        got = _search(phrase, text, text.lower())
+        want = _phrase_pattern(phrase).search(text)
+        assert (got and got.span()) == (want and want.span())
+
+    @pytest.mark.parametrize("obj, text", [("sun", "\u017fun"), ("kin", "\u212ain"),
+                                           ("in", "\u0130n"), ("\u017fun", "SUN"),
+                                           ("Sun", "SUN")])
+    def test_non_ascii_phrase_or_text_is_searched(self, obj, text):
+        assert mentions(record(page=text), obj, FULL_PAGE) == (
+            _phrase_pattern(surface_form(obj)).search(text) is not None)
+
+    def test_absent_token_compiles_nothing(self):
+        _phrase_pattern.cache_clear()
+        assert not mentions(record(page="a poet and sailor"), "Film Director", FULL_PAGE)
+        assert first_mentioned(record(abstract="a poet"), ["painter", "chess player"]) is None
+        assert _phrase_pattern.cache_info().misses == 0
+        assert mentions(record(page="a Poet and sailor"), "poet", FULL_PAGE)
+        assert _phrase_pattern.cache_info().misses == 1
 
 
 class TestFirstMentioned:
