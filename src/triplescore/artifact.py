@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import MultinomialModel
-from .errors import ArtifactError
+from .errors import ArtifactError, read_text
 from .features import Relation, Standardizer
 from .model import FitConfig, LearnedModel
 from .ordinal import OrdinalModel
@@ -69,12 +69,12 @@ def model_from_dict(data: dict) -> LearnedModel:
 def save_model(model: LearnedModel, path) -> None:
     data = model_to_dict(model)
     data["created"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_model(path) -> LearnedModel:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

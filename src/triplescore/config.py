@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import MalformedLineError
+from .errors import MalformedLineError, read_text
 from .features import OPS_DENOM_EMBEDDED
 
 DEFAULT_RELATION = "profession"
@@ -72,7 +71,7 @@ def _unquote(raw: str) -> str:
 def parse_config_file(path) -> RunConfig:
     """Read `key = value` lines; # starts a comment, blank lines skip."""
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

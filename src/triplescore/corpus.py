@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .embeddings import normalize_key
 from .errors import DuplicatePersonError, MalformedRecordError, text_lines
@@ -26,6 +26,11 @@ class PageRecord:
     linked_entities: tuple[str, ...]
     abstract_text: str = ""
     page_text: str = ""
+
+    @cached_property
+    def linked_keys(self) -> tuple[str, ...]:
+        """Normalized keys of the linked entities, computed on first use."""
+        return tuple(map(normalize_key, self.linked_entities))
 
 
 @dataclass(frozen=True)
@@ -96,18 +101,38 @@ def _phrase_pattern(phrase: str) -> re.Pattern:
     return re.compile(rf"(?<![^\W_]){body}(?![^\W_])", re.IGNORECASE | re.UNICODE)
 
 
-def _search(phrase: str, text: str, lowered: str) -> re.Match | None:
-    """First match of the phrase's pattern in text, whose lower case is lowered.
+def _search(phrase: str, text: str, lowered: str) -> tuple[int, int] | None:
+    """(start, end) of the first match of the phrase's pattern in text, or None.
 
-    When phrase and text are both ASCII, a token of the phrase that is not a
-    substring of the lowered text rules out a match without compiling the
-    pattern: under IGNORECASE an ASCII letter matches only its own two
-    cases among ASCII characters. ('s' also matches 'ſ' and 'k' the Kelvin
-    sign, which is why the text must be ASCII too.)
+    lowered is text.lower(). When phrase and text are both ASCII, the match
+    is found without the re module, over lowered: under IGNORECASE an ASCII
+    letter matches only its own two cases among ASCII characters, `\\s`
+    matches exactly the characters for which str.isspace() holds, and
+    `[^\\W_]` exactly those for which str.isalnum() holds. ('s' also matches
+    'ſ' and 'k' the Kelvin sign, which is why the text must be ASCII too.)
+    Any other phrase or text is searched with the compiled pattern.
     """
-    if phrase.isascii() and text.isascii() and any(t not in lowered for t in phrase.split()):
-        return None
-    return _phrase_pattern(phrase).search(text)
+    tokens = phrase.lower().split()
+    if not (tokens and phrase.isascii() and text.isascii()):
+        match = _phrase_pattern(phrase).search(text)
+        return match.span() if match else None
+    first, rest, n = tokens[0], tokens[1:], len(lowered)
+    start = lowered.find(first)
+    while start >= 0:
+        if start == 0 or not lowered[start - 1].isalnum():
+            end = start + len(first)
+            for tok in rest:
+                gap = end
+                while gap < n and lowered[gap].isspace():
+                    gap += 1
+                if gap == end or not lowered.startswith(tok, gap):
+                    break
+                end = gap + len(tok)
+            else:
+                if end == n or not lowered[end].isalnum():
+                    return start, end
+        start = lowered.find(first, start + 1)
+    return None
 
 
 def mentions(record: PageRecord, obj: str, scope: str = FULL_PAGE) -> bool:
@@ -143,11 +168,11 @@ def first_mentioned(record: PageRecord, candidates: list[str]) -> str | None:
         phrase = surface_form(cand)
         if not phrase:
             continue
-        m = _search(phrase, text, lowered)
-        if m is None:
+        span = _search(phrase, text, lowered)
+        if span is None:
             continue
         key = normalize_key(cand)
-        rank = (m.start(), -(m.end() - m.start()), key)
+        rank = (span[0], span[0] - span[1], key)
         if best is None or rank < best:
             best = rank
             best_key = key

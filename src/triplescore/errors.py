@@ -3,8 +3,8 @@
 Two failure families matter to callers: input/format problems (CLI exit
 code 2) and numerical/fit problems (CLI exit code 3). Everything derives
 from TripleScoreError so library users can catch broadly. `text_lines`
-reads the line-based input files and turns undecodable bytes into an
-input error that names the file.
+and `read_text` read the text input files and turn undecodable bytes into
+an input error that names the file.
 """
 
 
@@ -30,6 +30,18 @@ def text_lines(path):
                 yield line_no, line
     except UnicodeDecodeError:
         raise InputFormatError(f"{path}: not valid UTF-8 after line {line_no}") from None
+
+
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file.
+
+    Bytes that are not UTF-8 raise InputFormatError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise InputFormatError(f"{path}: not valid UTF-8") from None
 
 
 class MalformedLineError(InputFormatError):

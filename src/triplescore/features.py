@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import FULL_PAGE, Corpus, mentions
+from .corpus import FULL_PAGE, Corpus, _search, mentions, surface_form
 from .embeddings import EmbeddingStore, normalize_key
 from .errors import (
     DuplicateKeyError,
@@ -91,6 +91,8 @@ class ObjectUniverse:
     def __post_init__(self):
         if not self.objects:
             raise EmptyUniverseError("object universe is empty")
+        if any(a >= b for a, b in zip(self.objects, self.objects[1:])):
+            raise ValueError("universe objects must be sorted and unique")
 
     @classmethod
     def from_names(cls, relation: Relation, names) -> "ObjectUniverse":
@@ -115,22 +117,36 @@ class FeatureVector:
         return (self.obj_entity_sim, self.ops, self.ops_rank, self.object_mention)
 
 
+# Cap on the bytes of each temporary array the features are computed in.
+# Every row is reduced on its own, so the cap changes no value.
+_CHUNK_BYTES = 1 << 20
+
+
+def _per_chunk(row_bytes: int) -> int:
+    """Rows of row_bytes each that fit in one chunk; at least one."""
+    return max(1, _CHUNK_BYTES // row_bytes)
+
+
 def _unit_rows(store: EmbeddingStore, keys) -> tuple[np.ndarray, np.ndarray]:
     """Unit-normalised rows of the keys' vectors, and which rows are usable.
 
     A vector is usable iff the store holds it and its norm is a positive
     finite number. This one rule decides the similarity flags, the ops
-    terms and the ops_terms flag. The rows of unusable vectors are
-    meaningless.
+    terms and the ops_terms flag. The rows of unusable vectors are zero.
     """
-    rows = np.zeros((len(keys), store.dim))
-    for i, key in enumerate(keys):
-        vec = store.lookup(key)
-        if vec is not None:
-            rows[i] = vec
-    norms = np.linalg.norm(rows, axis=1)
-    usable = (norms > 0.0) & np.isfinite(norms)
-    rows[usable] /= norms[usable, None]
+    zero = np.zeros(store.dim)
+    vectors = [zero if (vec := store.lookup(key)) is None else vec for key in keys]
+    if not vectors:
+        return np.zeros((0, store.dim)), np.zeros(0, dtype=bool)
+    rows = np.concatenate(vectors, dtype=float).reshape(len(vectors), store.dim)
+    usable = np.empty(len(rows), dtype=bool)
+    step = _per_chunk(rows[0].nbytes)
+    for i in range(0, len(rows), step):
+        part = rows[i:i + step]
+        norms = np.linalg.norm(part, axis=1)
+        ok = usable[i:i + step] = (norms > 0.0) & np.isfinite(norms)
+        part /= np.where(ok, norms, 1.0)[:, None]
+        part[~ok] = 0.0
     return rows, usable
 
 
@@ -140,53 +156,110 @@ def object_entity_similarity(store: EmbeddingStore, entity: str, obj: str) -> fl
     return float(rows[0] @ rows[1]) if usable.all() else 0.0
 
 
-class _OpsKernel:
-    """ops of any object against one entity's page.
+class _UnitTable:
+    """The unit row of every key one run reads, each key normalised once.
 
-    The mean cosine between an object and the page's usable linked
-    entities (duplicates counted per occurrence) is the dot product of the
-    object's unit vector with the sum of the page's unit vectors, over the
-    denominator. Each object row is reduced on its own, so an object gets
-    the same value whatever other rows it is computed with.
+    Keys are numbered as they are added; `build` then reads them all with
+    one `_unit_rows` call.
     """
 
-    def __init__(self, store, corpus, entity, denominator):
+    def __init__(self, keys=()):
+        self.rows = {key: i for i, key in enumerate(keys)}
+
+    def row(self, key: str) -> int:
+        """Row number of a normalized key."""
+        return self.rows.setdefault(key, len(self.rows))
+
+    def page(self, record) -> list[int]:
+        """Row numbers of a page record's linked entities, in document order."""
+        if record is None:
+            return []
+        return [self.row(key) for key in record.linked_keys]
+
+    def build(self, store: EmbeddingStore) -> "_UnitTable":
+        self.units, self.usable = _unit_rows(store, list(self.rows))
+        self.ok = self.usable.tolist()
+        return self
+
+
+class _Pages:
+    """ops of table rows against entity pages.
+
+    The mean cosine between an object and a page's usable linked entities
+    (duplicates counted per occurrence) is the dot product of the object's
+    unit vector with the sum of the page's unit vectors, over the
+    denominator. Each dot product is an elementwise product summed over
+    the last axis, so a pair gets the same value whatever other pairs it
+    is computed with.
+    """
+
+    def __init__(self, table: _UnitTable, pages: list[list[int]], denominator: str):
         if denominator not in (OPS_DENOM_EMBEDDED, OPS_DENOM_ALL):
             raise ValueError(
                 f"denominator must be {OPS_DENOM_EMBEDDED!r} or {OPS_DENOM_ALL!r}, "
                 f"got {denominator!r}"
             )
-        self.record = corpus.get(entity)
-        linked = self.record.linked_entities if self.record is not None else ()
-        page, usable = _unit_rows(store, linked)
-        self.n_terms = int(usable.sum())
-        self.page_sum = page[usable].sum(axis=0)
-        self.denom = self.n_terms if denominator == OPS_DENOM_EMBEDDED else len(linked)
+        self.table = table
+        self.sums = np.zeros((len(pages), table.units.shape[1]))
+        terms = []
+        for i, page in enumerate(pages):
+            used = [r for r in page if table.ok[r]]
+            self.sums[i] = table.units[used].sum(axis=0)
+            terms.append(len(used))
+        terms = np.array(terms, dtype=int)
+        self.live = terms > 0
+        denoms = terms if denominator == OPS_DENOM_EMBEDDED else [len(p) for p in pages]
+        self.denoms = np.where(self.live, denoms, 1).astype(float)
 
-    def values(self, units: np.ndarray, usable: np.ndarray) -> np.ndarray:
-        """ops of each object row; 0.0 for unusable objects and pages without a usable term."""
-        if self.n_terms == 0:
-            return np.zeros(len(units))
-        return np.where(usable, (units * self.page_sum).sum(axis=1) / self.denom, 0.0)
+    def outer(self, first: int, last: int, n_rows: int) -> np.ndarray:
+        """ops of table rows 0..n_rows-1 (columns) against pages first..last-1.
+
+        Zero for unusable rows and for pages without a usable term.
+        """
+        rows, sums = self.table.units[:n_rows], self.sums[first:last]
+        dots = np.empty((len(sums), n_rows))
+        per_chunk = _per_chunk(rows[0].nbytes)
+        r_step = min(n_rows, per_chunk)
+        p_step = max(1, per_chunk // r_step)
+        product = np.empty((min(p_step, len(sums)), r_step, rows.shape[1]))
+        for i in range(0, len(sums), p_step):
+            for j in range(0, n_rows, r_step):
+                part_r, part_s = rows[j:j + r_step], sums[i:i + p_step]
+                part = product[:len(part_s), :len(part_r)]
+                np.multiply(part_r[None], part_s[:, None], out=part)
+                dots[i:i + p_step, j:j + r_step] = part.sum(axis=-1)
+        keep = self.table.usable[:n_rows] & self.live[first:last, None]
+        return np.where(keep, dots / self.denoms[first:last, None], 0.0)
+
+    def paired(self, pages: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """ops of table row rows[i] against page pages[i], for each i."""
+        dots = (self.table.units[rows] * self.sums[pages]).sum(axis=1)
+        keep = self.table.usable[rows] & self.live[pages]
+        return np.where(keep, dots / self.denoms[pages], 0.0)
 
 
-class _Ranking:
-    """ops of every universe object for one entity, and their 1-based ranks."""
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """1-based rank of each column in its row, by descending value.
 
-    def __init__(self, kernel: _OpsKernel, keys: tuple[str, ...], units, usable):
-        self.kernel, self.keys = kernel, keys
-        self.ops = kernel.values(units, usable)
-        # keys are sorted, so a stable sort breaks ties on ascending key
-        order = np.argsort(-self.ops, kind="stable")
-        self.ranks = np.empty(len(keys), dtype=int)
-        self.ranks[order] = np.arange(1, len(keys) + 1)
+    Universe objects are sorted by key, so the stable sort breaks ties on
+    ascending key.
+    """
+    order = np.argsort(-values, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(1, values.shape[1] + 1)[None], axis=1)
+    return ranks
 
-    def place(self, key: str, units, usable) -> tuple[float, int]:
-        """ops of an object outside the universe, and the rank it would take."""
-        value = self.kernel.values(units, usable)[0]
-        ahead = np.count_nonzero(self.ops > value)
-        tied = np.count_nonzero(self.ops[:bisect_left(self.keys, key)] == value)
-        return float(value), int(ahead + tied) + 1
+
+def _places(values: np.ndarray, value: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """Rank each outside object would take in its row of universe ops.
+
+    value[i] is the object's ops and position[i] the number of universe
+    keys that sort before its key; equal ops rank those keys first.
+    """
+    ahead = np.count_nonzero(values > value[:, None], axis=1)
+    before = np.arange(values.shape[1]) < position[:, None]
+    tied = np.count_nonzero((values == value[:, None]) & before, axis=1)
+    return ahead + tied + 1
 
 
 def ops(store: EmbeddingStore, corpus: Corpus, entity: str, obj: str,
@@ -197,8 +270,11 @@ def ops(store: EmbeddingStore, corpus: Corpus, entity: str, obj: str,
     "all" divides by the total linked-entity count, so unembeddable page
     entities drag the average toward zero.
     """
-    kernel = _OpsKernel(store, corpus, entity, denominator)
-    return float(kernel.values(*_unit_rows(store, (obj,)))[0])
+    table = _UnitTable((normalize_key(obj),))
+    page = table.page(corpus.get(entity))
+    pages = _Pages(table.build(store), [page], denominator)
+    first = np.zeros(1, dtype=int)
+    return float(pages.paired(first, first)[0])
 
 
 def ops_rank(store: EmbeddingStore, corpus: Corpus, entity: str,
@@ -208,10 +284,11 @@ def ops_rank(store: EmbeddingStore, corpus: Corpus, entity: str,
     Ties break on ascending object key so the ranking is a deterministic
     bijection onto 1..len(universe).
     """
-    units, usable = _unit_rows(store, universe.objects)
-    ranking = _Ranking(_OpsKernel(store, corpus, entity, denominator),
-                       universe.objects, units, usable)
-    return dict(zip(universe.objects, ranking.ranks.tolist()))
+    table = _UnitTable(universe.objects)
+    page = table.page(corpus.get(entity))
+    pages = _Pages(table.build(store), [page], denominator)
+    ranks = _ranks(pages.outer(0, 1, len(universe.objects)))[0]
+    return dict(zip(universe.objects, ranks.tolist()))
 
 
 def object_mention_feature(corpus: Corpus, entity: str, obj: str) -> float:
@@ -222,12 +299,31 @@ def object_mention_feature(corpus: Corpus, entity: str, obj: str) -> float:
     return 1.0 if mentions(record, obj, FULL_PAGE) else 0.0
 
 
+def _flag_sets() -> tuple[frozenset[str], ...]:
+    """Missing flags by row code. Bit 0: unusable entity vector; bit 1:
+    unusable object vector; bit 2: no page record; bit 3: no usable page
+    term. Any of the last three means no ops term."""
+    named = (FLAG_ENTITY_EMBEDDING, FLAG_OBJECT_EMBEDDING, FLAG_PAGE_RECORD)
+    sets = []
+    for code in range(16):
+        flags = {flag for bit, flag in enumerate(named) if code >> bit & 1}
+        if code & 0b1110:
+            flags.add(FLAG_OPS_TERMS)
+        sets.append(frozenset(flags))
+    return tuple(sets)
+
+
+_FLAG_SETS = _flag_sets()
+
+
 def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
             triples: list[Triple], *, ops_denominator: str = "embedded") -> list[FeatureVector]:
     """Feature vectors for the triples, in input order.
 
-    The universe is normalised once; the page and the ranking are built
-    once per distinct entity and reused for all of that entity's triples.
+    Every key is unit-normalised once, in one table, and each entity's
+    page is summed once. The universe ops and ranks are computed for a
+    chunk of entities at a time and gathered for the chunk's triples.
+    Each page is lowercased once for all of its entity's mention searches.
     """
     for t in triples:
         if t.relation != universe.relation:
@@ -236,50 +332,72 @@ def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
                 f"universe relation {universe.relation.value!r}"
             )
 
-    keys = universe.objects
-    index = {key: i for i, key in enumerate(keys)}
-    units, usable = _unit_rows(store, keys)
-    entities = {}
-    out = []
-    for t in triples:
-        ekey, okey = t.entity_key, t.object_key
-        if ekey not in entities:
-            e_units, e_usable = _unit_rows(store, (ekey,))
-            kernel = _OpsKernel(store, corpus, ekey, ops_denominator)
-            entities[ekey] = (e_units[0], e_usable[0], _Ranking(kernel, keys, units, usable))
-        e_unit, e_usable, ranking = entities[ekey]
-        kernel = ranking.kernel
+    objects = universe.objects
+    n_objects = len(objects)
+    table = _UnitTable(objects)
+    entity_of: dict[str, int] = {}
+    entity = np.array([entity_of.setdefault(t.entity_key, len(entity_of)) for t in triples],
+                      dtype=int)
+    obj = np.array([table.row(t.object_key) for t in triples], dtype=int)
+    e_row = np.array([table.row(key) for key in entity_of], dtype=int)[entity]
+    records = [corpus.get(key) for key in entity_of]
+    page_rows = [table.page(record) for record in records]
+    pages = _Pages(table.build(store), page_rows, ops_denominator)
 
-        if okey in index:
-            i = index[okey]
-            o_unit, o_usable = units[i], usable[i]
-            ops_value, rank = float(ranking.ops[i]), int(ranking.ranks[i])
-        else:
-            o_units, o_usables = _unit_rows(store, (okey,))
-            o_unit, o_usable = o_units[0], o_usables[0]
-            ops_value, rank = ranking.place(okey, o_units, o_usables)
+    values = np.zeros(len(triples))
+    ranks = np.zeros(len(triples), dtype=int)
+    order = np.argsort(entity, kind="stable")
+    by_entity = entity[order]
+    dim = table.units.shape[1]
+    step = _per_chunk(8 * n_objects)
+    oou_step = _per_chunk(8 * max(n_objects, dim))
+    for first in range(0, len(records), step):
+        universe_ops = pages.outer(first, first + step, n_objects)
+        universe_ranks = _ranks(universe_ops)
+        lo, hi = np.searchsorted(by_entity, (first, first + step))
+        rows = order[lo:hi]
+        inside = rows[obj[rows] < n_objects]
+        at = entity[inside] - first, obj[inside]
+        values[inside] = universe_ops[at]
+        ranks[inside] = universe_ranks[at]
+        outside = rows[obj[rows] >= n_objects]
+        for i in range(0, len(outside), oou_step):
+            part = outside[i:i + oou_step]
+            values[part] = pages.paired(entity[part], obj[part])
+            position = np.array([bisect_left(objects, triples[j].object_key)
+                                 for j in part.tolist()], dtype=int)
+            ranks[part] = _places(universe_ops[entity[part] - first], values[part], position)
 
-        flags = set()
-        if not e_usable:
-            flags.add(FLAG_ENTITY_EMBEDDING)
-        if not o_usable:
-            flags.add(FLAG_OBJECT_EMBEDDING)
-        if kernel.record is None:
-            flags.add(FLAG_PAGE_RECORD)
-        if kernel.record is None or not o_usable or kernel.n_terms == 0:
-            flags.add(FLAG_OPS_TERMS)
-        sim = float(e_unit @ o_unit) if e_usable and o_usable else 0.0
+    # one `@` per row: numpy's stacked matmul calls dot for each 1 x d by d x 1 pair
+    units, usable = table.units, table.usable
+    sims = np.zeros(len(triples))
+    row_step = _per_chunk(16 * dim)
+    for i in range(0, len(triples), row_step):
+        a, b = units[e_row[i:i + row_step]], units[obj[i:i + row_step]]
+        sims[i:i + row_step] = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    sims = np.where(usable[e_row] & usable[obj], sims, 0.0)
 
-        out.append(
-            FeatureVector(
-                obj_entity_sim=sim,
-                ops=ops_value,
-                ops_rank=float(rank),
-                object_mention=object_mention_feature(corpus, ekey, okey),
-                missing=frozenset(flags),
-            )
-        )
-    return out
+    no_record = np.array([record is None for record in records], dtype=bool)
+    codes = (~usable[e_row] * 1 + ~usable[obj] * 2
+             + no_record[entity] * 4 + ~pages.live[entity] * 8)
+
+    texts = [None if record is None else (record.page_text, record.page_text.lower())
+             for record in records]
+    phrases: dict[str, str] = {}
+    mention = []
+    for t, e in zip(triples, entity.tolist()):
+        phrase = phrases.get(t.object_key)
+        if phrase is None:
+            phrase = phrases[t.object_key] = surface_form(t.object_key)
+        text = texts[e]
+        found = text is not None and phrase and _search(phrase, *text) is not None
+        mention.append(1.0 if found else 0.0)
+
+    return [
+        FeatureVector(sim, value, float(rank), mentioned, _FLAG_SETS[code])
+        for sim, value, rank, mentioned, code in zip(
+            sims.tolist(), values.tolist(), ranks.tolist(), mention, codes.tolist())
+    ]
 
 
 def lookup_keys(corpus: Corpus, universe: ObjectUniverse,
@@ -295,7 +413,7 @@ def lookup_keys(corpus: Corpus, universe: ObjectUniverse,
     for ekey in entities:
         record = corpus.get(ekey)
         if record is not None:
-            keys.update(map(normalize_key, record.linked_entities))
+            keys.update(record.linked_keys)
     return keys
 
 

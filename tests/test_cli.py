@@ -88,6 +88,15 @@ class TestConfigFile:
         with pytest.raises(MalformedLineError, match="invalid value"):
             parse_config_file(path)
 
+    def test_undecodable_config_names_the_file(self, micro_paths, tmp_path, capsys):
+        bad = tmp_path / "run.conf"
+        bad.write_bytes(b"folds = 3\n# caf\xff\n")
+        code, out, err = invoke(capsys, "extract", "--config", str(bad),
+                                *input_args(micro_paths))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: not valid UTF-8\n"
+
     def test_overrides_skip_none(self):
         config = RunConfig(folds=3, delta=1)
         updated = apply_overrides(config, {"folds": 9, "delta": None})
@@ -331,6 +340,15 @@ class TestPredict:
             for t, s in zip(micro["triples"], scores)
         )
         assert out_path.read_text() == expected
+
+    def test_undecodable_model_names_the_file(self, micro_paths, trained, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_bytes(trained.read_bytes().replace(b'"created"', b'"cr\xffated"'))
+        code, out, err = invoke(capsys, "predict", *input_args(micro_paths),
+                                "--model", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: not valid UTF-8\n"
 
     def test_preserves_input_order(self, micro_paths, trained, tmp_path, capsys):
         reordered = tmp_path / "reordered.tsv"

@@ -149,7 +149,7 @@ PREFILTER_CHARS = "aAbBkKsSiItT1 _-.\t\nſKİıéß"
 
 
 class TestSearchPrefilter:
-    """_search skips the regex only where the bare regex cannot match."""
+    """_search finds the bare regex's match, with or without the regex."""
 
     @given(st.text(PREFILTER_CHARS, min_size=1, max_size=12),
            st.text(PREFILTER_CHARS, max_size=30), st.text(PREFILTER_CHARS, max_size=30),
@@ -168,7 +168,7 @@ class TestSearchPrefilter:
         text = before + planted + after
         got = _search(phrase, text, text.lower())
         want = _phrase_pattern(phrase).search(text)
-        assert (got and got.span()) == (want and want.span())
+        assert got == (want and want.span())
 
     @pytest.mark.parametrize("obj, text", [("sun", "\u017fun"), ("kin", "\u212ain"),
                                            ("in", "\u0130n"), ("\u017fun", "SUN"),
@@ -178,12 +178,63 @@ class TestSearchPrefilter:
             _phrase_pattern(surface_form(obj)).search(text) is not None)
 
     def test_absent_token_compiles_nothing(self):
+        # ASCII phrases in ASCII text never reach the regex, matched or not
         _phrase_pattern.cache_clear()
         assert not mentions(record(page="a poet and sailor"), "Film Director", FULL_PAGE)
         assert first_mentioned(record(abstract="a poet"), ["painter", "chess player"]) is None
-        assert _phrase_pattern.cache_info().misses == 0
         assert mentions(record(page="a Poet and sailor"), "poet", FULL_PAGE)
+        assert first_mentioned(record(abstract="a sailor, a poet"), ["poet", "sailor"]) == "sailor"
+        assert _phrase_pattern.cache_info().misses == 0
+        assert mentions(record(page="a Poet and sailor, caf\u00e9"), "poet", FULL_PAGE)
         assert _phrase_pattern.cache_info().misses == 1
+
+
+# Every ASCII whitespace character (the ones str.isspace() and the regex's
+# \s accept), and characters that are boundaries or word characters.
+ASCII_SPACE = "\t\n\x0b\x0c\r \x1c\x1d\x1e\x1f"
+ASCII_WORD = "abcABC019_-."
+
+
+class TestAsciiMatcher:
+    """The regex-free ASCII path of _search against the compiled pattern."""
+
+    @given(st.lists(st.text(ASCII_WORD, min_size=1, max_size=4), min_size=1, max_size=3),
+           st.text(ASCII_WORD + ASCII_SPACE, max_size=24),
+           st.text(ASCII_WORD + ASCII_SPACE, max_size=24), st.data())
+    @settings(max_examples=1000)
+    def test_same_span_as_compiled_pattern(self, tokens, before, after, data):
+        phrase = " ".join(tokens)
+        planted = ""
+        if data.draw(st.integers(0, 3)):
+            # mixed case, whitespace runs between tokens, and neighbours on
+            # either side that are a word character, a boundary or nothing
+            runs = [data.draw(st.text(ASCII_SPACE, min_size=1, max_size=3))
+                    for _ in tokens[1:]]
+            cased = ["".join(c.swapcase() if data.draw(st.booleans()) else c for c in tok)
+                     for tok in tokens]
+            planted = cased[0] + "".join(run + tok for run, tok in zip(runs, cased[1:]))
+            neighbour = st.sampled_from(["", "a", "Z", "7", "_", "-", " ", "\x1f"])
+            planted = data.draw(neighbour) + planted + data.draw(neighbour)
+        text = before + planted + after
+        calls = _phrase_pattern.cache_info()
+        got = _search(phrase, text, text.lower())
+        assert _phrase_pattern.cache_info()[:2] == calls[:2]
+        want = _phrase_pattern(phrase).search(text)
+        assert got == (want and want.span())
+
+    @pytest.mark.parametrize("phrase, text, span", [
+        ("art", "The Artemis temple; ART.", (20, 23)),
+        ("basketball player", "a Basketball\x1c\t player", (2, 21)),
+        ("case", "a lowercase snake_case", (18, 22)),
+        ("1-2", "x1-2 1-2", (5, 8)),
+        ("a b", "a  bb a\x0bB", (6, 9)),
+        ("a-a", "ba-a-a", (3, 6)),  # starts inside a candidate refused for its left side
+        ("poet", "poetry", None),
+    ])
+    def test_known_spans(self, phrase, text, span):
+        assert _search(phrase, text, text.lower()) == span
+        want = _phrase_pattern(phrase).search(text)
+        assert (want and want.span()) == span
 
 
 class TestFirstMentioned:

@@ -146,6 +146,12 @@ class TestOpsRank:
         with pytest.raises(EmptyUniverseError):
             ObjectUniverse.from_names(Relation.PROFESSION, [])
 
+    @pytest.mark.parametrize("objects", [("poet", "coder"), ("coder", "coder")])
+    def test_unsorted_or_repeated_objects_rejected(self, objects):
+        # ranks break ties on key order, and extract numbers each key once
+        with pytest.raises(ValueError, match="sorted and unique"):
+            ObjectUniverse(relation=Relation.PROFESSION, objects=objects)
+
 
 class TestObjectMention:
     @pytest.mark.parametrize("entity,obj,expected", [

@@ -2,20 +2,25 @@
 
 The oracle below is the per-(object, page entity) cosine loop that
 feature extraction used before the kernel, with the one usability rule
-(a vector counts iff its norm is a positive finite number). Random worlds
-exercise the paths where the two could part: zero vectors, entities
-without a page, duplicate and unembedded page entities, objects outside
-the universe, and tied scores from duplicate object vectors, under both
-ops denominators.
+(a vector counts iff its norm is a positive finite number), and the
+compiled phrase pattern for mentions. Random worlds exercise the paths
+where the two could part: zero vectors, entities without a page,
+duplicate, unembedded and differently cased page entities, objects
+outside the universe, tied scores from duplicate object vectors, and
+pages that mention objects across whitespace runs, glued to word
+characters or next to non-ASCII text, under both ops denominators.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplescore.corpus import Corpus, PageRecord
-from triplescore.embeddings import EmbeddingStore
+from triplescore import features
+from triplescore.corpus import Corpus, PageRecord, _phrase_pattern, surface_form
+from triplescore.embeddings import EmbeddingStore, normalize_key
 from triplescore.features import (
     FLAG_ENTITY_EMBEDDING,
     FLAG_OBJECT_EMBEDDING,
@@ -26,6 +31,7 @@ from triplescore.features import (
     Relation,
     Triple,
     extract,
+    object_entity_similarity,
     object_mention_feature,
     ops,
     ops_rank,
@@ -66,6 +72,13 @@ def oracle_ops(store, corpus, entity, obj, denominator):
         return 0.0
     n = len(terms) if denominator == OPS_DENOM_EMBEDDED else n_linked
     return sum(terms) / n
+
+
+def oracle_mention(corpus, entity, obj):
+    record = corpus.get(entity)
+    if record is None:
+        return 0.0
+    return 1.0 if _phrase_pattern(surface_form(obj)).search(record.page_text) else 0.0
 
 
 class OracleEntityContext:
@@ -118,7 +131,7 @@ def oracle_extract(store, corpus, universe, triples, denominator):
         if value is None:
             value = oracle_ops(store, corpus, ekey, okey, denominator)
         rows.append((sim, value, ctx.rank_of(okey, value),
-                     object_mention_feature(corpus, ekey, okey), frozenset(flags)))
+                     oracle_mention(corpus, ekey, okey), frozenset(flags)))
     return rows
 
 
@@ -150,20 +163,39 @@ def worlds(draw):
             if draw(st.integers(0, 4)) > 0:
                 entries[key] = vectors[draw(st.integers(0, len(vectors) - 1))].copy()
 
-    universe = [f"o{i}" for i in range(draw(st.integers(1, 6)))]
-    outside = [f"x{i}" for i in range(draw(st.integers(0, 3)))]
+    # one-, two- and three-word object names
+    universe = [f"o{i}" + " a" * (i % 3) for i in range(draw(st.integers(1, 6)))]
+    outside = [f"x{i}" + " b" * (i % 2) for i in range(draw(st.integers(0, 3)))]
     page_pool = [f"p{i}" for i in range(draw(st.integers(0, 5)))]
     persons = [f"e{i}" for i in range(draw(st.integers(1, 4)))]
-    embed(universe + outside + persons, pool())
+    embed([normalize_key(name) for name in universe + outside] + persons, pool())
     embed(page_pool, pool())
+
+    def page_text():
+        """Object names in mixed case across whitespace runs, some glued to
+        a word character, and sometimes a non-ASCII character."""
+        pieces = []
+        for _ in range(draw(st.integers(0, 4))):
+            words = draw(st.sampled_from(universe + outside)).split()
+            cased = ["".join(c.upper() if draw(st.booleans()) else c for c in word)
+                     for word in words]
+            runs = [draw(st.sampled_from([" ", "  ", "\t", "\n ", "\x0b", "\x1c"]))
+                    for _ in words[1:]]
+            phrase = cased[0] + "".join(run + word for run, word in zip(runs, cased[1:]))
+            glue = st.sampled_from(["", "", "", "b", "7", "_", "("])
+            pieces.append(draw(glue) + phrase + draw(glue))
+            if draw(st.integers(0, 4)) == 0:
+                pieces.append(draw(st.sampled_from(["\u00e9", "\u017f", "\u212a", "\u0130"])))
+        return " ".join(pieces)
 
     records = {}
     for person in persons:
         if draw(st.booleans()) or not page_pool:
             continue
-        linked = draw(st.lists(st.sampled_from(page_pool), max_size=6))
+        linked = [name.upper() if draw(st.booleans()) else name
+                  for name in draw(st.lists(st.sampled_from(page_pool), max_size=6))]
         records[person] = PageRecord(person=person, linked_entities=tuple(linked),
-                                     page_text=" ".join(universe[::2]))
+                                     page_text=page_text())
     triples = [
         Triple(person, Relation.PROFESSION, obj)
         for person in persons
@@ -191,11 +223,26 @@ def test_extract_matches_scalar_oracle(world, denominator):
 @given(worlds(), st.sampled_from(["embedded", "all"]))
 @settings(max_examples=100, deadline=None)
 def test_public_wrappers_match_extract(world, denominator):
-    # ops() and ops_rank() agree bit for bit with what extract reports
+    # the public wrappers agree bit for bit with what extract reports
     store, corpus, universe, triples = world
     vectors = extract(store, corpus, universe, triples, ops_denominator=denominator)
     for t, fv in zip(triples, vectors):
+        assert fv.obj_entity_sim == object_entity_similarity(store, t.entity_key, t.object_key)
         assert fv.ops == ops(store, corpus, t.entity_key, t.object_key, denominator)
+        assert fv.object_mention == object_mention_feature(corpus, t.entity_key, t.object_key)
         ranks = ops_rank(store, corpus, t.entity_key, universe, denominator)
         if t.object_key in ranks:
             assert fv.ops_rank == ranks[t.object_key]
+
+
+@given(worlds(), st.sampled_from(["embedded", "all"]), st.sampled_from([8, 40, 200]))
+@settings(max_examples=100, deadline=None)
+def test_chunk_size_changes_no_value(world, denominator, chunk_bytes):
+    # with chunks of one or a few rows, every value keeps its bits
+    def table():
+        vectors = extract(*world, ops_denominator=denominator)
+        return [(*map(repr, fv.values()), fv.missing) for fv in vectors]
+
+    whole = table()
+    with mock.patch.object(features, "_CHUNK_BYTES", chunk_bytes):
+        assert table() == whole

@@ -2,7 +2,7 @@
 
 Acceptance criterion 9 checks that the ordinal model beats the baselines
 and leans on `ops_rank` most, but only when the external task data is
-present. This is its offline counterpart. The four files in
+present. This is its offline counterpart. The four input files in
 `tests/data/planted/` are checked in as data; they were written once by
 the benchmark's world generator, run from `perfbench/`:
 
@@ -12,10 +12,20 @@ the benchmark's world generator, run from `perfbench/`:
 
 Each person's truth scores there are a noisy monotone function of the
 object's `ops` rank and of its mention on the page. The `planted`
-fixture that loads them is in `conftest.py`.
+fixture that loads them is in `conftest.py`. The fifth file,
+`features.tsv`, is the `triplescore extract` output on them, which any
+rewrite of the feature layer must reproduce byte for byte; CI's
+runtime-only job compares it with the console script's output too.
 """
 
+from pathlib import Path
+
 from triplescore import Relation, run_cv_comparison, train_model
+from triplescore.corpus import load_corpus
+from triplescore.embeddings import load_embeddings
+from triplescore.features import extract, load_triples, load_universe, matrix_to_tsv
+
+PLANTED = Path(__file__).parent / "data" / "planted"
 
 
 def test_ordinal_beats_first_mention_on_every_metric(planted):
@@ -31,3 +41,11 @@ def test_ops_rank_carries_the_largest_weight(planted):
     triples, X, _ = planted
     model = train_model(triples, X, relation=Relation.PROFESSION)
     assert model.feature_weights()[0][0] == "ops_rank"
+
+
+def test_extract_reproduces_the_committed_feature_table():
+    triples = load_triples(PLANTED / "triples.tsv", Relation.PROFESSION)
+    vectors = extract(load_embeddings(PLANTED / "embeddings.txt"),
+                      load_corpus(PLANTED / "corpus.jsonl"),
+                      load_universe(PLANTED / "universe.txt", Relation.PROFESSION), triples)
+    assert matrix_to_tsv(triples, vectors) == (PLANTED / "features.tsv").read_text()
