@@ -24,31 +24,47 @@ def normalize_key(raw: str) -> str:
 
 
 class EmbeddingStore:
-    """Immutable map from normalized entity key to a fixed-dimension vector.
+    """Immutable map from normalized key to a row of one read-only (n, dim) matrix.
 
     Safe for concurrent reads once constructed; loading is single-threaded.
     """
 
-    def __init__(self, dim: int, entries: dict[str, np.ndarray]):
+    def __init__(self, keys, vectors):
+        vectors = np.asarray(vectors, dtype=float)
+        if vectors.ndim != 2:
+            raise DimensionMismatchError(f"vectors must be (n, dim), got {vectors.shape}")
+        n, dim = vectors.shape
         if dim <= 0:
             raise DimensionMismatchError(f"dimension must be positive, got {dim}")
-        for key, vec in entries.items():
-            if vec.shape != (dim,):
-                raise DimensionMismatchError(
-                    f"vector for {key!r} has length {vec.shape[0]}, expected {dim}"
-                )
+        index = {key: i for i, key in enumerate(keys)}
+        if len(index) != len(keys):
+            # index holds each key's last row, so its first row is elsewhere
+            raise DuplicateKeyError(next(k for i, k in enumerate(keys) if index[k] != i))
+        if len(index) != n:
+            raise DimensionMismatchError(f"{len(keys)} keys for {n} vectors")
         self.dim = dim
-        self._entries = entries
+        self.vectors = vectors.view()
+        self.vectors.flags.writeable = False
+        self._index = index
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._index)
 
     def __contains__(self, key: str) -> bool:
-        return normalize_key(key) in self._entries
+        return normalize_key(key) in self._index
 
     def lookup(self, key: str) -> np.ndarray | None:
-        """Vector for the normalized key, or None if unknown."""
-        return self._entries.get(normalize_key(key))
+        """Read-only vector for the normalized key, or None if unknown."""
+        i = self._index.get(normalize_key(key))
+        return None if i is None else self.vectors[i]
+
+    def rows(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh copies of normalized keys' rows, zero where absent, and which are held."""
+        at = np.array([self._index.get(key, -1) for key in keys], dtype=np.intp)
+        held = at >= 0
+        rows = np.zeros((len(at), self.dim))
+        rows[held] = self.vectors[at[held]]
+        return rows, held
 
 
 # Bytes per read. A block is cut after its last line end, so a line longer
@@ -104,7 +120,7 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
         raise MalformedLineError(
             path, 1, f"header declares {count} entries, file holds {len(loader.seen)}"
         )
-    return EmbeddingStore(dim, loader.entries)
+    return EmbeddingStore(loader.keys, np.concatenate(loader.vectors or [np.empty((0, dim))]))
 
 
 def _blocks(fh):
@@ -146,7 +162,8 @@ class _Loader:
         self.path = path
         self.dim = dim
         self.wanted = wanted
-        self.entries: dict[str, np.ndarray] = {}
+        self.keys: list[str] = []
+        self.vectors: list[np.ndarray] = []
         self.seen: set[str] = set()
 
     def line(self, raw: bytes, line_no: int) -> None:
@@ -171,7 +188,8 @@ class _Loader:
             raise MalformedLineError(self.path, line_no, "non-numeric vector component") from None
         if not np.isfinite(vec).all():
             raise MalformedLineError(self.path, line_no, "non-finite vector component")
-        self.entries[key] = vec
+        self.keys.append(key)
+        self.vectors.append(vec[None])
 
     def record(self, keys) -> None:
         """Add keys to `seen` in line order; one seen before is a duplicate."""
@@ -254,5 +272,6 @@ class _Loader:
                 done = j
         self.record(keys[done:])
         if vectors is not None:
-            self.entries.update(zip([keys[j] for j in kept], vectors))
+            self.keys += [keys[j] for j in kept]
+            self.vectors.append(vectors)
         return line_no + len(ends)

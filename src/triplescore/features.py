@@ -128,19 +128,14 @@ def _per_chunk(row_bytes: int) -> int:
 
 
 def _unit_rows(store: EmbeddingStore, keys) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalised rows of the keys' vectors, and which rows are usable.
+    """Unit-normalised rows of the normalized keys' vectors, and which rows are usable.
 
     A vector is usable iff the store holds it and its norm is a positive
     finite number. This one rule decides the similarity flags, the ops
     terms and the ops_terms flag. The rows of unusable vectors are zero.
     """
-    zero = np.zeros(store.dim)
-    vectors = [zero if (vec := store.lookup(key)) is None else vec for key in keys]
-    if not vectors:
-        return np.zeros((0, store.dim)), np.zeros(0, dtype=bool)
-    rows = np.concatenate(vectors, dtype=float).reshape(len(vectors), store.dim)
-    usable = np.empty(len(rows), dtype=bool)
-    step = _per_chunk(rows[0].nbytes)
+    rows, usable = store.rows(keys)
+    step = _per_chunk(8 * store.dim)
     for i in range(0, len(rows), step):
         part = rows[i:i + step]
         norms = np.linalg.norm(part, axis=1)
@@ -152,7 +147,7 @@ def _unit_rows(store: EmbeddingStore, keys) -> tuple[np.ndarray, np.ndarray]:
 
 def object_entity_similarity(store: EmbeddingStore, entity: str, obj: str) -> float:
     """Cosine between the entity and object embeddings, 0.0 when unavailable."""
-    rows, usable = _unit_rows(store, (entity, obj))
+    rows, usable = _unit_rows(store, (normalize_key(entity), normalize_key(obj)))
     return float(rows[0] @ rows[1]) if usable.all() else 0.0
 
 

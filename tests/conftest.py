@@ -10,9 +10,11 @@ is described in `test_planted_world.py`.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from triplescore import (
+    EmbeddingStore,
     Relation,
     extract_matrix,
     load_corpus,
@@ -70,6 +72,12 @@ TRAIN_ROWS = [
     ("cyd", "poet", 6),
     ("cyd", "sailor", 0),
 ]
+
+
+def store_from(dim: int, vectors: dict) -> EmbeddingStore:
+    """A store of the normalized-key -> dim-vector pairs in `vectors`."""
+    matrix = np.array(list(vectors.values()), dtype=float).reshape(len(vectors), dim)
+    return EmbeddingStore(list(vectors), matrix)
 
 
 @pytest.fixture(scope="session")

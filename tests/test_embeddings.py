@@ -155,12 +155,35 @@ class TestNormalizeKey:
 
 class TestStore:
     def test_rejects_wrong_length_vector(self):
-        with pytest.raises(DimensionMismatchError):
-            EmbeddingStore(dim=3, entries={"a": np.array([1.0, 0.0])})
+        # vectors must form one (n, dim) matrix with a row per key
+        for vectors in ([1.0, 0.0], [[[1.0, 0.0]]], [[1.0, 0.0], [0.0, 1.0]]):
+            with pytest.raises(DimensionMismatchError):
+                EmbeddingStore(["a"], np.array(vectors))
 
     def test_rejects_nonpositive_dim(self):
         with pytest.raises(DimensionMismatchError):
-            EmbeddingStore(dim=0, entries={})
+            EmbeddingStore([], np.empty((0, 0)))
+
+    def test_rejects_duplicate_keys(self):
+        with pytest.raises(DuplicateKeyError) as err:
+            EmbeddingStore(["a", "b", "a"], np.eye(3))
+        assert err.value.key == "a"
+
+    def test_vectors_are_read_only(self, tmp_path):
+        store = load_embeddings(write(tmp_path, "2 2\nparis 1 0\nrome 0 1\n"))
+        with pytest.raises(ValueError):
+            store.lookup("paris")[:] = 0.0
+        assert store.lookup("paris").tolist() == [1.0, 0.0]
+
+    def test_rows_are_fresh_copies_by_key(self, tmp_path):
+        # the rows follow the keys, not the file order, and are zero where absent
+        store = load_embeddings(write(tmp_path, "2 2\nrome 0 1\nparis 1 0\n"))
+        rows, held = store.rows(["paris", "atlantis", "rome", "paris"])
+        assert rows.tolist() == [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        assert held.tolist() == [True, False, True, True]
+        rows[:] = 7.0
+        assert store.lookup("paris").tolist() == [1.0, 0.0]
+        assert store.rows([])[0].shape == (0, 2)
 
     def test_normalization_collision_is_duplicate(self, tmp_path):
         # "New York" and "new_york" normalize to the same key

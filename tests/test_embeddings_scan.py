@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import store_from
 from triplescore import embeddings
 from triplescore.embeddings import EmbeddingStore, load_embeddings, normalize_key
 from triplescore.errors import DuplicateKeyError, MalformedLineError
@@ -74,7 +75,7 @@ def oracle_load_embeddings(path, keys=None) -> EmbeddingStore:
         raise MalformedLineError(
             path, 1, f"header declares {count} entries, file holds {len(seen)}"
         )
-    return EmbeddingStore(dim, entries)
+    return store_from(dim, entries)
 
 
 KEYS = ["paris", "Paris", "rome", "new_york", "NEW_YORK", "oslo", "a", "b_c",

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import store_from
 from triplescore.corpus import load_corpus
-from triplescore.embeddings import EmbeddingStore, load_embeddings, normalize_key
+from triplescore.embeddings import load_embeddings, normalize_key
 from triplescore.errors import (
     DuplicateKeyError,
     EmptyTrainingSetError,
@@ -51,10 +52,8 @@ VEC = {
 
 
 def with_vectors(store, **replaced):
-    """A copy of the store with some vectors replaced."""
-    entries = {key: store.lookup(key) for key in VEC}
-    entries.update({key: np.array(vec) for key, vec in replaced.items()})
-    return EmbeddingStore(store.dim, entries)
+    """A copy of the store with some vectors replaced or added."""
+    return store_from(store.dim, {key: store.lookup(key) for key in VEC} | replaced)
 
 
 def oracle_cos(a, b):
@@ -79,6 +78,14 @@ class TestObjectEntitySimilarity:
 
     def test_missing_entity_embedding_is_zero(self, micro):
         assert object_entity_similarity(micro["store"], "nobody", "coder") == 0.0
+
+    @pytest.mark.parametrize("entity,obj", [("Ada", "CODER"), (" cyd ", "Poet"),
+                                            ("Ada", "United  States")])
+    def test_raw_names_are_normalized(self, micro, entity, obj):
+        store = with_vectors(micro["store"], united_states=(0.6, 0.8))
+        got = object_entity_similarity(store, entity, obj)
+        assert got == object_entity_similarity(store, normalize_key(entity),
+                                               normalize_key(obj)) != 0.0
 
 
 class TestOps:
@@ -262,14 +269,15 @@ class TestExtract:
 
 
 class RecordingStore:
-    """A store that records the normalized key of every lookup."""
+    """A store that records every key its rows are gathered for."""
 
     def __init__(self, store):
         self.store, self.dim, self.keys = store, store.dim, set()
 
-    def lookup(self, key):
-        self.keys.add(normalize_key(key))
-        return self.store.lookup(key)
+    def rows(self, keys):
+        keys = list(keys)
+        self.keys.update(keys)
+        return self.store.rows(keys)
 
 
 PLANTED = Path(__file__).parent / "data" / "planted"

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import store_from
 from triplescore import features
 from triplescore.corpus import Corpus, PageRecord, _phrase_pattern, surface_form
-from triplescore.embeddings import EmbeddingStore, normalize_key
+from triplescore.embeddings import normalize_key
 from triplescore.features import (
     FLAG_ENTITY_EMBEDDING,
     FLAG_OBJECT_EMBEDDING,
@@ -202,7 +203,7 @@ def worlds(draw):
         for obj in draw(st.lists(st.sampled_from(universe + outside), min_size=1,
                                  max_size=4, unique=True))
     ]
-    return (EmbeddingStore(dim, entries), Corpus(records),
+    return (store_from(dim, entries), Corpus(records),
             ObjectUniverse.from_names(Relation.PROFESSION, universe), triples)
 
 
