@@ -75,11 +75,12 @@ _BLOCK_BYTES = 1 << 16
 def load_embeddings(path, keys=None) -> EmbeddingStore:
     """Load a textual word-vector file.
 
-    Format: header line "<count> <dim>", then one "<key> <v1> ... <v_dim>"
-    per line, space-separated. Keys contain no spaces. Duplicate keys are
-    an error rather than last-wins so that runs stay reproducible, and so
-    are nan or infinite components (including ones that overflow, such as
-    1e999), which would otherwise reach the features as nan.
+    Format: header line "<count> <dim>", both at least 1, then one
+    "<key> <v1> ... <v_dim>" per line, space-separated. Keys contain no
+    spaces. Duplicate keys are an error rather than last-wins so that runs
+    stay reproducible, and so are nan or infinite components (including
+    ones that overflow, such as 1e999), which would otherwise reach the
+    features as nan.
 
     With `keys`, only the vectors whose normalized key is among the
     normalized `keys` are parsed and stored. Every line still gets the
@@ -110,6 +111,9 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
             ) from None
         if dim <= 0:
             raise MalformedLineError(path, 1, f"dimension must be positive, got {dim}")
+        # A vector line's token count bounds dim; a file without one would not.
+        if count < 1:
+            raise MalformedLineError(path, 1, f"header must declare an entry, got {count}")
 
         loader = _Loader(path, dim, wanted)
         line_no = loader.block(first[end.end():] if end else b"", 2)
@@ -151,11 +155,12 @@ def _decode(raw: bytes, path, line_no) -> str:
 class _Loader:
     """The checks of the lines after the header, and the vectors they keep.
 
-    `line` checks one line as text. `block` scans a block of lines with
-    numpy and passes to `line` only the lines it cannot vouch for. A line
-    of printable ASCII that starts with its key and holds 1 + dim tokens
-    splits the same as bytes and as text, so the scan reads its key, and
-    its values are split only when the key is kept.
+    `line` checks one line as text. `block` turns a block's "\\r\\n" and
+    "\\r" line ends into "\\n", scans its lines with numpy and passes to
+    `line` only the lines it cannot vouch for. A line of printable ASCII
+    that starts with its key and holds 1 + dim tokens splits the same as
+    bytes and as text, so the scan reads its key, and its values are
+    split only when the key is kept.
     """
 
     def __init__(self, path, dim: int, wanted: set[str] | None):
@@ -207,12 +212,7 @@ class _Loader:
         if not buf:
             return line_no
         if b"\r" in buf:
-            lines = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
-            if not lines[-1]:
-                lines.pop()
-            for i, raw in enumerate(lines):
-                self.line(raw, line_no + i)
-            return line_no + len(lines)
+            buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if not buf.endswith(b"\n"):
             buf += b"\n"
         a = np.frombuffer(buf, dtype=np.uint8)

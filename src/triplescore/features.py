@@ -3,8 +3,10 @@
 Features, in canonical column order:
   obj_entity_sim  cosine between entity and object embeddings
   ops             mean cosine between the object and the entity's page entities
-  ops_rank        1-based position of the object when the whole object
-                  universe is sorted by ops for that entity (1 = highest)
+  ops_rank        1 + the universe objects with a larger ops for that
+                  entity + those with an equal ops and a smaller key, so a
+                  universe object gets its place when the universe is
+                  sorted by descending ops, ties by ascending key (1 = highest)
   object_mention  1.0 iff the object phrase occurs in the entity's page
 
 Missing inputs never raise here: the affected feature becomes 0.0 and a
@@ -17,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -154,31 +157,33 @@ def object_entity_similarity(store: EmbeddingStore, entity: str, obj: str) -> fl
 class _UnitTable:
     """The unit row of every key one run reads, each key normalised once.
 
-    Keys are numbered as they are added; `build` then reads them all with
-    one `_unit_rows` call.
+    The keys are numbered in one pass, each at its first appearance: the
+    objects first, so that universe objects put first take rows 0..U-1,
+    then the entities, then the linked keys of the entities' page
+    records. `build` reads them all with one `_unit_rows` call.
     """
 
-    def __init__(self, keys=()):
-        self.rows = {key: i for i, key in enumerate(keys)}
+    def __init__(self, corpus: Corpus, objects, entities):
+        self.entities = list(dict.fromkeys(entities))
+        self.records = [corpus.get(key) for key in self.entities]
+        keys = dict.fromkeys(chain(objects, self.entities, *(
+            record.linked_keys for record in self.records if record is not None)))
+        self.rows = dict(zip(keys, range(len(keys))))
 
-    def row(self, key: str) -> int:
-        """Row number of a normalized key."""
-        return self.rows.setdefault(key, len(self.rows))
-
-    def page(self, record) -> list[int]:
-        """Row numbers of a page record's linked entities, in document order."""
-        if record is None:
-            return []
-        return [self.row(key) for key in record.linked_keys]
+    @classmethod
+    def of_run(cls, corpus: Corpus, universe: ObjectUniverse,
+               triples: list[Triple]) -> "_UnitTable":
+        """The table of the keys `extract` reads for these inputs."""
+        return cls(corpus, [*universe.objects, *(t.object_key for t in triples)],
+                   (t.entity_key for t in triples))
 
     def build(self, store: EmbeddingStore) -> "_UnitTable":
         self.units, self.usable = _unit_rows(store, list(self.rows))
-        self.ok = self.usable.tolist()
         return self
 
 
 class _Pages:
-    """ops of table rows against entity pages.
+    """ops of table rows against the pages of the table's entities.
 
     The mean cosine between an object and a page's usable linked entities
     (duplicates counted per occurrence) is the dot product of the object's
@@ -188,22 +193,25 @@ class _Pages:
     is computed with.
     """
 
-    def __init__(self, table: _UnitTable, pages: list[list[int]], denominator: str):
+    def __init__(self, table: _UnitTable, denominator: str):
         if denominator not in (OPS_DENOM_EMBEDDED, OPS_DENOM_ALL):
             raise ValueError(
                 f"denominator must be {OPS_DENOM_EMBEDDED!r} or {OPS_DENOM_ALL!r}, "
                 f"got {denominator!r}"
             )
         self.table = table
-        self.sums = np.zeros((len(pages), table.units.shape[1]))
-        terms = []
-        for i, page in enumerate(pages):
-            used = [r for r in page if table.ok[r]]
+        self.sums = np.zeros((len(table.records), table.units.shape[1]))
+        ok = table.usable.tolist()
+        terms, linked = [], []
+        for i, record in enumerate(table.records):
+            page = [] if record is None else [table.rows[key] for key in record.linked_keys]
+            used = [r for r in page if ok[r]]
             self.sums[i] = table.units[used].sum(axis=0)
             terms.append(len(used))
+            linked.append(len(page))
         terms = np.array(terms, dtype=int)
         self.live = terms > 0
-        denoms = terms if denominator == OPS_DENOM_EMBEDDED else [len(p) for p in pages]
+        denoms = terms if denominator == OPS_DENOM_EMBEDDED else linked
         self.denoms = np.where(self.live, denoms, 1).astype(float)
 
     def outer(self, first: int, last: int, n_rows: int) -> np.ndarray:
@@ -233,23 +241,13 @@ class _Pages:
         return np.where(keep, dots / self.denoms[pages], 0.0)
 
 
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """1-based rank of each column in its row, by descending value.
-
-    Universe objects are sorted by key, so the stable sort breaks ties on
-    ascending key.
-    """
-    order = np.argsort(-values, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, values.shape[1] + 1)[None], axis=1)
-    return ranks
-
-
 def _places(values: np.ndarray, value: np.ndarray, position: np.ndarray) -> np.ndarray:
-    """Rank each outside object would take in its row of universe ops.
+    """1-based rank of each object by descending ops in its row of universe ops.
 
     value[i] is the object's ops and position[i] the number of universe
-    keys that sort before its key; equal ops rank those keys first.
+    keys that sort before its key, so equal ops rank those keys first.
+    For a universe object, position is its own column, and the rank is
+    the one a stable sort of the row by descending ops gives it.
     """
     ahead = np.count_nonzero(values > value[:, None], axis=1)
     before = np.arange(values.shape[1]) < position[:, None]
@@ -265,9 +263,8 @@ def ops(store: EmbeddingStore, corpus: Corpus, entity: str, obj: str,
     "all" divides by the total linked-entity count, so unembeddable page
     entities drag the average toward zero.
     """
-    table = _UnitTable((normalize_key(obj),))
-    page = table.page(corpus.get(entity))
-    pages = _Pages(table.build(store), [page], denominator)
+    table = _UnitTable(corpus, (normalize_key(obj),), (normalize_key(entity),))
+    pages = _Pages(table.build(store), denominator)
     first = np.zeros(1, dtype=int)
     return float(pages.paired(first, first)[0])
 
@@ -279,10 +276,11 @@ def ops_rank(store: EmbeddingStore, corpus: Corpus, entity: str,
     Ties break on ascending object key so the ranking is a deterministic
     bijection onto 1..len(universe).
     """
-    table = _UnitTable(universe.objects)
-    page = table.page(corpus.get(entity))
-    pages = _Pages(table.build(store), [page], denominator)
-    ranks = _ranks(pages.outer(0, 1, len(universe.objects)))[0]
+    n_objects = len(universe.objects)
+    table = _UnitTable(corpus, universe.objects, (normalize_key(entity),))
+    values = _Pages(table.build(store), denominator).outer(0, 1, n_objects)
+    ranks = _places(np.broadcast_to(values, (n_objects, n_objects)), values[0],
+                    np.arange(n_objects))
     return dict(zip(universe.objects, ranks.tolist()))
 
 
@@ -315,10 +313,12 @@ def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
             triples: list[Triple], *, ops_denominator: str = "embedded") -> list[FeatureVector]:
     """Feature vectors for the triples, in input order.
 
-    Every key is unit-normalised once, in one table, and each entity's
-    page is summed once. The universe ops and ranks are computed for a
-    chunk of entities at a time and gathered for the chunk's triples.
-    Each page is lowercased once for all of its entity's mention searches.
+    Every key `lookup_keys` lists is unit-normalised once, in one table,
+    and each entity's page is summed once. The universe ops are computed
+    for a chunk of entities at a time; each of the chunk's rows then gets
+    its ops, its place among that universe row, and its similarity, a
+    chunk of rows at a time. Each page is lowercased once for all of its
+    entity's mention searches.
     """
     for t in triples:
         if t.relation != universe.relation:
@@ -329,55 +329,41 @@ def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
 
     objects = universe.objects
     n_objects = len(objects)
-    table = _UnitTable(objects)
-    entity_of: dict[str, int] = {}
-    entity = np.array([entity_of.setdefault(t.entity_key, len(entity_of)) for t in triples],
-                      dtype=int)
-    obj = np.array([table.row(t.object_key) for t in triples], dtype=int)
-    e_row = np.array([table.row(key) for key in entity_of], dtype=int)[entity]
-    records = [corpus.get(key) for key in entity_of]
-    page_rows = [table.page(record) for record in records]
-    pages = _Pages(table.build(store), page_rows, ops_denominator)
+    table = _UnitTable.of_run(corpus, universe, triples).build(store)
+    pages = _Pages(table, ops_denominator)
+    entity_of = {key: i for i, key in enumerate(table.entities)}
+    entity = np.array([entity_of[t.entity_key] for t in triples], dtype=int)
+    obj = np.array([table.rows[t.object_key] for t in triples], dtype=int)
+    e_row = np.array([table.rows[t.entity_key] for t in triples], dtype=int)
+    position = np.array([bisect_left(objects, t.object_key) for t in triples], dtype=int)
 
+    units, usable = table.units, table.usable
     values = np.zeros(len(triples))
     ranks = np.zeros(len(triples), dtype=int)
+    sims = np.zeros(len(triples))
     order = np.argsort(entity, kind="stable")
     by_entity = entity[order]
-    dim = table.units.shape[1]
     step = _per_chunk(8 * n_objects)
-    oou_step = _per_chunk(8 * max(n_objects, dim))
-    for first in range(0, len(records), step):
+    row_step = _per_chunk(8 * max(n_objects, units.shape[1]))
+    for first in range(0, len(table.entities), step):
         universe_ops = pages.outer(first, first + step, n_objects)
-        universe_ranks = _ranks(universe_ops)
         lo, hi = np.searchsorted(by_entity, (first, first + step))
-        rows = order[lo:hi]
-        inside = rows[obj[rows] < n_objects]
-        at = entity[inside] - first, obj[inside]
-        values[inside] = universe_ops[at]
-        ranks[inside] = universe_ranks[at]
-        outside = rows[obj[rows] >= n_objects]
-        for i in range(0, len(outside), oou_step):
-            part = outside[i:i + oou_step]
+        for i in range(lo, hi, row_step):
+            part = order[i:min(i + row_step, hi)]
             values[part] = pages.paired(entity[part], obj[part])
-            position = np.array([bisect_left(objects, triples[j].object_key)
-                                 for j in part.tolist()], dtype=int)
-            ranks[part] = _places(universe_ops[entity[part] - first], values[part], position)
-
-    # one `@` per row: numpy's stacked matmul calls dot for each 1 x d by d x 1 pair
-    units, usable = table.units, table.usable
-    sims = np.zeros(len(triples))
-    row_step = _per_chunk(16 * dim)
-    for i in range(0, len(triples), row_step):
-        a, b = units[e_row[i:i + row_step]], units[obj[i:i + row_step]]
-        sims[i:i + row_step] = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+            ranks[part] = _places(universe_ops[entity[part] - first], values[part],
+                                  position[part])
+            # one `@` per row: numpy's stacked matmul calls dot for each 1 x d by d x 1 pair
+            a, b = units[e_row[part]], units[obj[part]]
+            sims[part] = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
     sims = np.where(usable[e_row] & usable[obj], sims, 0.0)
 
-    no_record = np.array([record is None for record in records], dtype=bool)
+    no_record = np.array([record is None for record in table.records], dtype=bool)
     codes = (~usable[e_row] * 1 + ~usable[obj] * 2
              + no_record[entity] * 4 + ~pages.live[entity] * 8)
 
     texts = [None if record is None else (record.page_text, record.page_text.lower())
-             for record in records]
+             for record in table.records]
     phrases: dict[str, str] = {}
     mention = []
     for t, e in zip(triples, entity.tolist()):
@@ -397,19 +383,13 @@ def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
 
 def lookup_keys(corpus: Corpus, universe: ObjectUniverse,
                 triples: list[Triple]) -> set[str]:
-    """Every normalized key `extract` can look up in the embedding store.
+    """The normalized keys `extract` numbers and reads from the embedding store.
 
     These are the universe objects, each triple's entity and object, and
     the linked entities of each triple entity's page record; a store
     loaded with only these keys gives the same features as the full one.
     """
-    entities = {t.entity_key for t in triples}
-    keys = set(universe.objects) | entities | {t.object_key for t in triples}
-    for ekey in entities:
-        record = corpus.get(ekey)
-        if record is not None:
-            keys.update(record.linked_keys)
-    return keys
+    return set(_UnitTable.of_run(corpus, universe, triples).rows)
 
 
 def matrix(vectors: list[FeatureVector]) -> np.ndarray:

@@ -173,6 +173,17 @@ class TestExtract:
         assert code == 2
         assert f"{emb}:3:" in err and "non-finite" in err
 
+    def test_embeddings_header_without_entries_is_exit_2(self, micro_paths, tmp_path, capsys):
+        # no vector line bounds the header's dim, here one numpy cannot allocate
+        emb = tmp_path / "emb.txt"
+        emb.write_text("0 4611686018427387904\n")
+        args = input_args(micro_paths)
+        args[args.index(str(micro_paths["embeddings"]))] = str(emb)
+        code, out, err = invoke(capsys, "extract", *args)
+        assert code == 2
+        assert out == ""
+        assert f"{emb}:1: header must declare an entry, got 0" in err
+
     def test_unreachable_non_finite_embedding_is_not_parsed(self, micro_paths, tmp_path,
                                                             capsys):
         # no triple, universe object or page of a triple's person reaches "zed"

@@ -107,6 +107,17 @@ class TestLoadKeys:
             load_embeddings(path, {"paris"})
         assert "holds 3" in str(err.value)
 
+    # 2**62, which numpy cannot allocate, and 10**12, for which the gather
+    # would ask for terabytes: with no vector line, nothing bounds dim
+    @pytest.mark.parametrize("header", ["0 4611686018427387904", "0 1000000000000",
+                                        "0 3", "-1 3"])
+    def test_header_without_entries_rejected(self, tmp_path, header):
+        path = write(tmp_path, header + "\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_embeddings(path, set())
+        assert err.value.line_no == 1
+        assert "must declare an entry" in str(err.value)
+
     @pytest.mark.parametrize("token", ["nan", "inf", "x"])
     def test_bad_component_on_unkept_line_is_not_parsed(self, tmp_path, token):
         path = write(tmp_path, f"2 2\nparis 1 0\nrome 1 {token}\n")

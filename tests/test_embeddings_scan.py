@@ -46,6 +46,8 @@ def oracle_load_embeddings(path, keys=None) -> EmbeddingStore:
             ) from None
         if dim <= 0:
             raise MalformedLineError(path, 1, f"dimension must be positive, got {dim}")
+        if count < 1:
+            raise MalformedLineError(path, 1, f"header must declare an entry, got {count}")
 
         for line_no, line in enumerate(fh, start=2):
             tokens = line.split()
@@ -115,7 +117,7 @@ def embedding_files(draw):
     count = entries + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
     header = draw(st.sampled_from([f"{count} {dim}"] * 20 + [f"{count}\t{dim} ", f"{count}",
                                                             "x y", f"{count} 0", ""]))
-    # a "\r" sends its whole block to the exact path, so most files have none
+    # a block with a "\r" has its line ends made "\n" before the scan; most files have none
     ends = ENDS if draw(st.integers(0, 3)) == 0 else ["\n"]
     text = ""
     for line in [header] + lines:

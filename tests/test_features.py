@@ -280,7 +280,30 @@ class RecordingStore:
         return self.store.rows(keys)
 
 
-PLANTED = Path(__file__).parent / "data" / "planted"
+DATA = Path(__file__).parent / "data"
+PLANTED = DATA / "planted"
+# Written from perfbench/ with generate(WorldSpec(persons=40, universe=12,
+# page_len=4, dim=8, triples_per_person=5, oou_share=0.2,
+# unembedded_share=0.2, pageless_share=0.1), 7, "../tests/data/dirty"): 37 of
+# its 200 rows have an object outside the universe and 15 a person without
+# a page. features.tsv and features_all.tsv are its `triplescore extract`
+# output under the "embedded" and "all" ops denominators.
+DIRTY = DATA / "dirty"
+
+
+def load_world(world: Path):
+    return (load_corpus(world / "corpus.jsonl"),
+            load_universe(world / "universe.txt", Relation.PROFESSION),
+            load_triples(world / "triples.tsv", Relation.PROFESSION))
+
+
+@pytest.mark.parametrize("denominator, table", [("embedded", "features.tsv"),
+                                                ("all", "features_all.tsv")])
+def test_dirty_world_reproduces_the_committed_feature_tables(denominator, table):
+    corpus, universe, triples = load_world(DIRTY)
+    vectors = extract(load_embeddings(DIRTY / "embeddings.txt"), corpus, universe, triples,
+                      ops_denominator=denominator)
+    assert matrix_to_tsv(triples, vectors) == (DIRTY / table).read_text()
 
 
 class TestLookupKeys:
@@ -301,27 +324,33 @@ class TestLookupKeys:
         triples = micro["triples"] + self.EXTRA
         extract(store, micro["corpus"], micro["universe"], triples,
                 ops_denominator=denominator)
-        assert store.keys <= lookup_keys(micro["corpus"], micro["universe"], triples)
+        assert store.keys == lookup_keys(micro["corpus"], micro["universe"], triples)
 
-    @pytest.mark.parametrize("denominator", ["embedded", "all"])
-    def test_covers_every_lookup_of_extract_planted(self, denominator):
-        corpus = load_corpus(PLANTED / "corpus.jsonl")
-        universe = load_universe(PLANTED / "universe.txt", Relation.PROFESSION)
+    @staticmethod
+    def covers(world: Path, denominator: str):
+        corpus, universe, triples = load_world(world)
         # half the persons, so that the other half's vectors are unreachable
-        triples = load_triples(PLANTED / "triples.tsv", Relation.PROFESSION)
         persons = sorted({t.entity_key for t in triples})[::2]
         triples = [t for t in triples if t.entity_key in persons]
-        full = load_embeddings(PLANTED / "embeddings.txt")
+        full = load_embeddings(world / "embeddings.txt")
         keys = lookup_keys(corpus, universe, triples)
         store = RecordingStore(full)
         vectors = extract(store, corpus, universe, triples, ops_denominator=denominator)
-        assert store.keys <= keys
+        assert store.keys == keys
 
-        filtered = load_embeddings(PLANTED / "embeddings.txt", keys)
+        filtered = load_embeddings(world / "embeddings.txt", keys)
         assert len(filtered) < len(full)
         assert matrix_to_tsv(triples, extract(filtered, corpus, universe, triples,
                                               ops_denominator=denominator)) \
             == matrix_to_tsv(triples, vectors)
+
+    @pytest.mark.parametrize("denominator", ["embedded", "all"])
+    def test_covers_every_lookup_of_extract_planted(self, denominator):
+        self.covers(PLANTED, denominator)
+
+    @pytest.mark.parametrize("denominator", ["embedded", "all"])
+    def test_covers_every_lookup_of_extract_dirty(self, denominator):
+        self.covers(DIRTY, denominator)
 
 
 class TestMatrix:
