@@ -35,6 +35,7 @@ from .evaluation import (
 from .features import (
     FEATURE_NAMES,
     FeatureVector,
+    KeyPlan,
     ObjectUniverse,
     Relation,
     Standardizer,
@@ -75,6 +76,7 @@ __all__ = [
     "EvalReport",
     "FeatureVector",
     "FitConfig",
+    "KeyPlan",
     "MultinomialModel",
     "ObjectUniverse",
     "OrdinalModel",

@@ -27,10 +27,10 @@ from .errors import (
 from .evaluation import evaluate, format_comparison_table
 from .features import (
     FEATURE_NAMES,
+    KeyPlan,
     Relation,
     load_triples,
     load_universe,
-    lookup_keys,
     matrix_to_tsv,
     missing_summary,
 )
@@ -96,13 +96,20 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_extract_inputs(config: RunConfig, relation: Relation):
-    """Load the four extract inputs; only the vectors extract can reach are parsed."""
+def _load_and_extract(config: RunConfig, relation: Relation):
+    """Load the four extract inputs; return the corpus, triples, feature vectors and matrix.
+
+    Only the vectors extract can reach are parsed, and the key plan that
+    lists them is the one extract reads.
+    """
     corpus = load_corpus(config.corpus)
     universe = load_universe(config.universe, relation)
     triples = load_triples(config.triples, relation)
-    store = load_embeddings(config.embeddings, lookup_keys(corpus, universe, triples))
-    return store, corpus, universe, triples
+    plan = KeyPlan.of_run(corpus, universe, triples)
+    store = load_embeddings(config.embeddings, plan.rows)
+    vectors, X = extract_matrix(store, corpus, universe, triples,
+                                ops_denominator=config.ops_denominator, plan=plan)
+    return corpus, triples, vectors, X
 
 
 def _fit_config(config: RunConfig) -> FitConfig:
@@ -114,10 +121,7 @@ def _fit_config(config: RunConfig) -> FitConfig:
 def cmd_extract(config: RunConfig) -> int:
     _require_inputs(config, _EXTRACT_INPUTS)
     relation = _resolve_relation(config)
-    store, corpus, universe, triples = _load_extract_inputs(config, relation)
-    vectors, _ = extract_matrix(
-        store, corpus, universe, triples, ops_denominator=config.ops_denominator
-    )
+    _, triples, vectors, _ = _load_and_extract(config, relation)
     _emit(matrix_to_tsv(triples, vectors), config.output)
     print(missing_summary(vectors), file=sys.stderr)
     return 0
@@ -127,10 +131,7 @@ def cmd_train(config: RunConfig) -> int:
     _require_inputs(config, _EXTRACT_INPUTS)
     _require_output(config, "model")
     relation = _resolve_relation(config)
-    store, corpus, universe, triples = _load_extract_inputs(config, relation)
-    _, X = extract_matrix(
-        store, corpus, universe, triples, ops_denominator=config.ops_denominator
-    )
+    _, triples, _, X = _load_and_extract(config, relation)
     model = train_model(
         triples, X, model_type=config.model_type,
         fit_config=_fit_config(config), relation=relation,
@@ -157,10 +158,7 @@ def cmd_predict(config: RunConfig) -> int:
             f"{list(model.feature_names)}, expected {list(FEATURE_NAMES)}"
         )
     relation = _resolve_relation(config, fallback=model.relation)
-    store, corpus, universe, triples = _load_extract_inputs(config, relation)
-    _, X = extract_matrix(
-        store, corpus, universe, triples, ops_denominator=config.ops_denominator
-    )
+    _, triples, _, X = _load_and_extract(config, relation)
     scores = predict_scores(model, X, config.prediction_rule)
     text = "".join(f"{t.entity}\t{t.object}\t{s}\n" for t, s in zip(triples, scores))
     _emit(text, config.output)
@@ -222,10 +220,7 @@ def cmd_evaluate(config: RunConfig) -> int:
 def cmd_cv(config: RunConfig) -> int:
     _require_inputs(config, _EXTRACT_INPUTS)
     relation = _resolve_relation(config)
-    store, corpus, universe, triples = _load_extract_inputs(config, relation)
-    _, X = extract_matrix(
-        store, corpus, universe, triples, ops_denominator=config.ops_denominator
-    )
+    corpus, triples, _, X = _load_and_extract(config, relation)
     results = run_cv_comparison(
         triples, X, corpus,
         fit_config=_fit_config(config), folds=config.folds, seed=config.seed,

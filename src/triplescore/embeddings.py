@@ -160,7 +160,11 @@ class _Loader:
     `line` only the lines it cannot vouch for. A line of printable ASCII
     that starts with its key and holds 1 + dim tokens splits the same as
     bytes and as text, so the scan reads its key, and its values are
-    split only when the key is kept.
+    read only when the key is kept: a block's kept lines go to numpy's C
+    text reader in one call (`_parse`). If it refuses one of them, each
+    kept line is parsed on its own with `float()` by `entry`, in line
+    order, so a value only `float()` accepts (such as "1_0") still loads
+    and the first bad line is the one named.
     """
 
     def __init__(self, path, dim: int, wanted: set[str] | None):
@@ -242,21 +246,17 @@ class _Loader:
 
         def values(j):
             b, e = spans[j]
-            return text[b + len(keys[j]):e].split()
+            return text[b + len(keys[j]):e]
 
         wanted = self.wanted
         kept = [j for j, key in enumerate(keys) if wanted is None or key in wanted]
-        # The kept fast lines are parsed together. If that fails, each is
-        # parsed on its own, in line order below, so the first error is raised.
-        try:
-            vectors = np.array([values(j) for j in kept], dtype=float).reshape(-1, self.dim)
-        except ValueError:
-            vectors = None
-        if vectors is not None and np.isfinite(vectors).all():
-            todo = np.flatnonzero(~(fast | blank))
-        else:
-            vectors = None
-            todo = np.union1d(np.flatnonzero(~(fast | blank)), fast_lines[kept])
+        # The kept fast lines are parsed together; with none kept there is no
+        # call, as numpy warns on empty input. If that fails, each is parsed
+        # on its own, in line order below, so the first error is raised.
+        vectors = _parse([values(j) for j in kept]) if kept else None
+        todo = np.flatnonzero(~(fast | blank))
+        if kept and vectors is None:
+            todo = np.union1d(todo, fast_lines[kept])
         # The other fast lines only record their keys, in a batch before the
         # next line in todo (at: the index among the fast lines it comes at).
         at = np.searchsorted(fast_lines, todo).tolist()
@@ -265,7 +265,7 @@ class _Loader:
             if j > done:
                 self.record(keys[done:j])
             if fast[i]:
-                self.entry(keys[j], values(j), line_no + i)
+                self.entry(keys[j], values(j).split(), line_no + i)
                 done = j + 1
             else:
                 self.line(buf[begins[i]:ends[i]], line_no + i)
@@ -275,3 +275,18 @@ class _Loader:
             self.keys += [keys[j] for j in kept]
             self.vectors.append(vectors)
         return line_no + len(ends)
+
+
+def _parse(lines: list[str]) -> np.ndarray | None:
+    """The rows of whitespace-separated values in lines, or None if one is refused.
+
+    numpy's C text reader converts each token with the routine `float()`
+    uses, and accepts a subset of what `float()` does (no underscores), so
+    every row it returns has the bits `float()` gives. comments=None keeps
+    "5#" from reading as 5.0. A non-finite value is refused too.
+    """
+    try:
+        rows = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if np.isfinite(rows).all() else None

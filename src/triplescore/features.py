@@ -17,6 +17,7 @@ files stay visible without killing a run.
 from __future__ import annotations
 
 from bisect import bisect_left
+from copy import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -154,8 +155,8 @@ def object_entity_similarity(store: EmbeddingStore, entity: str, obj: str) -> fl
     return float(rows[0] @ rows[1]) if usable.all() else 0.0
 
 
-class _UnitTable:
-    """The unit row of every key one run reads, each key normalised once.
+class KeyPlan:
+    """The embedding keys one run reads, numbered, each normalised once.
 
     The keys are numbered in one pass, each at its first appearance: the
     objects first, so that universe objects put first take rows 0..U-1,
@@ -169,17 +170,43 @@ class _UnitTable:
         keys = dict.fromkeys(chain(objects, self.entities, *(
             record.linked_keys for record in self.records if record is not None)))
         self.rows = dict(zip(keys, range(len(keys))))
+        self.inputs = None
 
     @classmethod
     def of_run(cls, corpus: Corpus, universe: ObjectUniverse,
-               triples: list[Triple]) -> "_UnitTable":
-        """The table of the keys `extract` reads for these inputs."""
-        return cls(corpus, [*universe.objects, *(t.object_key for t in triples)],
+               triples: list[Triple]) -> "KeyPlan":
+        """The plan of the keys `extract` reads for these inputs."""
+        plan = cls(corpus, [*universe.objects, *(t.object_key for t in triples)],
                    (t.entity_key for t in triples))
+        plan.inputs = (corpus, universe, triples)
+        return plan
 
-    def build(self, store: EmbeddingStore) -> "_UnitTable":
-        self.units, self.usable = _unit_rows(store, list(self.rows))
-        return self
+    def build(self, store: EmbeddingStore) -> "KeyPlan":
+        """A copy that also holds each key's unit row in store, and whether it is usable."""
+        table = copy(self)
+        table.units, table.usable = _unit_rows(store, list(self.rows))
+        return table
+
+
+def _page_sums(units: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Each page's sum of the unit rows `rows` lists for it, as numpy sums them alone.
+
+    rows holds page 0's terms[0] table rows, then page 1's, and so on.
+    Pages with the same number of terms are gathered, a chunk at a time,
+    into one (pages, terms, d) block and summed over its middle axis,
+    which numpy does for each page exactly as it sums that page's own
+    (terms, d) rows: row by row, or pairwise when d is 1. So every page
+    gets the bits of its own sum. A page without rows sums to +0.0.
+    """
+    sums = np.zeros((len(terms), units.shape[1]))
+    starts = np.cumsum(terms) - terms
+    for n in sorted(set(terms.tolist()) - {0}):
+        pages = np.flatnonzero(terms == n)
+        step = _per_chunk(n * units[0].nbytes)
+        for i in range(0, len(pages), step):
+            chunk = pages[i:i + step]
+            sums[chunk] = units[rows[starts[chunk, None] + np.arange(n)]].sum(axis=1)
+    return sums
 
 
 class _Pages:
@@ -193,23 +220,21 @@ class _Pages:
     is computed with.
     """
 
-    def __init__(self, table: _UnitTable, denominator: str):
+    def __init__(self, table: KeyPlan, denominator: str):
         if denominator not in (OPS_DENOM_EMBEDDED, OPS_DENOM_ALL):
             raise ValueError(
                 f"denominator must be {OPS_DENOM_EMBEDDED!r} or {OPS_DENOM_ALL!r}, "
                 f"got {denominator!r}"
             )
         self.table = table
-        self.sums = np.zeros((len(table.records), table.units.shape[1]))
-        ok = table.usable.tolist()
-        terms, linked = [], []
-        for i, record in enumerate(table.records):
-            page = [] if record is None else [table.rows[key] for key in record.linked_keys]
-            used = [r for r in page if ok[r]]
-            self.sums[i] = table.units[used].sum(axis=0)
-            terms.append(len(used))
-            linked.append(len(page))
-        terms = np.array(terms, dtype=int)
+        records = table.records
+        linked = np.array([0 if r is None else len(r.linked_keys) for r in records], dtype=int)
+        rows = np.array([table.rows[key] for r in records if r is not None
+                         for key in r.linked_keys], dtype=np.intp)
+        used = table.usable[rows]
+        terms = np.bincount(np.repeat(np.arange(len(records)), linked)[used],
+                            minlength=len(records))
+        self.sums = _page_sums(table.units, rows[used], terms)
         self.live = terms > 0
         denoms = terms if denominator == OPS_DENOM_EMBEDDED else linked
         self.denoms = np.where(self.live, denoms, 1).astype(float)
@@ -263,7 +288,7 @@ def ops(store: EmbeddingStore, corpus: Corpus, entity: str, obj: str,
     "all" divides by the total linked-entity count, so unembeddable page
     entities drag the average toward zero.
     """
-    table = _UnitTable(corpus, (normalize_key(obj),), (normalize_key(entity),))
+    table = KeyPlan(corpus, (normalize_key(obj),), (normalize_key(entity),))
     pages = _Pages(table.build(store), denominator)
     first = np.zeros(1, dtype=int)
     return float(pages.paired(first, first)[0])
@@ -277,7 +302,7 @@ def ops_rank(store: EmbeddingStore, corpus: Corpus, entity: str,
     bijection onto 1..len(universe).
     """
     n_objects = len(universe.objects)
-    table = _UnitTable(corpus, universe.objects, (normalize_key(entity),))
+    table = KeyPlan(corpus, universe.objects, (normalize_key(entity),))
     values = _Pages(table.build(store), denominator).outer(0, 1, n_objects)
     ranks = _places(np.broadcast_to(values, (n_objects, n_objects)), values[0],
                     np.arange(n_objects))
@@ -310,15 +335,18 @@ _FLAG_SETS = _flag_sets()
 
 
 def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
-            triples: list[Triple], *, ops_denominator: str = "embedded") -> list[FeatureVector]:
+            triples: list[Triple], *, ops_denominator: str = "embedded",
+            plan: KeyPlan | None = None) -> list[FeatureVector]:
     """Feature vectors for the triples, in input order.
 
-    Every key `lookup_keys` lists is unit-normalised once, in one table,
-    and each entity's page is summed once. The universe ops are computed
-    for a chunk of entities at a time; each of the chunk's rows then gets
-    its ops, its place among that universe row, and its similarity, a
-    chunk of rows at a time. Each page is lowercased once for all of its
-    entity's mention searches.
+    `plan`, if given, is `KeyPlan.of_run` of these same corpus, universe
+    and triples objects, made earlier (to choose the vectors to load) and
+    not made again. Every key it lists is unit-normalised once, in one
+    table, and each entity's page is summed once. The universe ops are
+    computed for a chunk of entities at a time; each of the chunk's rows
+    then gets its ops, its place among that universe row, and its
+    similarity, a chunk of rows at a time. Each page is lowercased once
+    for all of its entity's mention searches.
     """
     for t in triples:
         if t.relation != universe.relation:
@@ -329,7 +357,12 @@ def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
 
     objects = universe.objects
     n_objects = len(objects)
-    table = _UnitTable.of_run(corpus, universe, triples).build(store)
+    if plan is None:
+        plan = KeyPlan.of_run(corpus, universe, triples)
+    elif plan.inputs is None or any(
+            a is not b for a, b in zip(plan.inputs, (corpus, universe, triples))):
+        raise ValueError("plan was made for other inputs")
+    table = plan.build(store)
     pages = _Pages(table, ops_denominator)
     entity_of = {key: i for i, key in enumerate(table.entities)}
     entity = np.array([entity_of[t.entity_key] for t in triples], dtype=int)
@@ -389,7 +422,7 @@ def lookup_keys(corpus: Corpus, universe: ObjectUniverse,
     the linked entities of each triple entity's page record; a store
     loaded with only these keys gives the same features as the full one.
     """
-    return set(_UnitTable.of_run(corpus, universe, triples).rows)
+    return set(KeyPlan.of_run(corpus, universe, triples).rows)
 
 
 def matrix(vectors: list[FeatureVector]) -> np.ndarray:

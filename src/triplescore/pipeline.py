@@ -14,6 +14,7 @@ from .corpus import Corpus
 from .embeddings import EmbeddingStore
 from .evaluation import CVResult, Trainer, cross_validate, truth_labels
 from .features import (
+    KeyPlan,
     ObjectUniverse,
     Relation,
     Triple,
@@ -32,9 +33,11 @@ CV_MODEL_TYPES = (MODEL_FIRST, MODEL_MULTINOMIAL, MODEL_ORDINAL)
 
 
 def extract_matrix(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
-                   triples: list[Triple], *, ops_denominator: str = "embedded"):
-    """Feature vectors plus their (n, 4) matrix form."""
-    vectors = extract(store, corpus, universe, triples, ops_denominator=ops_denominator)
+                   triples: list[Triple], *, ops_denominator: str = "embedded",
+                   plan: KeyPlan | None = None):
+    """Feature vectors plus their (n, 4) matrix form; `plan` as for `extract`."""
+    vectors = extract(store, corpus, universe, triples, ops_denominator=ops_denominator,
+                      plan=plan)
     return vectors, matrix(vectors)
 
 

@@ -15,7 +15,7 @@ from triplescore.artifact import ARTIFACT_VERSION, load_model
 from triplescore.cli import main
 from triplescore.config import RunConfig, apply_overrides, parse_config_file
 from triplescore.errors import MalformedLineError
-from triplescore.features import FEATURE_NAMES, extract, matrix_to_tsv
+from triplescore.features import FEATURE_NAMES, KeyPlan, extract, matrix_to_tsv
 from triplescore.ordinal import OrdinalModel
 from triplescore.pipeline import extract_matrix, predict_scores, run_cv_comparison
 
@@ -124,6 +124,24 @@ class TestExtract:
                           micro["triples"])
         assert out_path.read_text() == matrix_to_tsv(micro["triples"], vectors)
         assert "missing data: 4/10 rows flagged" in err
+
+    @pytest.mark.parametrize("command", ["extract", "train", "predict", "cv"])
+    def test_key_plan_is_made_once_per_run(self, micro_paths, trained, tmp_path, capsys,
+                                           monkeypatch, command):
+        made = []
+        of_run = KeyPlan.of_run.__func__
+
+        def counted(cls, *args):
+            made.append(args)
+            return of_run(cls, *args)
+
+        monkeypatch.setattr(KeyPlan, "of_run", classmethod(counted))
+        extra = {"train": ["--model", str(tmp_path / "m.json")],
+                 "predict": ["--model", str(trained)],
+                 "cv": ["--folds", "3"]}.get(command, [])
+        code, _, _ = invoke(capsys, command, *input_args(micro_paths), *extra)
+        assert code == 0
+        assert len(made) == 1
 
     def test_stdout_by_default(self, micro_paths, capsys):
         code, out, err = invoke(capsys, "extract", *input_args(micro_paths))

@@ -9,7 +9,10 @@ runs of spaces, tabs and the other ASCII and Unicode whitespace,
 `\\r\\n` and lone `\\r` line ends, non-ASCII keys, wrong token counts,
 bad and non-finite components, an off header count and a missing final
 newline, with the block size patched down so that block edges fall
-everywhere.
+everywhere. Some files draw their values from a numeric alphabet (digits,
+". e E + - _ x", "inf" and "nan"), whose tokens numpy's C text reader and
+`float()` may judge differently; a refused kept line must then take the
+per-line `float()` path and load, or fail, as the oracle does.
 """
 
 from unittest import mock
@@ -19,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import store_from
+from conftest import EMBEDDINGS_TEXT, store_from
 from triplescore import embeddings
+from triplescore.cli import main
 from triplescore.embeddings import EmbeddingStore, load_embeddings, normalize_key
 from triplescore.errors import DuplicateKeyError, MalformedLineError
 
@@ -89,11 +93,16 @@ SPACES = [" ", " ", " ", "  ", "   ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1
 VALUES = ["0", "1", "-2.5", "0.125", "1e3", "-0", "+7", ".5", "1_0", "١", "٣.٥",
           "infinity", "1e999", "nan", "inf", "-inf", "x", "0x1p3", "1d3", "--1", "\x00"]
 ENDS = ["\n", "\n", "\n", "\r\n", "\r"]
+# tokens such as "0x10", "1e5_0", "nan1", "5.e-" or "+inf"
+NUMERIC = st.lists(st.sampled_from([*"0123456789.eE+-_x", "inf", "nan"]),
+                   min_size=1, max_size=6).map("".join)
 
 
 @st.composite
 def embedding_files(draw):
     dim = draw(st.integers(1, 3))
+    # one file in four draws some of its values from the numeric alphabet
+    numeric = draw(st.integers(0, 3)) == 0
     lines = []
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(["vector"] * 24 + ["blank", "space", "short", "long"]))
@@ -105,7 +114,8 @@ def embedding_files(draw):
             continue
         n = dim + {"vector": 0, "short": -1, "long": 1}[kind]
         tokens = [draw(st.sampled_from(KEYS)) + draw(st.sampled_from(SUFFIXES))]
-        tokens += [draw(st.sampled_from(VALUES[:6] * 20 + VALUES)) for _ in range(n)]
+        tokens += [draw(NUMERIC) if numeric and draw(st.booleans())
+                   else draw(st.sampled_from(VALUES[:6] * 20 + VALUES)) for _ in range(n)]
         # most lines are plain ASCII, which the block scan checks itself
         spaces = SPACES if draw(st.integers(0, 4)) == 0 else SPACES[:5]
         seps = [draw(st.sampled_from(spaces)) for _ in range(len(tokens) + 1)]
@@ -222,3 +232,66 @@ def test_undecodable_header_is_named(tmp_path):
     with pytest.raises(MalformedLineError) as err:
         load_embeddings(path)
     assert str(err.value) == f"{path}:1: not valid UTF-8"
+
+
+def spy_entries(monkeypatch):
+    """Line numbers of the lines parsed on their own by `_Loader.entry`."""
+    lines = []
+    entry = embeddings._Loader.entry
+
+    def spy(self, key, values, line_no):
+        lines.append(line_no)
+        return entry(self, key, values, line_no)
+
+    monkeypatch.setattr(embeddings._Loader, "entry", spy)
+    return lines
+
+
+def test_value_only_float_accepts_loads_through_the_fallback(tmp_path, monkeypatch):
+    """numpy's reader refuses "1_0"; each kept line of its block is then parsed by float()."""
+    path = tmp_path / "emb.txt"
+    path.write_text("4 2\nparis 1 2\nrome 1_0 3\noslo 4 5\nbern 6 1e5_0\n")
+    fallback = spy_entries(monkeypatch)
+    store = load_embeddings(path, {"paris", "rome", "bern"})
+    assert fallback == [2, 3, 5]
+    assert store.lookup("rome").tolist() == [10.0, 3.0]
+    assert store.lookup("bern").tolist() == [6.0, 1e50]
+    assert store.lookup("paris").tolist() == [1.0, 2.0]
+    assert "oslo" not in store
+
+
+def test_block_of_accepted_values_takes_no_fallback(tmp_path, monkeypatch):
+    path = tmp_path / "emb.txt"
+    path.write_text("3 2\nparis 1 2\nrome -0 .5\noslo 5. +1E-3\n")
+    fallback = spy_entries(monkeypatch)
+    store = load_embeddings(path)
+    assert fallback == []
+    assert store.vectors.tobytes() == np.array([[1, 2], [-0.0, 0.5], [5, 1e-3]]).tobytes()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0x10", "non-numeric vector component"),
+    ("5#", "non-numeric vector component"),  # comments=None: not read as 5.0
+    ("1e999", "non-finite vector component"),
+])
+def test_kept_value_float_refuses_exits_2_at_its_line(micro_paths, tmp_path, capsys,
+                                                      value, message):
+    path = tmp_path / "emb.txt"
+    path.write_text(EMBEDDINGS_TEXT.replace("pilot 0.8 0.6", f"pilot 0.8 {value}"))
+    code = main(["extract", "--embeddings", str(path), "--corpus", str(micro_paths["corpus"]),
+                 "--universe", str(micro_paths["universe"]),
+                 "--triples", str(micro_paths["triples"])])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}:7: {message}\n"
+
+
+def test_block_mixing_a_failing_kept_line_names_the_first_bad_line(tmp_path):
+    """The first bad kept line is named; a skipped line's values are never parsed."""
+    path = tmp_path / "emb.txt"
+    path.write_text("6 2\nparis 1 2\noslo x y\nrome 1_0 3\nbern 0x1 2\nkyiv 4 nan\n"
+                    "riga 5 6\n")
+    with pytest.raises(MalformedLineError) as err:
+        load_embeddings(path, {"paris", "rome", "bern", "kyiv", "riga"})
+    assert str(err.value) == f"{path}:5: non-numeric vector component"
+    store = load_embeddings(path, {"paris", "rome", "riga"})
+    assert store.vectors.tolist() == [[1.0, 2.0], [10.0, 3.0], [5.0, 6.0]]

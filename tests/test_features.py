@@ -2,6 +2,7 @@
 
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import store_from
+from triplescore import features
 from triplescore.corpus import load_corpus
 from triplescore.embeddings import load_embeddings, normalize_key
 from triplescore.errors import (
@@ -25,6 +27,7 @@ from triplescore.features import (
     FLAG_OPS_TERMS,
     FLAG_PAGE_RECORD,
     FeatureVector,
+    KeyPlan,
     ObjectUniverse,
     Relation,
     Standardizer,
@@ -351,6 +354,88 @@ class TestLookupKeys:
     @pytest.mark.parametrize("denominator", ["embedded", "all"])
     def test_covers_every_lookup_of_extract_dirty(self, denominator):
         self.covers(DIRTY, denominator)
+
+
+class TestKeyPlan:
+    def test_a_plan_made_earlier_gives_the_same_features(self, micro):
+        corpus, universe, triples = micro["corpus"], micro["universe"], micro["triples"]
+        plan = KeyPlan.of_run(corpus, universe, triples)
+        assert set(plan.rows) == lookup_keys(corpus, universe, triples)
+        for denominator in ("embedded", "all"):
+            assert extract(micro["store"], corpus, universe, triples, plan=plan,
+                           ops_denominator=denominator) \
+                == extract(micro["store"], corpus, universe, triples,
+                           ops_denominator=denominator)
+        # building a table leaves the plan itself store-free
+        assert not hasattr(plan, "units")
+
+    def test_a_plan_for_other_inputs_is_rejected(self, micro):
+        corpus, universe, triples = micro["corpus"], micro["universe"], micro["triples"]
+        plan = KeyPlan.of_run(corpus, universe, triples)
+        with pytest.raises(ValueError, match="other inputs"):
+            extract(micro["store"], corpus, universe, list(triples), plan=plan)
+        with pytest.raises(ValueError, match="other inputs"):
+            extract(micro["store"], corpus, universe, triples,
+                    plan=KeyPlan(corpus, universe.objects, ["ada"]))
+
+
+def loop_pages(table, denominator):
+    """The page sums, live mask and denominators as `_Pages` made them page by page."""
+    ok = table.usable.tolist()
+    sums = np.zeros((len(table.records), table.units.shape[1]))
+    terms, linked = [], []
+    for i, record in enumerate(table.records):
+        page = [] if record is None else [table.rows[key] for key in record.linked_keys]
+        used = [r for r in page if ok[r]]
+        sums[i] = table.units[used].sum(axis=0)
+        terms.append(len(used))
+        linked.append(len(page))
+    live = np.array(terms) > 0
+    denoms = np.where(live, terms if denominator == "embedded" else linked, 1).astype(float)
+    return sums, live, denoms
+
+
+class TestPageSums:
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 10, 1 << 20])
+    @pytest.mark.parametrize("denominator", ["embedded", "all"])
+    @pytest.mark.parametrize("world", [PLANTED, DIRTY])
+    def test_equal_the_per_page_loop_bit_for_bit(self, world, denominator, chunk_bytes):
+        corpus, universe, triples = load_world(world)
+        plan = KeyPlan.of_run(corpus, universe, triples)
+        # One paged person's linked entities get no vector, so that page has
+        # no usable term; the dirty world also has persons without a page.
+        emptied = next(r for r in plan.records if r is not None)
+        keys = set(plan.rows) - set(emptied.linked_keys)
+        table = plan.build(load_embeddings(world / "embeddings.txt", keys))
+        with mock.patch.object(features, "_CHUNK_BYTES", chunk_bytes):
+            pages = features._Pages(table, denominator)
+        sums, live, denoms = loop_pages(table, denominator)
+        assert pages.sums.tobytes() == sums.tobytes()
+        assert pages.live.tolist() == live.tolist()
+        assert pages.denoms.tobytes() == denoms.tobytes()
+        assert not pages.live[plan.records.index(emptied)]
+        assert (None in plan.records) == (world == DIRTY)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 20), max_size=10), st.integers(1, 5),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 64, 1 << 20]))
+    def test_each_page_is_added_as_on_its_own(self, terms, dim, seed, chunk_bytes):
+        """Signed zeros, cancellation and wide ranges: only the loop's order gives its bits.
+
+        With dim 1 numpy adds a page's values pairwise from 9 terms on.
+        """
+        rng = np.random.default_rng(seed)
+        units = rng.choice([-0.0, 0.0, 1.0, -1.0, 0.1, -0.3, 1e-17, 1e16, 3.0], size=(9, dim))
+        units[rng.random(units.shape) < 0.5] *= rng.random()
+        terms = np.array(terms, dtype=int)
+        rows = rng.integers(0, len(units), size=terms.sum())
+        with mock.patch.object(features, "_CHUNK_BYTES", chunk_bytes):
+            got = features._page_sums(units, rows, terms)
+        starts = np.cumsum(terms) - terms
+        want = np.zeros((len(terms), dim))
+        for i, (start, n) in enumerate(zip(starts, terms)):
+            want[i] = units[rows[start:start + n]].sum(axis=0)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMatrix:
