@@ -49,36 +49,63 @@ def first_baseline_predictions(corpus: Corpus, triples: list[Triple]) -> list[in
     return [scores[t.entity_key][t.object_key] for t in triples]
 
 
-def _log_softmax_terms(params: np.ndarray, X: np.ndarray):
-    """W (K x p), the (n, K) logits and each row's log normaliser, for the
-    K = params.size / (p + 1) classes."""
-    p = X.shape[1]
-    k = params.size // (p + 1)
-    W = params[:k * p].reshape(k, p)
-    logits = X @ W.T + params[k * p:]
-    shift = logits.max(axis=1)
-    log_norm = shift + np.log(np.sum(np.exp(logits - shift[:, None]), axis=1))
-    return W, logits, log_norm
+def newton_objective(X: np.ndarray, y: np.ndarray, reg_lambda: float, n_classes: int):
+    """`multinomial_nll` and its Hessian on fixed X, labels y in
+    0..n_classes-1 and reg_lambda, as a function of params.
 
+    Returns `evaluate(params) -> (value, grad, hessian)`, where `hessian()`
+    gives the analytic Hessian at params from the probabilities the value
+    came from. The work is class-major, on (K, n) arrays. What depends only
+    on the data is built here, once: the transposed rows, z = (x, 1), where
+    each row's label sits in the (K, n) arrays, and where each class's
+    (q x q) block of the Hessian sits in parameter order.
 
-def newton_objective(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                     reg_lambda: float):
-    """`multinomial_nll`'s value and gradient for array X and y, and a
-    callable giving the Hessian at params from the same softmax terms."""
-    n = X.shape[0]
-    terms = _log_softmax_terms(params, X)
-    W, logits, log_norm = terms
-    value = float(
-        -np.sum(logits[np.arange(n), y] - log_norm)
-        + 0.5 * reg_lambda * np.sum(W * W)
-    )
+    With G[(k, a), i] = pi_ik z_ia in parameter order, the Hessian is the
+    class-diagonal blocks of G Z minus G G^T; the labels do not enter it.
+    """
+    n, p = X.shape
+    k, q = n_classes, p + 1
+    x_t = np.ascontiguousarray(X.T)
+    z = np.hstack([X, np.ones((n, 1))])
+    labels = y * n + np.arange(n)
+    # parameter index of (class c, column a of z): W row-major, then b
+    index = np.empty((k, q), dtype=int)
+    index[:, :p] = np.arange(k * p).reshape(k, p)
+    index[:, p] = k * p + np.arange(k)
+    order = np.argsort(index, axis=None)      # flat (k, q) position of each parameter
+    # flat position in H of each parameter's row of its own class's block
+    blocks = (np.arange(k * q)[:, None] * (k * q) + index[order // q]).ravel()
+    w_diagonal = np.arange(k * p) * (k * q + 1)
 
-    probs = np.exp(logits - log_norm[:, None])
-    probs[np.arange(n), y] -= 1.0
-    grad_W = probs.T @ X + reg_lambda * W
-    grad_b = probs.sum(axis=0)
-    return (value, np.concatenate([grad_W.ravel(), grad_b]),
-            lambda: multinomial_hessian(params, X, y, reg_lambda, terms))
+    def evaluate(params: np.ndarray):
+        w = params[:k * p]
+        logits = w.reshape(k, p) @ x_t
+        logits += params[k * p:, None]
+        shift = logits.max(axis=0)
+        exp = np.exp(logits - shift)
+        total = exp.sum(axis=0)
+        log_norm = shift + np.log(total)
+        value = float(np.sum(log_norm - logits.ravel()[labels])
+                      + 0.5 * reg_lambda * np.dot(w, w))
+        probs = exp / total
+        residual = probs.copy()
+        residual.ravel()[labels] -= 1.0
+        grad = (residual @ z).ravel()[order]
+        grad[:k * p] += reg_lambda * w
+
+        def hessian() -> np.ndarray:
+            G = np.empty((k * q, n))
+            np.multiply(probs[:, None, :], x_t, out=G[:k * p].reshape(k, p, n))
+            G[k * p:] = probs
+            H = G @ G.T
+            np.negative(H, out=H)
+            H.reshape(-1)[blocks] += (G @ z).ravel()
+            H.reshape(-1)[w_diagonal] += reg_lambda
+            return H
+
+        return value, grad, hessian
+
+    return evaluate
 
 
 def multinomial_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -89,38 +116,20 @@ def multinomial_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     0..K-1 (K = 8 for the model); the penalty reg_lambda/2 ||W||_F^2 leaves
     the biases unpenalized.
     """
-    value, grad, _ = newton_objective(
-        params, np.asarray(X, dtype=float), np.asarray(y, dtype=int), reg_lambda)
+    value, grad, _ = _objective_at(params, X, y, reg_lambda)
     return value, grad
 
 
 def multinomial_hessian(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                        reg_lambda: float, terms=None) -> np.ndarray:
-    """Analytic Hessian of `multinomial_nll`, in the same parameter order.
+                        reg_lambda: float) -> np.ndarray:
+    """Analytic Hessian of `multinomial_nll`, in the same parameter order."""
+    return _objective_at(params, X, y, reg_lambda)[2]()
 
-    With z = (x, 1), the entry for classes k, l and columns a, b of z is
-    sum_i pi_ik (delta_kl - pi_il) z_ia z_ib. With G[i, (k, a)] = pi_ik z_ia
-    that is the class-diagonal part of G^T Z minus G^T G. The labels do not
-    enter it. `terms` are `_log_softmax_terms(params, X)` when the caller
-    already has them.
-    """
+
+def _objective_at(params, X, y, reg_lambda):
     X = np.asarray(X, dtype=float)
-    n, p = X.shape
-    q = p + 1
-    _, logits, log_norm = _log_softmax_terms(params, X) if terms is None else terms
-    k = logits.shape[1]
-    probs = np.exp(logits - log_norm[:, None])
-    Z = np.hstack([X, np.ones((n, 1))])
-    G = (probs[:, :, None] * Z[:, None, :]).reshape(n, k * q)
-    row_class = np.repeat(np.arange(k), q)
-    H = ((G.T @ Z)[:, np.tile(np.arange(q), k)]
-         * (row_class[:, None] == row_class[None, :]) - G.T @ G)
-    # rows of (class, column of z) -> parameter order: W row-major, then b
-    index = np.arange(k * q).reshape(k, q)
-    order = np.concatenate([index[:, :p].ravel(), index[:, p]])
-    H = H[np.ix_(order, order)]
-    H[:k * p, :k * p] += reg_lambda * np.eye(k * p)
-    return H
+    return newton_objective(X, np.asarray(y, dtype=int), reg_lambda,
+                            params.size // (X.shape[1] + 1))(params)
 
 
 @dataclass(eq=False)

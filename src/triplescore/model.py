@@ -109,23 +109,26 @@ ROUNDING = 64 * np.finfo(float).eps     # relative size of the objective's round
 
 
 def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
-    """(H + shift I)^-1 grad, solved through the Cholesky factor L, then L^T.
+    """(H + shift I)^-1 grad, with H + shift I positive definite.
 
     The Levenberg shift is the first of 1e-10 max|diag H| x 10^k, k = 0, 1,
-    ..., that lets the factorization succeed. Even a positive definite H gets
-    the smallest shift: the multinomial objective is flat along equal bias
-    shifts, and without it rounding in that null direction walks the biases.
+    ..., for which the Cholesky factorization succeeds; the shifted system is
+    then solved once, by LU. Even a positive definite H gets the smallest
+    shift: the multinomial objective is flat along equal bias shifts, and
+    without it rounding in that null direction walks the biases.
     None when no finite shift works (a non-finite Hessian).
     """
-    eye = np.eye(grad.size)
-    shift = max(1e-10 * np.max(np.abs(np.diag(hessian))), np.finfo(float).tiny)
+    diagonal = np.diagonal(hessian)
+    shifted = hessian.copy()
+    shift = max(1e-10 * np.max(np.abs(diagonal)), np.finfo(float).tiny)
     while np.isfinite(shift):
+        np.fill_diagonal(shifted, diagonal + shift)
         try:
-            factor = np.linalg.cholesky(hessian + shift * eye)
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             shift *= 10.0
             continue
-        return np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
+        return np.linalg.solve(shifted, grad)
     return None
 
 
@@ -133,12 +136,15 @@ def _newton(objective, x: np.ndarray, config: FitConfig):
     """Damped Newton minimization of `objective(x) -> (value, grad, hessian)`
     from x, where `hessian()` gives the Hessian at x.
 
-    Each step solves against the Hessian at the current point, computed only
-    then, and backtracks (halving) until the Armijo condition holds. Near the
-    optimum the objective's change falls below its rounding error, so there a
-    step that keeps the objective within rounding and shrinks max|grad| is
-    accepted too. Stops when max|grad| <= config.tol, after config.max_iters
-    steps, or when backtracking can no longer decrease the objective. Returns the last accepted (x, value, grad)
+    `objective` is built once per fit over fixed data (see `fit_model`), so
+    a call does only the work that depends on x; `hessian()` reuses that
+    call's terms and is asked for only at accepted points. Each step solves
+    against the Hessian at the current point and backtracks (halving) until
+    the Armijo condition holds. Near the optimum the objective's change falls
+    below its rounding error, so there a step that keeps the objective within
+    rounding and shrinks max|grad| is accepted too. Stops when max|grad| <=
+    config.tol, after config.max_iters steps, or when backtracking can no
+    longer decrease the objective. Returns the last accepted (x, value, grad)
     and the step count.
     """
     value, grad, hessian = objective(x)
@@ -177,11 +183,15 @@ def fit_model(model_cls, objective, start, unpack, X, y,
     putting the absent classes' parameters at their limits; a limit at
     infinity is stored OUTER_LIMIT beyond the fitted parameters.
 
-    `objective(x, X, y, reg_lambda)` gives (value, gradient, hessian) for
-    labels 0..K-1, where `hessian()` computes the analytic Hessian at x from
-    the terms the value came from, and `start(y, p, K)` gives the starting
-    point. A fit that stops above `config.tol` warns with a RuntimeWarning. Deterministic: identical inputs produce
-    bit-identical models.
+    `objective(X, y, reg_lambda, K)` is called once per fit, with y the
+    labels relabelled 0..K-1, and builds everything that depends only on the
+    data. It returns `evaluate(x) -> (value, gradient, hessian)`, where
+    `hessian()` computes the analytic Hessian at x from the terms the value
+    came from; each call keeps its own terms, so a hessian asked for after
+    later calls is still the one at its x. `start(y, p, K)` gives the
+    starting point. A fit that stops above `config.tol` warns with a
+    RuntimeWarning. Deterministic: identical inputs produce bit-identical
+    models.
     """
     config = config or FitConfig()
     X = np.asarray(X, dtype=float)
@@ -203,8 +213,7 @@ def fit_model(model_cls, objective, start, unpack, X, y,
         )
 
     ranks = np.searchsorted(observed, y)
-    args = (X, ranks, config.reg_lambda)
-    x, value, grad, n_iter = _newton(lambda x: objective(x, *args),
+    x, value, grad, n_iter = _newton(objective(X, ranks, config.reg_lambda, observed.size),
                                      start(ranks, p, observed.size), config)
     if not np.all(np.isfinite(x)) or not np.isfinite(value):
         raise NonFiniteError(f"{model_cls.model_type} objective diverged; "

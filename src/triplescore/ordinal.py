@@ -42,10 +42,6 @@ def logistic(t):
     return out
 
 
-def _log_sigmoid(t):
-    return -np.logaddexp(0.0, -np.asarray(t, dtype=float))
-
-
 def thresholds_from_params(params: np.ndarray, n_features: int) -> np.ndarray:
     """Recover the cuts theta (7 for the 8 classes) from the unconstrained
     parameter vector."""
@@ -62,82 +58,100 @@ def params_from_thresholds(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.concatenate([w, [theta[0]], np.log(gaps)])
 
 
-def _row_terms(params: np.ndarray, X: np.ndarray, y: np.ndarray):
-    """Per-row log-space pieces shared by the NLL, its gradient and Hessian.
+# Cut arguments beyond the fitted cuts: cut y of the top class and cut
+# y - 1 (index -1) of class 0 are open, at +inf and -inf.
+_OPEN_ENDS = np.array([np.inf, -np.inf])
+# d NLL / d z is -ratio at a row's upper cut and +ratio at its lower one.
+_SIGNS = np.array([[-1.0], [1.0]])
 
-    Returns the cut arguments z_hi = theta_y - w.x and z_lo = theta_{y-1} - w.x
-    (+inf and -inf at the open ends), log P(y | x), and the ratios
-    logistic'(z) / P at each cut (0 at the open ends).
+
+def newton_objective(X: np.ndarray, y: np.ndarray, reg_lambda: float, n_classes: int):
+    """`penalized_nll` and its Hessian on fixed X, labels y in 0..n_classes-1
+    and reg_lambda, as a function of params.
+
+    Returns `evaluate(params) -> (value, grad, hessian)`, where `hessian()`
+    gives the analytic Hessian at params from the per-row terms the value
+    came from. What depends only on the data is built here, once: each row's
+    two cut indices (y above, y - 1 below) and the transposed design D^T,
+    D = [[-X, L_hi], [-X, L_lo]]. D's row for a cut argument z is dz /
+    d(w, theta_0, theta_1 - theta_0, ...): L[j] has ones in columns <= j,
+    since cut j is theta_0 plus the gaps beneath it, and it is zero at an
+    open end.
+
+    Row i's NLL depends on the parameters through its two cut arguments
+    only. So the gradient is D^T g for per-argument weights g, and the
+    Hessian is D^T diag(h) D with a correction on the cut diagonal for the
+    cross derivative between a row's two cuts. Its weight rows are one
+    (p, 2n) x (2n, q) product, and its cut block sums h per cut with
+    np.bincount. The chain rule through the gaps exp(s) scales the gap rows
+    and columns and adds diag(grad_s).
     """
     n, p = X.shape
-    theta = thresholds_from_params(params, p)
-    top = theta.size                   # the highest class
-    eta = X @ params[:p]
-    hi_open = y == top                 # P(y <= top) == 1, no upper threshold
-    lo_open = y == 0                   # P(y <= -1) == 0, no lower threshold
-    z_hi = np.where(hi_open, np.inf, theta[np.minimum(y, top - 1)] - eta)
-    z_lo = np.where(lo_open, -np.inf, theta[np.maximum(y - 1, 0)] - eta)
+    n_cuts = n_classes - 1
+    q = p + n_cuts
+    cut_index = np.stack([y, y - 1])
+    bins = np.where(cut_index < 0, n_cuts, cut_index).ravel()   # open ends: bin n_cuts
+    design_t = np.empty((q, 2, n))
+    design_t[:p] = -X.T[:, None, :]
+    design_t[p:] = (np.arange(n_cuts)[:, None, None] <= cut_index) & (cut_index < n_cuts)
+    design_t = design_t.reshape(q, 2 * n)
+    # (L^T diag(a) L)[k, l] is the sum of a_j over j >= max(k, l)
+    later_cut = np.maximum.outer(np.arange(n_cuts), np.arange(n_cuts))
+    w_diagonal = np.arange(p) * (q + 1)           # flat indices of H's weight diagonal
+    cut_diagonal = np.arange(p, q) * (q + 1)      # and of its cut diagonal
 
-    log_p = np.empty(n)
-    interior = ~hi_open & ~lo_open
-    log_p[lo_open] = _log_sigmoid(z_hi[lo_open])
-    log_p[hi_open] = _log_sigmoid(-z_lo[hi_open])
-    if np.any(interior):
-        zh, zl = z_hi[interior], z_lo[interior]
-        with np.errstate(divide="ignore"):
-            log_p[interior] = (
-                _log_sigmoid(zh) + _log_sigmoid(-zl) + np.log1p(-np.exp(zl - zh))
-            )
+    def evaluate(params: np.ndarray):
+        w = params[:p]
+        theta = thresholds_from_params(params, p)
+        z = np.concatenate((theta, _OPEN_ENDS))[cut_index] - X @ w
+        # softplus(t) = log(1 + exp(t)) = max(t, 0) + log1p(exp(-|t|)), so
+        # -log logistic(z_hi) = softplus(-z_hi), -log logistic(-z_lo) =
+        # softplus(z_lo), and -log logistic'(z) = |z| + 2 log1p(exp(-|z|))
+        size = np.abs(z)
+        rest = np.log1p(np.exp(-size))
+        softplus = np.maximum(_SIGNS * z, 0.0) + rest
+        # a row with P = 0 (coinciding cuts) makes the value infinite and its
+        # ratios nan, and then the gradient is nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # log P = log logistic(z_hi) + log logistic(-z_lo) + log(1 - exp(z_lo - z_hi))
+            log_p = np.log1p(-np.exp(z[1] - z[0])) - (softplus[0] + softplus[1])
+            # logistic'(z) / P, zero at the open ends
+            ratio = np.exp(-(size + 2.0 * rest) - log_p)
+        value = float(-np.sum(log_p) + 0.5 * reg_lambda * np.dot(w, w))
+        # d theta / d theta_0 is 1 and d theta / d s_j is exp(s_j), a gap
+        scale = np.concatenate((np.ones(p + 1), np.exp(params[p + 1:])))
+        if not np.isfinite(value):
+            grad = np.full_like(params, np.nan)
+        else:
+            grad = design_t @ (_SIGNS * ratio).ravel()
+            grad[:p] += reg_lambda * w
+            grad *= scale
 
-    # ratio = exp(log logistic'(z) - log P); the derivative of logistic(t)
-    # is logistic(t) * logistic(-t).
-    ratio_hi = np.zeros(n)
-    ratio_lo = np.zeros(n)
-    closed_hi = ~hi_open
-    closed_lo = ~lo_open
-    ratio_hi[closed_hi] = np.exp(
-        _log_sigmoid(z_hi[closed_hi]) + _log_sigmoid(-z_hi[closed_hi]) - log_p[closed_hi]
-    )
-    ratio_lo[closed_lo] = np.exp(
-        _log_sigmoid(z_lo[closed_lo]) + _log_sigmoid(-z_lo[closed_lo]) - log_p[closed_lo]
-    )
-    return z_hi, z_lo, log_p, ratio_hi, ratio_lo
+        def hessian() -> np.ndarray:
+            # second derivatives of -log(logistic(z_hi) - logistic(z_lo)): h_cut
+            # in each cut argument, h_cross across the two; logistic'' /
+            # logistic' is 1 - 2 logistic(z) = -tanh(z / 2)
+            h_cut = ratio * (ratio - _SIGNS * np.tanh(0.5 * z))
+            h_cross = -ratio[0] * ratio[1]
+            weights = (h_cut + h_cross).ravel()
+            H = np.empty((q, q))
+            H[:p] = (design_t[:p] * weights) @ design_t.T
+            H[p:, :p] = H[:p, p:].T
+            per_cut = np.bincount(bins, weights=weights, minlength=n_cuts + 1)[:n_cuts]
+            H[p:, p:] = np.cumsum(per_cut[::-1])[::-1][later_cut]
+            # D^T diag(h_cut + h_cross) D has h_cross (L_hi L_hi^T + L_lo L_lo^T)
+            # where the Hessian has h_cross (L_hi L_lo^T + L_lo L_hi^T); the two
+            # differ by h_cross on the diagonal entry of cut y
+            H.flat[cut_diagonal] -= np.bincount(y, weights=h_cross, minlength=n_classes)[:n_cuts]
+            H.flat[w_diagonal] += reg_lambda
+            H *= scale
+            H *= scale[:, None]
+            H.flat[cut_diagonal[1:]] += grad[p + 1:]
+            return H
 
+        return value, grad, hessian
 
-def _threshold_tail(y: np.ndarray, ratio_hi: np.ndarray, ratio_lo: np.ndarray,
-                    n_cuts: int) -> np.ndarray:
-    """tail[m] = sum over cuts j >= m of d NLL / d theta_j.
-
-    theta_j = theta_0 + sum_{m<=j} exp(s_m), so tail[0] is the theta_0
-    gradient and exp(s_m) * tail[m] the s_m gradient.
-    """
-    d_theta = np.zeros(n_cuts)
-    closed_hi = y < n_cuts
-    closed_lo = y > 0
-    np.add.at(d_theta, y[closed_hi], -ratio_hi[closed_hi])
-    np.add.at(d_theta, y[closed_lo] - 1, ratio_lo[closed_lo])
-    return np.cumsum(d_theta[::-1])[::-1]
-
-
-def newton_objective(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                     reg_lambda: float):
-    """`penalized_nll`'s value and gradient for array X and y, and a
-    callable giving the Hessian at params from the same per-row terms."""
-    p = X.shape[1]
-    w = params[:p]
-    terms = _row_terms(params, X, y)
-    _, _, log_p, ratio_hi, ratio_lo = terms
-
-    value = float(-np.sum(log_p) + 0.5 * reg_lambda * np.dot(w, w))
-    if not np.isfinite(value):
-        grad = np.full_like(params, np.nan)
-    else:
-        # d NLL / d eta_i is ratio_hi - ratio_lo
-        grad_w = X.T @ (ratio_hi - ratio_lo) + reg_lambda * w
-        tail = _threshold_tail(y, ratio_hi, ratio_lo, params.size - p)
-        grad_s = np.exp(params[p + 1:]) * tail[1:]
-        grad = np.concatenate([grad_w, [tail[0]], grad_s])
-    return value, grad, lambda: penalized_nll_hessian(params, X, y, reg_lambda, terms)
+    return evaluate
 
 
 def penalized_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -149,50 +163,20 @@ def penalized_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     applies to the weights only. All pieces use log-space formulas so the
     value stays finite for extreme linear scores.
     """
-    value, grad, _ = newton_objective(
-        params, np.asarray(X, dtype=float), np.asarray(y, dtype=int), reg_lambda)
+    value, grad, _ = _objective_at(params, X, y, reg_lambda)
     return value, grad
 
 
 def penalized_nll_hessian(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                          reg_lambda: float, terms=None) -> np.ndarray:
-    """Analytic Hessian of `penalized_nll` in its (w, theta_0, s) parameters.
+                          reg_lambda: float) -> np.ndarray:
+    """Analytic Hessian of `penalized_nll` in its (w, theta_0, s) parameters."""
+    return _objective_at(params, X, y, reg_lambda)[2]()
 
-    Row i's NLL depends on the parameters through (z_hi, z_lo) only, so the
-    Hessian in (w, theta) is J_hi^T H_hh J_hi + J_hi^T H_hl J_lo + ... with
-    J = dz / d(w, theta) = [-x, one-hot cut]. The chain rule through
-    theta = J_s (theta_0, s) adds diag(grad_s) on the s block. `terms` are
-    `_row_terms(params, X, y)` when the caller already has them.
-    """
+
+def _objective_at(params, X, y, reg_lambda):
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    p = X.shape[1]
-    n_cuts = params.size - p
-    if terms is None:
-        terms = _row_terms(params, X, y)
-    z_hi, z_lo, _, ratio_hi, ratio_lo = terms
-
-    # second derivatives of -log(logistic(z_hi) - logistic(z_lo)); the
-    # logistic'' / logistic' factor 1 - 2 logistic(z) is -tanh(z / 2), and
-    # the ratios vanish at the open ends, where z is infinite
-    h_hh = ratio_hi * (ratio_hi + np.tanh(z_hi / 2))
-    h_ll = ratio_lo * (ratio_lo - np.tanh(z_lo / 2))
-    h_hl = -ratio_hi * ratio_lo
-    cuts = np.eye(n_cuts + 1)[y]
-    J_hi = np.hstack([-X, cuts[:, :n_cuts]])
-    J_lo = np.hstack([-X, cuts[:, 1:]])
-    H = (J_hi.T @ (h_hh[:, None] * J_hi + h_hl[:, None] * J_lo)
-         + J_lo.T @ (h_hl[:, None] * J_hi + h_ll[:, None] * J_lo))
-    H[:p, :p] += reg_lambda * np.eye(p)
-
-    # d theta_j / d theta_0 = 1, d theta_j / d s_m = exp(s_m) for m <= j
-    gaps = np.exp(params[p + 1:])
-    chain = np.eye(p + n_cuts)
-    chain[p:, p:] = np.tril(np.ones((n_cuts, n_cuts))) * np.concatenate(([1.0], gaps))
-    H = chain.T @ H @ chain
-    grad_s = gaps * _threshold_tail(y, ratio_hi, ratio_lo, n_cuts)[1:]
-    H[p + 1:, p + 1:] += np.diag(grad_s)
-    return H
+    return newton_objective(X, np.asarray(y, dtype=int), reg_lambda,
+                            params.size - X.shape[1] + 1)(params)
 
 
 @dataclass(eq=False)

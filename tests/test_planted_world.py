@@ -12,20 +12,35 @@ the benchmark's world generator, run from `perfbench/`:
 
 Each person's truth scores there are a noisy monotone function of the
 object's `ops` rank and of its mention on the page. The `planted`
-fixture that loads them is in `conftest.py`. The fifth file,
-`features.tsv`, is the `triplescore extract` output on them, which any
-rewrite of the feature layer must reproduce byte for byte; CI's
-runtime-only job compares it with the console script's output too.
+fixture that loads them is in `conftest.py`. Three more files pin the
+command line's outputs on them byte for byte, and CI's runtime-only job
+compares them with the console script's output too:
+
+- `features.tsv`, the `triplescore extract` output, which any rewrite of
+  the feature layer must reproduce;
+- `cv.txt`, the `triplescore cv` stdout at the default seed and folds;
+- `scores.tsv`, the `triplescore predict` output of a model that
+  `triplescore train` fitted on the same triples.
+
+The last two pin the fits: a faster objective or solver may move a fitted
+parameter in its last digits, but no score and no CV metric.
 """
 
 from pathlib import Path
 
+import pytest
+
 from triplescore import Relation, run_cv_comparison, train_model
+from triplescore.cli import main
 from triplescore.corpus import load_corpus
 from triplescore.embeddings import load_embeddings
 from triplescore.features import extract, load_triples, load_universe, matrix_to_tsv
 
 PLANTED = Path(__file__).parent / "data" / "planted"
+INPUTS = ["--embeddings", str(PLANTED / "embeddings.txt"),
+          "--corpus", str(PLANTED / "corpus.jsonl"),
+          "--universe", str(PLANTED / "universe.txt"),
+          "--triples", str(PLANTED / "triples.tsv")]
 
 
 def test_ordinal_beats_first_mention_on_every_metric(planted):
@@ -49,3 +64,16 @@ def test_extract_reproduces_the_committed_feature_table():
                       load_corpus(PLANTED / "corpus.jsonl"),
                       load_universe(PLANTED / "universe.txt", Relation.PROFESSION), triples)
     assert matrix_to_tsv(triples, vectors) == (PLANTED / "features.tsv").read_text()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cv_reproduces_the_committed_output(workers, capsys):
+    assert main(["cv", *INPUTS, "--max-workers", workers]) == 0
+    assert capsys.readouterr().out == (PLANTED / "cv.txt").read_text()
+
+
+def test_train_then_predict_reproduces_the_committed_scores(tmp_path, capsys):
+    model, scores = tmp_path / "model.json", tmp_path / "scores.tsv"
+    assert main(["train", *INPUTS, "--model", str(model)]) == 0
+    assert main(["predict", *INPUTS, "--model", str(model), "--output", str(scores)]) == 0
+    assert scores.read_bytes() == (PLANTED / "scores.tsv").read_bytes()
