@@ -62,8 +62,10 @@ class EmbeddingStore:
         """Fresh copies of normalized keys' rows, zero where absent, and which are held."""
         at = np.array([self._index.get(key, -1) for key in keys], dtype=np.intp)
         held = at >= 0
-        rows = np.zeros((len(at), self.dim))
-        rows[held] = self.vectors[at[held]]
+        if not len(self._index):   # take() raises on an empty axis
+            return np.zeros((len(at), self.dim)), held
+        rows = self.vectors.take(at, axis=0)
+        rows[~held] = 0.0
         return rows, held
 
 

@@ -12,12 +12,13 @@ import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EmptyInputError, InputFormatError, TooFewEntitiesError
-from .features import Triple
+from .features import Relation, Triple
 
 TAU_B = "b"
 TAU_A = "a"
@@ -161,14 +162,15 @@ def evaluate(triples: Sequence[Triple], predicted: Sequence[int], delta: int = 2
         raise ValueError(f"unknown singleton policy {singleton_policy!r}")
     truth = truth_labels(triples)
     scores = np.asarray(predicted, dtype=float)
-    invalid = scores[~np.isin(scores, np.arange(8))]
+    # nan fails every comparison, and the infinities fail the range
+    invalid = scores[~((scores >= 0) & (scores <= 7) & (scores == np.floor(scores)))]
     if invalid.size:
         raise ValueError(
             f"predicted score must be a whole number in [0, 7], got {invalid[0]:g}"
         )
     scores = scores.astype(np.int64)
-    ids: dict[tuple[str, str], int] = {}
-    group = np.array([ids.setdefault((t.entity_key, str(t.relation)), len(ids))
+    ids: dict[tuple[str, Relation], int] = {}
+    group = np.array([ids.setdefault((t.entity_key, t.relation), len(ids))
                       for t in triples])
     diff = np.abs(scores - truth)
     taus = _group_taus(scores, truth, group, len(ids), tau_variant)
@@ -267,37 +269,68 @@ class CVResult:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+@dataclass(frozen=True)
+class FoldSplit:
+    """One fold of a FoldPlan: the rows it holds out, and the triples on each side."""
+
+    test: np.ndarray
+    train_triples: list[Triple]
+    test_triples: list[Triple]
+
+
+class FoldPlan:
+    """Entity-grouped folds of one triple list, made once for every model of a run.
+
+    Holds the fold assignment, the truth labels and each fold's split. The
+    assignment depends only on (entity order, folds, seed), so trainers
+    cross-validated over one plan see exactly the same splits.
+    """
+
+    def __init__(self, triples: Sequence[Triple], folds: int, seed: int):
+        rows = list(triples)
+        self.triples, self.folds, self.seed = triples, folds, seed
+        self.labels = truth_labels(rows)
+        keys = [t.entity_key for t in rows]
+        self.assignment = entity_fold_assignments(list(dict.fromkeys(keys)), folds, seed)
+        fold_of = {e: f for f, members in enumerate(self.assignment) for e in members}
+        row_fold = np.array([fold_of[k] for k in keys])
+        self.splits = tuple(
+            FoldSplit(test, list(compress(rows, ~test)), list(compress(rows, test)))
+            for test in (row_fold == fold for fold in range(folds))
+        )
+
+
 def cross_validate(triples: Sequence[Triple], X, trainer: Trainer, *,
                    folds: int = 5, seed: int = 0, delta: int = 2,
                    tau_variant: str = TAU_B,
                    singleton_policy: str = SINGLETON_ONE,
-                   max_workers: int = 1) -> CVResult:
+                   max_workers: int = 1, plan: FoldPlan | None = None) -> CVResult:
     """Entity-grouped k-fold cross-validation of one trainer.
 
-    Fold assignment depends only on (entity order, folds, seed), so
-    different trainers evaluated on the same triples share the exact
-    same splits. Folds run on a pool of max_workers threads (at least 1;
-    one worker runs them in order); reports come back in fold order.
+    `plan`, if given, is the FoldPlan of these same triples, folds and
+    seed; without one the splits are made here. One worker runs the folds
+    in order in the calling thread; more run them on a pool of max_workers
+    threads. Reports come back in fold order.
     """
-    triples = list(triples)
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
+    if plan is None:
+        plan = FoldPlan(triples, folds, seed)
+    elif plan.triples is not triples or (plan.folds, plan.seed) != (folds, seed):
+        raise ValueError("plan was made for other triples, folds or seed")
     X = np.asarray(X, dtype=float)
-    if X.shape[0] != len(triples):
+    if X.shape[0] != plan.labels.size:
         raise ValueError("feature matrix rows must match triple count")
-    y = truth_labels(triples)
+    y = plan.labels
 
-    keys = [t.entity_key for t in triples]
-    assignment = entity_fold_assignments(list(dict.fromkeys(keys)), folds, seed)
-    fold_of = {e: f for f, members in enumerate(assignment) for e in members}
-    row_fold = np.array([fold_of[k] for k in keys])
+    def run_fold(split: FoldSplit) -> EvalReport:
+        predict_fn = trainer(split.train_triples, X[~split.test], y[~split.test])
+        predicted = predict_fn(split.test_triples, X[split.test])
+        return evaluate(split.test_triples, predicted, delta, tau_variant, singleton_policy)
 
-    def run_fold(fold: int) -> EvalReport:
-        test = row_fold == fold
-        train_triples = [t for t, held_out in zip(triples, test) if not held_out]
-        test_triples = [t for t, held_out in zip(triples, test) if held_out]
-        predict_fn = trainer(train_triples, X[~test], y[~test])
-        predictions = predict_fn(test_triples, X[test])
-        return evaluate(test_triples, predictions, delta, tau_variant, singleton_policy)
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        reports = list(pool.map(run_fold, range(folds)))
+    if max_workers == 1:
+        reports = list(map(run_fold, plan.splits))
+    else:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            reports = list(pool.map(run_fold, plan.splits))
     return CVResult(fold_reports=tuple(reports), mean=mean_report(reports))

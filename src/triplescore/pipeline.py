@@ -12,7 +12,7 @@ import numpy as np
 from .baselines import MultinomialModel, first_baseline_predictions, fit_multinomial
 from .corpus import Corpus
 from .embeddings import EmbeddingStore
-from .evaluation import CVResult, Trainer, cross_validate, truth_labels
+from .evaluation import CVResult, FoldPlan, Trainer, cross_validate, truth_labels
 from .features import (
     KeyPlan,
     ObjectUniverse,
@@ -103,20 +103,25 @@ def run_cv_comparison(triples: list[Triple], X, corpus: Corpus, *,
                       singleton_policy: str = "one",
                       prediction_rule: str = ARGMAX,
                       max_workers: int = 1) -> dict[str, CVResult]:
-    """Cross-validate every model type on identical fold assignments.
+    """Cross-validate every model type over one fold plan.
 
-    Fold splits depend only on the triples, fold count, and seed, so the
-    three result sets are directly comparable.
+    The three result sets share the exact same splits, so they are
+    directly comparable. The first-mention rule has nothing to fit, so its
+    folds run in the calling thread whatever max_workers says; the learned
+    models fit theirs on max_workers threads.
     """
+    plan = FoldPlan(triples, folds, seed)
     results = {}
     for model_type in CV_MODEL_TYPES:
         trainer = make_trainer(
             model_type, fit_config=fit_config, corpus=corpus,
             prediction_rule=prediction_rule,
         )
+        # min() keeps a max_workers below 1 an error for this model too
+        workers = min(max_workers, 1) if model_type == MODEL_FIRST else max_workers
         results[model_type] = cross_validate(
             triples, X, trainer, folds=folds, seed=seed, delta=delta,
             tau_variant=tau_variant, singleton_policy=singleton_policy,
-            max_workers=max_workers,
+            max_workers=workers, plan=plan,
         )
     return results

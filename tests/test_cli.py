@@ -15,6 +15,7 @@ from triplescore.artifact import ARTIFACT_VERSION, load_model
 from triplescore.cli import main
 from triplescore.config import RunConfig, apply_overrides, parse_config_file
 from triplescore.errors import MalformedLineError
+from triplescore.evaluation import FoldPlan
 from triplescore.features import FEATURE_NAMES, KeyPlan, extract, matrix_to_tsv
 from triplescore.ordinal import OrdinalModel
 from triplescore.pipeline import extract_matrix, predict_scores, run_cv_comparison
@@ -659,6 +660,33 @@ class TestCv:
         library = run_cv_comparison(micro["triples"], X, micro["corpus"], folds=3, seed=11,
                                     prediction_rule="expected-rounded")
         assert rounded["multinomial"] == library["multinomial"].to_dict()
+
+    def test_fold_plan_is_made_once_per_run(self, micro_paths, capsys, monkeypatch):
+        made = []
+        init = FoldPlan.__init__
+
+        def counted(self, *args):
+            made.append(args[1:])
+            init(self, *args)
+
+        monkeypatch.setattr(FoldPlan, "__init__", counted)
+        code, _, _ = invoke(capsys, "cv", *input_args(micro_paths), "--folds", "3",
+                            "--seed", "11", "--max-workers", "2")
+        assert code == 0
+        assert made == [(3, 11)]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_dirty_world_reproduces_the_committed_output(self, workers, capsys):
+        # tests/data/dirty (see test_features.py) has objects outside the
+        # universe, pageless persons and flagged rows; cv.txt is its `cv` stdout
+        # at the default seed and folds, written before the fold plan existed.
+        dirty = Path(__file__).parent / "data" / "dirty"
+        args = [f"--{name}={dirty / file}" for name, file in (
+            ("embeddings", "embeddings.txt"), ("corpus", "corpus.jsonl"),
+            ("universe", "universe.txt"), ("triples", "triples.tsv"))]
+        code, out, _ = invoke(capsys, "cv", *args, "--max-workers", workers)
+        assert code == 0
+        assert out == (dirty / "cv.txt").read_text()
 
 
 class TestConfigPrecedence:

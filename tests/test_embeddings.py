@@ -9,6 +9,16 @@ from triplescore.embeddings import EmbeddingStore, load_embeddings, normalize_ke
 from triplescore.errors import DimensionMismatchError, DuplicateKeyError, MalformedLineError
 
 
+def masked_gather(store, keys):
+    """The store's former gather, kept as the oracle for `EmbeddingStore.rows`:
+    zeros, then the held rows assigned through a boolean mask."""
+    at = np.array([store._index.get(key, -1) for key in keys], dtype=np.intp)
+    held = at >= 0
+    rows = np.zeros((len(at), store.dim))
+    rows[held] = store.vectors[at[held]]
+    return rows, held
+
+
 def write(tmp_path, text, name="emb.txt"):
     path = tmp_path / name
     path.write_text(text)
@@ -195,6 +205,26 @@ class TestStore:
         rows[:] = 7.0
         assert store.lookup("paris").tolist() == [1.0, 0.0]
         assert store.rows([])[0].shape == (0, 2)
+
+    def test_rows_of_an_empty_store_are_zero(self):
+        store = EmbeddingStore([], np.empty((0, 3)))
+        rows, held = store.rows(["paris", "rome"])
+        assert rows.tolist() == [[0.0] * 3] * 2
+        assert held.tolist() == [False, False]
+        assert store.rows([])[0].shape == (0, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 6), dim=st.integers(1, 4),
+           picks=st.lists(st.integers(-3, 8), max_size=12), seed=st.integers(0, 2**16))
+    def test_rows_match_the_masked_gather(self, n, dim, picks, seed):
+        # picks below 0 or from n on name absent keys; the rest are held
+        keys = [f"k{i}" for i in range(n)]
+        store = EmbeddingStore(keys, np.random.default_rng(seed).normal(size=(n, dim)))
+        wanted = [f"k{i}" if 0 <= i < n else f"absent{i}" for i in picks]
+        rows, held = store.rows(wanted)
+        want_rows, want_held = masked_gather(store, wanted)
+        assert rows.dtype == want_rows.dtype and rows.flags.writeable
+        assert np.array_equal(rows, want_rows) and np.array_equal(held, want_held)
 
     def test_normalization_collision_is_duplicate(self, tmp_path):
         # "New York" and "new_york" normalize to the same key

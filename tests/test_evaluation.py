@@ -1,6 +1,7 @@
 """Metrics, report formatting, and entity-grouped cross-validation."""
 
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from triplescore.evaluation import (
     TAU_B,
     CVResult,
     EvalReport,
+    FoldPlan,
     cross_validate,
     entity_fold_assignments,
     evaluate,
@@ -116,6 +118,21 @@ class TestScoredPair:
             with pytest.raises(ValueError, match=rf"whole number in \[0, 7\], got {named}$"):
                 evaluate(triples, bad)
         assert evaluate(triples, [3.0, 5.0]) == evaluate(triples, [3, 5])
+
+    @pytest.mark.parametrize("bad, named", [(3.5, "3.5"), (-1, "-1"), (8, "8"),
+                                            (7.000001, "7"), (float("nan"), "nan"),
+                                            (float("inf"), "inf"), (float("-inf"), "-inf")])
+    def test_out_of_range_or_fractional_prediction_named(self, bad, named):
+        triples = [Triple("a", Relation.PROFESSION, "x", 3),
+                   Triple("a", Relation.PROFESSION, "y", 5)]
+        with pytest.raises(ValueError, match=rf"^predicted score must be a whole number "
+                                             rf"in \[0, 7\], got {named}$"):
+            evaluate(triples, [3, bad])
+
+    def test_integral_floats_at_both_ends_accepted(self):
+        triples = [Triple("a", Relation.PROFESSION, "x", 0),
+                   Triple("a", Relation.PROFESSION, "y", 7)]
+        assert evaluate(triples, [-0.0, 7.0]) == evaluate(triples, [0, 7])
 
     def test_pairs_from_predictions(self):
         triples = [Triple("a", Relation.PROFESSION, "x", 5),
@@ -448,3 +465,76 @@ class TestCrossValidate:
         assert data["mean"]["accuracy"] == 1.0
         assert isinstance(result.to_json(), str)
         assert isinstance(result, CVResult)
+
+    def test_one_worker_runs_the_folds_in_the_calling_thread(self):
+        triples = toy_triples()
+        threads = set()
+
+        def recording(train_triples, X_train, y_train):
+            threads.add(threading.get_ident())
+            return oracle_trainer(train_triples, X_train, y_train)
+
+        cross_validate(triples, np.zeros((len(triples), 1)), recording, folds=3, seed=4)
+        assert threads == {threading.get_ident()}
+
+    def test_more_workers_run_the_folds_on_a_pool(self):
+        triples = toy_triples()
+        threads = []
+
+        def recording(train_triples, X_train, y_train):
+            threads.append(threading.get_ident())
+            return oracle_trainer(train_triples, X_train, y_train)
+
+        cross_validate(triples, np.zeros((len(triples), 1)), recording, folds=3, seed=4,
+                       max_workers=2)
+        assert len(threads) == 3 and threading.get_ident() not in threads
+
+
+def sum_trainer(train_triples, X_train, y_train):
+    """Predictions that depend on the training labels and on each test row."""
+    shift = int(y_train.sum())
+    return lambda test_triples, X_test: [(shift + int(x)) % 8 for x in X_test[:, 0]]
+
+
+class TestFoldPlan:
+    def test_splits_follow_the_fold_assignment(self):
+        triples = toy_triples(7, 3)
+        plan = FoldPlan(triples, 3, seed=2)
+        keys = list(dict.fromkeys(t.entity_key for t in triples))
+        assert plan.assignment == entity_fold_assignments(keys, 3, 2)
+        assert plan.labels.tolist() == [t.truth for t in triples]
+        assert len(plan.splits) == 3
+        for members, split in zip(plan.assignment, plan.splits):
+            held = [t.entity_key in members for t in triples]
+            assert split.test.tolist() == held
+            assert split.test_triples == [t for t, h in zip(triples, held) if h]
+            assert split.train_triples == [t for t, h in zip(triples, held) if not h]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_reports_equal_with_and_without_a_plan(self, workers):
+        triples = toy_triples(7, 3)
+        X = np.arange(len(triples) * 2, dtype=float).reshape(-1, 2)
+        plan = FoldPlan(triples, 3, seed=4)
+        made = cross_validate(triples, X, sum_trainer, folds=3, seed=4, max_workers=workers)
+        given = cross_validate(triples, X, sum_trainer, folds=3, seed=4,
+                               max_workers=workers, plan=plan)
+        assert made.to_dict() == given.to_dict()
+        # the plan is read, never changed, so it serves a second trainer too
+        again = cross_validate(triples, X, sum_trainer, folds=3, seed=4,
+                               max_workers=workers, plan=plan)
+        assert again.to_dict() == made.to_dict()
+
+    def test_plan_of_other_triples_rejected(self):
+        triples = toy_triples()
+        plan = FoldPlan(list(triples), 3, seed=4)   # equal triples, another list
+        with pytest.raises(ValueError, match="plan was made for other triples"):
+            cross_validate(triples, np.zeros((len(triples), 1)), oracle_trainer,
+                           folds=3, seed=4, plan=plan)
+
+    @pytest.mark.parametrize("folds, seed", [(2, 4), (3, 5)])
+    def test_plan_of_other_folds_or_seed_rejected(self, folds, seed):
+        triples = toy_triples()
+        plan = FoldPlan(triples, 3, seed=4)
+        with pytest.raises(ValueError, match="plan was made for other"):
+            cross_validate(triples, np.zeros((len(triples), 1)), oracle_trainer,
+                           folds=folds, seed=seed, plan=plan)

@@ -290,7 +290,8 @@ PLANTED = DATA / "planted"
 # unembedded_share=0.2, pageless_share=0.1), 7, "../tests/data/dirty"): 37 of
 # its 200 rows have an object outside the universe and 15 a person without
 # a page. features.tsv and features_all.tsv are its `triplescore extract`
-# output under the "embedded" and "all" ops denominators.
+# output under the "embedded" and "all" ops denominators; cv.txt, its
+# `triplescore cv` stdout, is checked in test_cli.py.
 DIRTY = DATA / "dirty"
 
 

@@ -1,8 +1,11 @@
 """Pipeline glue: training, prediction, and the three-way CV comparison."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from triplescore import pipeline
 from triplescore.baselines import MultinomialModel
 from triplescore.errors import InputFormatError
 from triplescore.evaluation import cross_validate
@@ -129,3 +132,39 @@ class TestRunCvComparison:
         trainer = make_trainer(MODEL_FIRST, corpus=micro["corpus"])
         direct = cross_validate(micro["triples"], X, trainer, folds=3, seed=2)
         assert results[MODEL_FIRST].to_dict() == direct.to_dict()
+
+    def test_first_rule_runs_inline_and_learned_fits_on_the_pool(self, micro, monkeypatch):
+        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
+                              micro["triples"])
+        threads: dict[str, list[int]] = {"first": [], "fit": []}
+
+        def recorded(name, call):
+            def wrapper(*args, **kwargs):
+                threads[name].append(threading.get_ident())
+                return call(*args, **kwargs)
+            return wrapper
+
+        # run_cv_comparison looks both up on the module when it calls them
+        monkeypatch.setattr(pipeline, "first_baseline_predictions",
+                            recorded("first", pipeline.first_baseline_predictions))
+        monkeypatch.setattr(pipeline, "train_model", recorded("fit", pipeline.train_model))
+        serial = run_cv_comparison(micro["triples"], X, micro["corpus"], folds=3, seed=2)
+        assert set(threads["first"]) == set(threads["fit"]) == {threading.get_ident()}
+        threads["first"].clear()
+        threads["fit"].clear()
+        pooled = run_cv_comparison(micro["triples"], X, micro["corpus"], folds=3, seed=2,
+                                   max_workers=2)
+        assert threads["first"] == [threading.get_ident()] * 3
+        assert len(threads["fit"]) == 6 and threading.get_ident() not in threads["fit"]
+        assert {k: r.to_dict() for k, r in pooled.items()} == \
+            {k: r.to_dict() for k, r in serial.items()}
+
+    def test_nonpositive_workers_rejected(self, micro, monkeypatch):
+        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
+                              micro["triples"])
+        calls = []
+        monkeypatch.setattr(pipeline, "first_baseline_predictions",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="max_workers must be at least 1"):
+            run_cv_comparison(micro["triples"], X, micro["corpus"], folds=3, max_workers=0)
+        assert calls == []
