@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, first_mentioned
-from .embeddings import normalize_key
 from .features import Relation, Standardizer, Triple
 from .model import NUM_CLASSES, OUTER_LIMIT, FitConfig, LearnedModel, fit_model
 
@@ -20,45 +19,39 @@ FIRST_MATCH_SCORE = 7
 FIRST_MISS_SCORE = 0
 
 
-def first_baseline_score(corpus: Corpus, entity: str,
-                         candidates: list[str]) -> dict[str, int]:
-    """Score an entity's candidate objects by the first-mention rule.
-
-    The candidate whose mention appears earliest in the entity's abstract
-    gets 7; every other candidate gets 0, as does everything when no
-    candidate is mentioned or the entity has no page record. Keys of the
-    returned map are normalized candidate keys.
-    """
-    record = corpus.get(entity)
-    first = first_mentioned(record, candidates) if record is not None else None
-    return {
-        key: FIRST_MATCH_SCORE if key == first else FIRST_MISS_SCORE
-        for key in (normalize_key(c) for c in candidates)
-    }
-
-
 def first_baseline_predictions(corpus: Corpus, triples: list[Triple]) -> list[int]:
-    """First-mention rule over a triple list, grouping candidates by entity."""
-    objects_by_entity: dict[str, list[str]] = {}
+    """Score each triple by the first-mention rule among its entity's triples.
+
+    Of one entity's object keys, the one whose mention appears earliest in
+    the entity's abstract gets 7; every other one gets 0, as does
+    everything when no object is mentioned or the entity has no page record.
+    """
+    keys_by_entity: dict[str, list[str]] = {}
     for triple in triples:
-        objects_by_entity.setdefault(triple.entity_key, []).append(triple.object_key)
-    scores = {
-        entity: first_baseline_score(corpus, entity, candidates)
-        for entity, candidates in objects_by_entity.items()
-    }
-    return [scores[t.entity_key][t.object_key] for t in triples]
+        keys_by_entity.setdefault(triple.entity_key, []).append(triple.object_key)
+    first = {}
+    for entity, keys in keys_by_entity.items():
+        record = corpus.records.get(entity)
+        first[entity] = None if record is None else first_mentioned(record, keys)
+    return [FIRST_MATCH_SCORE if t.object_key == first[t.entity_key] else FIRST_MISS_SCORE
+            for t in triples]
 
 
 def newton_objective(X: np.ndarray, y: np.ndarray, reg_lambda: float, n_classes: int):
-    """`multinomial_nll` and its Hessian on fixed X, labels y in
-    0..n_classes-1 and reg_lambda, as a function of params.
+    """The penalized softmax negative log-likelihood, its gradient and its
+    Hessian on fixed X, labels y in 0..n_classes-1 and reg_lambda, as a
+    function of params.
 
-    Returns `evaluate(params) -> (value, grad, hessian)`, where `hessian()`
-    gives the analytic Hessian at params from the probabilities the value
-    came from. The work is class-major, on (K, n) arrays. What depends only
-    on the data is built here, once: the transposed rows, z = (x, 1), where
-    each row's label sits in the (K, n) arrays, and where each class's
-    (q x q) block of the Hessian sits in parameter order.
+    params flattens W (K x p) row-major followed by the K biases, K =
+    n_classes; the penalty reg_lambda/2 ||W||_F^2 covers the weights only,
+    not the biases. Returns `evaluate(params) -> (value, grad, hessian)`,
+    where `hessian()` gives the analytic Hessian at params, in the same
+    parameter order, from the probabilities the value came from.
+
+    The work is class-major, on (K, n) arrays. What depends only on the
+    data is built here, once: the transposed rows, z = (x, 1), where each
+    row's label sits in the (K, n) arrays, and where each class's (q x q)
+    block of the Hessian sits in parameter order.
 
     With G[(k, a), i] = pi_ik z_ia in parameter order, the Hessian is the
     class-diagonal blocks of G Z minus G G^T; the labels do not enter it.
@@ -106,30 +99,6 @@ def newton_objective(X: np.ndarray, y: np.ndarray, reg_lambda: float, n_classes:
         return value, grad, hessian
 
     return evaluate
-
-
-def multinomial_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                    reg_lambda: float) -> tuple[float, np.ndarray]:
-    """Penalized softmax negative log-likelihood with analytic gradient.
-
-    params flattens W (K x p) row-major followed by the K biases, for labels
-    0..K-1 (K = 8 for the model); the penalty reg_lambda/2 ||W||_F^2 leaves
-    the biases unpenalized.
-    """
-    value, grad, _ = _objective_at(params, X, y, reg_lambda)
-    return value, grad
-
-
-def multinomial_hessian(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                        reg_lambda: float) -> np.ndarray:
-    """Analytic Hessian of `multinomial_nll`, in the same parameter order."""
-    return _objective_at(params, X, y, reg_lambda)[2]()
-
-
-def _objective_at(params, X, y, reg_lambda):
-    X = np.asarray(X, dtype=float)
-    return newton_objective(X, np.asarray(y, dtype=int), reg_lambda,
-                            params.size // (X.shape[1] + 1))(params)
 
 
 @dataclass(eq=False)

@@ -24,9 +24,18 @@ from .errors import (
     InputFormatError,
     RelationMismatchError,
 )
-from .evaluation import evaluate, format_comparison_table
+from .evaluation import (
+    SINGLETON_ONE,
+    SINGLETON_SKIP,
+    TAU_A,
+    TAU_B,
+    evaluate,
+    format_comparison_table,
+)
 from .features import (
     FEATURE_NAMES,
+    OPS_DENOM_ALL,
+    OPS_DENOM_EMBEDDED,
     KeyPlan,
     Relation,
     load_triples,
@@ -34,9 +43,11 @@ from .features import (
     matrix_to_tsv,
     missing_summary,
 )
-from .model import FitConfig
+from .model import ARGMAX, EXPECTED_ROUNDED, FitConfig
 from .pipeline import (
     CV_MODEL_TYPES,
+    MODEL_MULTINOMIAL,
+    MODEL_ORDINAL,
     extract_matrix,
     predict_scores,
     run_cv_comparison,
@@ -44,6 +55,19 @@ from .pipeline import (
 )
 
 _EXTRACT_INPUTS = ("embeddings", "corpus", "universe", "triples")
+
+# the values each enumerated setting takes
+_CHOICES = {
+    "model_type": (MODEL_ORDINAL, MODEL_MULTINOMIAL),
+    "prediction_rule": (ARGMAX, EXPECTED_ROUNDED),
+    "ops_denominator": (OPS_DENOM_EMBEDDED, OPS_DENOM_ALL),
+    "tau_variant": (TAU_B, TAU_A),
+    "singleton_policy": (SINGLETON_ONE, SINGLETON_SKIP),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _resolve_relation(config: RunConfig, fallback: Relation | None = None) -> Relation:
@@ -59,9 +83,8 @@ def _require_inputs(config: RunConfig, names) -> None:
     for name in names:
         value = getattr(config, name)
         if value is None:
-            flag = "--" + name.replace("_", "-")
             raise InputFormatError(
-                f"missing required input: pass {flag} or set config key {name!r}"
+                f"missing required input: pass {_flag(name)} or set config key {name!r}"
             )
         if not Path(value).is_file():
             raise InputFormatError(f"{name} file not found: {value}")
@@ -69,9 +92,8 @@ def _require_inputs(config: RunConfig, names) -> None:
 
 def _require_output(config: RunConfig, name: str) -> None:
     if getattr(config, name) is None:
-        flag = "--" + name.replace("_", "-")
         raise InputFormatError(
-            f"missing required output path: pass {flag} or set config key {name!r}"
+            f"missing required output path: pass {_flag(name)} or set config key {name!r}"
         )
 
 
@@ -87,6 +109,11 @@ def _validate_params(config: RunConfig) -> None:
     for ok, message in checks:
         if not ok:
             raise InputFormatError(message)
+    for name, choices in _CHOICES.items():
+        value = getattr(config, name)
+        if value not in choices:
+            raise InputFormatError(
+                f"{_flag(name)} must be one of {', '.join(choices)}, got {value!r}")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -265,7 +292,7 @@ def _add_flags(parser, *names) -> None:
     for name in names:
         help_text, value_type = specs[name]
         parser.add_argument(
-            "--" + name.replace("_", "-"), dest=name, type=value_type,
+            _flag(name), dest=name, type=value_type,
             default=None, help=help_text,
         )
 

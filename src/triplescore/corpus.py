@@ -14,9 +14,6 @@ from functools import cached_property, lru_cache
 from .embeddings import normalize_key
 from .errors import DuplicatePersonError, MalformedRecordError, text_lines
 
-ABSTRACT = "abstract"
-FULL_PAGE = "full_page"
-
 
 @dataclass(frozen=True)
 class PageRecord:
@@ -88,8 +85,8 @@ def load_corpus(path) -> Corpus:
 
 
 def surface_form(key: str) -> str:
-    """Matching form of an object name: underscores become spaces."""
-    return normalize_key(key).replace("_", " ")
+    """Matching form of a normalized object key: underscores become spaces."""
+    return key.replace("_", " ")
 
 
 @lru_cache(maxsize=4096)
@@ -135,45 +132,32 @@ def _search(phrase: str, text: str, lowered: str) -> tuple[int, int] | None:
     return None
 
 
-def mentions(record: PageRecord, obj: str, scope: str = FULL_PAGE) -> bool:
-    """Whether the object's surface form occurs in the chosen text scope.
+def mentions(record: PageRecord, obj: str) -> bool:
+    """Whether the object name's surface form occurs in the record's page text.
 
     Case-insensitive whole-phrase match, token-boundary delimited.
     """
-    if scope == ABSTRACT:
-        text = record.abstract_text
-    elif scope == FULL_PAGE:
-        text = record.page_text
-    else:
-        raise ValueError(f"scope must be {ABSTRACT!r} or {FULL_PAGE!r}, got {scope!r}")
-    phrase = surface_form(obj)
-    if not phrase:
-        return False
-    return _search(phrase, text, text.lower()) is not None
+    phrase, text = surface_form(normalize_key(obj)), record.page_text
+    return bool(phrase) and _search(phrase, text, text.lower()) is not None
 
 
-def first_mentioned(record: PageRecord, candidates: list[str]) -> str | None:
-    """Candidate whose earliest abstract occurrence starts first, or None.
+def first_mentioned(record: PageRecord, keys: list[str]) -> str | None:
+    """Normalized key whose earliest abstract occurrence starts first, or None.
 
     Offset ties go to the longer match, then to the lexicographically
-    smaller normalized key, so the result is deterministic.
+    smaller key, so the result is deterministic.
     """
-    if not candidates:
+    if not keys:
         raise ValueError("candidates must be non-empty")
     best = None  # (start, -match_len, key)
-    best_key = None
     text = record.abstract_text
     lowered = text.lower()
-    for cand in candidates:
-        phrase = surface_form(cand)
-        if not phrase:
-            continue
-        span = _search(phrase, text, lowered)
+    for key in keys:
+        phrase = surface_form(key)
+        span = _search(phrase, text, lowered) if phrase else None
         if span is None:
             continue
-        key = normalize_key(cand)
         rank = (span[0], span[0] - span[1], key)
         if best is None or rank < best:
             best = rank
-            best_key = key
-    return best_key
+    return None if best is None else best[2]

@@ -84,15 +84,15 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
     ones that overflow, such as 1e999), which would otherwise reach the
     features as nan.
 
-    With `keys`, only the vectors whose normalized key is among the
-    normalized `keys` are parsed and stored. Every line still gets the
-    token-count and duplicate-key checks and counts toward the header's
+    With `keys`, a set or dict of normalized keys (such as a `KeyPlan`'s
+    `rows`), only the vectors whose normalized key is in `keys` are parsed
+    and stored; `keys` is read as it is, not copied. Every line still gets
+    the token-count and duplicate-key checks and counts toward the header's
     entry count; the numeric and finiteness checks run on the kept lines.
 
     The file must be UTF-8; lines end at "\\n", "\\r\\n" or "\\r", and
     tokens are separated by whitespace as `str.split()` defines it.
     """
-    wanted = None if keys is None else {normalize_key(k) for k in keys}
     with open(path, "rb") as fh:
         blocks = _blocks(fh)
         first = next(blocks, b"")
@@ -117,7 +117,7 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
         if count < 1:
             raise MalformedLineError(path, 1, f"header must declare an entry, got {count}")
 
-        loader = _Loader(path, dim, wanted)
+        loader = _Loader(path, dim, keys)
         line_no = loader.block(first[end.end():] if end else b"", 2)
         for block in blocks:
             line_no = loader.block(block, line_no)
@@ -169,7 +169,7 @@ class _Loader:
     and the first bad line is the one named.
     """
 
-    def __init__(self, path, dim: int, wanted: set[str] | None):
+    def __init__(self, path, dim: int, wanted):
         self.path = path
         self.dim = dim
         self.wanted = wanted
@@ -187,7 +187,8 @@ class _Loader:
                 line_no,
                 f"expected 1 key + {self.dim} values, got {len(tokens)} tokens",
             )
-        self.entry(normalize_key(tokens[0]), tokens[1:], line_no)
+        # a token holds no whitespace and lower() adds none: lower() normalizes it
+        self.entry(tokens[0].lower(), tokens[1:], line_no)
 
     def entry(self, key: str, values: list[str], line_no: int) -> None:
         self.record((key,))

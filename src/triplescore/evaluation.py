@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import Callable, Sequence
 
@@ -115,25 +115,7 @@ class EvalReport:
     kendall_tau: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_triples": self.n_triples,
-            "n_entities": self.n_entities,
-            "delta": self.delta,
-            "accuracy": self.accuracy,
-            "avg_score_diff": self.avg_score_diff,
-            "kendall_tau": self.kendall_tau,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        return cls(
-            n_triples=int(data["n_triples"]),
-            n_entities=int(data["n_entities"]),
-            delta=int(data["delta"]),
-            accuracy=float(data["accuracy"]),
-            avg_score_diff=float(data["avg_score_diff"]),
-            kendall_tau=float(data["kendall_tau"]),
-        )
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -264,9 +246,6 @@ class CVResult:
             "folds": [r.to_dict() for r in self.fold_reports],
             "mean": self.mean.to_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import FULL_PAGE, Corpus, _search, mentions, surface_form
+from .corpus import Corpus, _search, mentions, surface_form
 from .embeddings import EmbeddingStore, normalize_key
 from .errors import (
     DuplicateKeyError,
@@ -156,17 +156,18 @@ def object_entity_similarity(store: EmbeddingStore, entity: str, obj: str) -> fl
 
 
 class KeyPlan:
-    """The embedding keys one run reads, numbered, each normalised once.
+    """The normalized embedding keys one run reads, numbered.
 
     The keys are numbered in one pass, each at its first appearance: the
     objects first, so that universe objects put first take rows 0..U-1,
     then the entities, then the linked keys of the entities' page
-    records. `build` reads them all with one `_unit_rows` call.
+    records. `build` reads them all with one `_unit_rows` call. The
+    objects and entities given are normalized keys.
     """
 
     def __init__(self, corpus: Corpus, objects, entities):
         self.entities = list(dict.fromkeys(entities))
-        self.records = [corpus.get(key) for key in self.entities]
+        self.records = [corpus.records.get(key) for key in self.entities]
         keys = dict.fromkeys(chain(objects, self.entities, *(
             record.linked_keys for record in self.records if record is not None)))
         self.rows = dict(zip(keys, range(len(keys))))
@@ -175,7 +176,10 @@ class KeyPlan:
     @classmethod
     def of_run(cls, corpus: Corpus, universe: ObjectUniverse,
                triples: list[Triple]) -> "KeyPlan":
-        """The plan of the keys `extract` reads for these inputs."""
+        """The plan of the keys `extract` reads for these inputs: the universe
+        objects, each triple's entity and object, and the linked entities of
+        those entities' page records. A store of only these keys gives the
+        same features as the full one."""
         plan = cls(corpus, [*universe.objects, *(t.object_key for t in triples)],
                    (t.entity_key for t in triples))
         plan.inputs = (corpus, universe, triples)
@@ -312,9 +316,7 @@ def ops_rank(store: EmbeddingStore, corpus: Corpus, entity: str,
 def object_mention_feature(corpus: Corpus, entity: str, obj: str) -> float:
     """1.0 iff the object phrase occurs anywhere in the entity's page."""
     record = corpus.get(entity)
-    if record is None:
-        return 0.0
-    return 1.0 if mentions(record, obj, FULL_PAGE) else 0.0
+    return 1.0 if record is not None and mentions(record, obj) else 0.0
 
 
 def _flag_sets() -> tuple[frozenset[str], ...]:
@@ -412,17 +414,6 @@ def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
         for sim, value, rank, mentioned, code in zip(
             sims.tolist(), values.tolist(), ranks.tolist(), mention, codes.tolist())
     ]
-
-
-def lookup_keys(corpus: Corpus, universe: ObjectUniverse,
-                triples: list[Triple]) -> set[str]:
-    """The normalized keys `extract` numbers and reads from the embedding store.
-
-    These are the universe objects, each triple's entity and object, and
-    the linked entities of each triple entity's page record; a store
-    loaded with only these keys gives the same features as the full one.
-    """
-    return set(KeyPlan.of_run(corpus, universe, triples).rows)
 
 
 def matrix(vectors: list[FeatureVector]) -> np.ndarray:

@@ -66,13 +66,19 @@ _SIGNS = np.array([[-1.0], [1.0]])
 
 
 def newton_objective(X: np.ndarray, y: np.ndarray, reg_lambda: float, n_classes: int):
-    """`penalized_nll` and its Hessian on fixed X, labels y in 0..n_classes-1
-    and reg_lambda, as a function of params.
+    """The L2-penalized negative log-likelihood, its gradient and its Hessian
+    on fixed X, labels y in 0..n_classes-1 and reg_lambda, as a function of
+    params.
 
-    Returns `evaluate(params) -> (value, grad, hessian)`, where `hessian()`
-    gives the analytic Hessian at params from the per-row terms the value
-    came from. What depends only on the data is built here, once: each row's
-    two cut indices (y above, y - 1 below) and the transposed design D^T,
+    params is (w, theta_0, s_1..s_{K-2}) for K = n_classes, so (w, theta_0,
+    s_1..s_6) for the 8 classes; the penalty reg_lambda/2 ||w||^2 covers the
+    weights only. Every piece is a log-space formula, so the value stays
+    finite for extreme linear scores. Returns `evaluate(params) -> (value,
+    grad, hessian)`, where `hessian()` gives the analytic Hessian at params
+    from the per-row terms the value came from.
+
+    What depends only on the data is built here, once: each row's two cut
+    indices (y above, y - 1 below) and the transposed design D^T,
     D = [[-X, L_hi], [-X, L_lo]]. D's row for a cut argument z is dz /
     d(w, theta_0, theta_1 - theta_0, ...): L[j] has ones in columns <= j,
     since cut j is theta_0 plus the gaps beneath it, and it is zero at an
@@ -152,31 +158,6 @@ def newton_objective(X: np.ndarray, y: np.ndarray, reg_lambda: float, n_classes:
         return value, grad, hessian
 
     return evaluate
-
-
-def penalized_nll(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                  reg_lambda: float) -> tuple[float, np.ndarray]:
-    """Penalized negative log-likelihood and its analytic gradient.
-
-    params is (w, theta_0, s_1..s_{K-2}) for labels 0..K-1, so (w, theta_0,
-    s_1..s_6) for the 8 classes; the L2 penalty reg_lambda/2 ||w||^2
-    applies to the weights only. All pieces use log-space formulas so the
-    value stays finite for extreme linear scores.
-    """
-    value, grad, _ = _objective_at(params, X, y, reg_lambda)
-    return value, grad
-
-
-def penalized_nll_hessian(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-                          reg_lambda: float) -> np.ndarray:
-    """Analytic Hessian of `penalized_nll` in its (w, theta_0, s) parameters."""
-    return _objective_at(params, X, y, reg_lambda)[2]()
-
-
-def _objective_at(params, X, y, reg_lambda):
-    X = np.asarray(X, dtype=float)
-    return newton_objective(X, np.asarray(y, dtype=int), reg_lambda,
-                            params.size - X.shape[1] + 1)(params)
 
 
 @dataclass(eq=False)

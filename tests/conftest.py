@@ -22,6 +22,7 @@ from triplescore import (
     load_triples,
     load_universe,
 )
+from triplescore import baselines, ordinal
 
 PLANTED = Path(__file__).parent / "data" / "planted"
 
@@ -78,6 +79,19 @@ def store_from(dim: int, vectors: dict) -> EmbeddingStore:
     """A store of the normalized-key -> dim-vector pairs in `vectors`."""
     matrix = np.array(list(vectors.values()), dtype=float).reshape(len(vectors), dim)
     return EmbeddingStore(list(vectors), matrix)
+
+
+def objective_at(module, params, X, y, reg_lambda):
+    """`module.newton_objective` at params, as (value, grad, hessian).
+
+    module is `ordinal` or `baselines`; the class count K is the one the
+    size of params gives: p weights then K - 1 cuts for the ordinal model,
+    K x p weights then K biases for the multinomial one.
+    """
+    X = np.asarray(X, dtype=float)
+    p = X.shape[1]
+    k = params.size - p + 1 if module is ordinal else params.size // (p + 1)
+    return module.newton_objective(X, np.asarray(y, dtype=int), reg_lambda, k)(params)
 
 
 @pytest.fixture(scope="session")

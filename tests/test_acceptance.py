@@ -21,7 +21,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triplescore.baselines import fit_multinomial, multinomial_nll
+from conftest import objective_at
+from triplescore import baselines, ordinal
+from triplescore.baselines import fit_multinomial
 from triplescore.cli import main
 from triplescore.corpus import load_corpus
 from triplescore.embeddings import load_embeddings
@@ -54,7 +56,6 @@ from triplescore.ordinal import (
     FitConfig,
     OrdinalModel,
     fit,
-    penalized_nll,
 )
 from triplescore.pipeline import extract_matrix, run_cv_comparison, train_model
 
@@ -118,15 +119,15 @@ def test_criterion_1_gradient_oracle():
                 rng.normal(size=1),
                 rng.normal(scale=0.5, size=NUM_CLASSES - 2),
             ])
-            _, analytic = penalized_nll(params, X, y, lam)
-            fd = central_difference(lambda q: penalized_nll(q, X, y, lam)[0], params)
+            _, analytic, _ = objective_at(ordinal, params, X, y, lam)
+            fd = central_difference(lambda q: objective_at(ordinal, q, X, y, lam)[0], params)
             err = np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)))
             worst = max(worst, err)
             assert err < 1e-5, f"ordinal gradient off by {err:.2e} on trial {trial}"
 
             params = rng.normal(scale=0.5, size=NUM_CLASSES * p + NUM_CLASSES)
-            _, analytic = multinomial_nll(params, X, y, lam)
-            fd = central_difference(lambda q: multinomial_nll(q, X, y, lam)[0], params)
+            _, analytic, _ = objective_at(baselines, params, X, y, lam)
+            fd = central_difference(lambda q: objective_at(baselines, q, X, y, lam)[0], params)
             err = np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)))
             worst = max(worst, err)
             assert err < 1e-5, f"multinomial gradient off by {err:.2e} on trial {trial}"

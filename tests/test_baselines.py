@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import objective_at
+from triplescore import baselines
 from triplescore.baselines import (
     FIRST_MATCH_SCORE,
     FIRST_MISS_SCORE,
     MultinomialModel,
     first_baseline_predictions,
-    first_baseline_score,
     fit_multinomial,
-    multinomial_nll,
 )
 from triplescore.corpus import Corpus, PageRecord
 from triplescore.errors import DegenerateLabelsError
@@ -21,6 +21,13 @@ from triplescore.model import NUM_CLASSES, FitConfig
 def one_person_corpus(abstract, page=None):
     record = PageRecord("Pat", (), abstract, page if page is not None else abstract)
     return Corpus({"pat": record})
+
+
+def first_baseline_score(corpus, entity, candidates):
+    """The first-mention scores of one entity's candidates, by normalized object key."""
+    triples = [Triple(entity, Relation.PROFESSION, c) for c in candidates]
+    scores = first_baseline_predictions(corpus, triples)
+    return {t.object_key: score for t, score in zip(triples, scores)}
 
 
 class TestFirstBaselineScore:
@@ -102,13 +109,13 @@ class TestMultinomialNll:
         X = rng.normal(size=(20, 2))
         y = rng.integers(0, NUM_CLASSES, size=20)
         params = rng.normal(scale=0.5, size=NUM_CLASSES * 2 + NUM_CLASSES)
-        _, grad = multinomial_nll(params, X, y, 0.3)
+        _, grad, _ = objective_at(baselines, params, X, y, 0.3)
         h = 1e-6
         for i in range(params.size):
             e = np.zeros_like(params)
             e[i] = h
-            hi, _ = multinomial_nll(params + e, X, y, 0.3)
-            lo, _ = multinomial_nll(params - e, X, y, 0.3)
+            hi = objective_at(baselines, params + e, X, y, 0.3)[0]
+            lo = objective_at(baselines, params - e, X, y, 0.3)[0]
             assert grad[i] == pytest.approx((hi - lo) / (2 * h), rel=1e-4, abs=1e-7)
 
     def test_penalty_skips_biases(self):
@@ -117,8 +124,8 @@ class TestMultinomialNll:
         y = rng.integers(0, NUM_CLASSES, size=15)
         params = rng.normal(size=NUM_CLASSES * 2 + NUM_CLASSES)
         W = params[:NUM_CLASSES * 2]
-        v0, g0 = multinomial_nll(params, X, y, 0.0)
-        v1, g1 = multinomial_nll(params, X, y, 4.0)
+        v0, g0, _ = objective_at(baselines, params, X, y, 0.0)
+        v1, g1, _ = objective_at(baselines, params, X, y, 4.0)
         assert v1 - v0 == pytest.approx(2.0 * np.dot(W, W), rel=1e-12)
         assert np.allclose((g1 - g0)[NUM_CLASSES * 2:], 0.0, atol=1e-12)
 

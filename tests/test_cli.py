@@ -735,3 +735,22 @@ class TestConfigPrecedence:
             capsys, "extract", "--config", str(tmp_path / "ghost.conf")
         )
         assert code == 2
+
+
+class TestEnumSettings:
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--model-type"),
+        ("cv", "--prediction-rule"),
+        ("cv", "--ops-denominator"),
+        ("cv", "--tau-variant"),
+        ("cv", "--singleton-policy"),
+    ])
+    def test_bad_value_fails_before_any_input_is_read(self, micro_paths, tmp_path, capsys,
+                                                       command, flag):
+        args = input_args(micro_paths)
+        args[args.index("--embeddings") + 1] = str(tmp_path / "absent.txt")
+        code, out, err = invoke(capsys, command, *args, flag, "z")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be one of ")
+        assert err.endswith(", got 'z'\n")

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplescore.corpus import (
-    ABSTRACT,
-    FULL_PAGE,
     PageRecord,
     _phrase_pattern,
     _search,
@@ -17,6 +15,7 @@ from triplescore.corpus import (
     mentions,
     surface_form,
 )
+from triplescore.embeddings import normalize_key
 from triplescore.errors import DuplicatePersonError, MalformedRecordError
 
 
@@ -91,47 +90,43 @@ class TestLoad:
 class TestMentions:
     def test_word_inside_phrase_matches(self):
         rec = record(page="He was a theoretical physicist in Bern.")
-        assert mentions(rec, "physicist", FULL_PAGE)
+        assert mentions(rec, "physicist")
 
     def test_absent_phrase(self):
         rec = record(page="Aristotle wrote on many subjects.")
-        assert not mentions(rec, "basketball player", FULL_PAGE)
+        assert not mentions(rec, "basketball player")
 
     def test_token_boundary_blocks_substring(self):
         rec = record(page="The Artemis temple stood tall.")
-        assert not mentions(rec, "art", FULL_PAGE)
+        assert not mentions(rec, "art")
 
     def test_scope_selects_text(self):
         rec = record(abstract="a coder", page="a poet")
-        assert mentions(rec, "coder", ABSTRACT)
-        assert not mentions(rec, "coder", FULL_PAGE)
-        assert mentions(rec, "poet", FULL_PAGE)
-        assert not mentions(rec, "poet", ABSTRACT)
-
-    def test_bad_scope(self):
-        with pytest.raises(ValueError):
-            mentions(record(), "x", "footnotes")
+        assert first_mentioned(rec, ["coder"]) == "coder"
+        assert not mentions(rec, "coder")
+        assert mentions(rec, "poet")
+        assert first_mentioned(rec, ["poet"]) is None
 
     def test_underscore_key_matches_spaced_text(self):
         rec = record(page="She is a basketball player today.")
-        assert mentions(rec, "basketball_player", FULL_PAGE)
+        assert mentions(rec, "basketball_player")
 
     def test_multiple_spaces_in_text(self):
         rec = record(page="a basketball   player")
-        assert mentions(rec, "basketball player", FULL_PAGE)
+        assert mentions(rec, "basketball player")
 
     def test_empty_object_never_matches(self):
-        assert not mentions(record(page="anything"), "", FULL_PAGE)
+        assert not mentions(record(page="anything"), "")
 
     def test_punctuation_is_boundary(self):
         rec = record(page="poet, coder; pilot.")
         for obj in ("poet", "coder", "pilot"):
-            assert mentions(rec, obj, FULL_PAGE)
+            assert mentions(rec, obj)
 
     def test_underscore_in_text_is_boundary(self):
         # letters and digits are word characters; underscore is not
-        assert mentions(record(page="a snake_case word"), "case", FULL_PAGE)
-        assert not mentions(record(page="a lowercase word"), "case", FULL_PAGE)
+        assert mentions(record(page="a snake_case word"), "case")
+        assert not mentions(record(page="a lowercase word"), "case")
 
     @given(st.text(alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Zs")), max_size=60))
     @settings(max_examples=60)
@@ -139,7 +134,7 @@ class TestMentions:
         rec_lower = record(page=text.lower())
         rec_upper = record(page=text.upper())
         for obj in ("poet", "the", "a"):
-            assert mentions(rec_lower, obj, FULL_PAGE) == mentions(rec_upper, obj, FULL_PAGE)
+            assert mentions(rec_lower, obj) == mentions(rec_upper, obj)
 
 
 # ASCII letters in both cases, with the non-ASCII characters that match or
@@ -156,7 +151,7 @@ class TestSearchPrefilter:
            st.data())
     @settings(max_examples=500)
     def test_same_match_as_bare_regex(self, obj, before, after, data):
-        phrase = surface_form(obj)
+        phrase = surface_form(normalize_key(obj))
         if not phrase:
             return
         # plant the phrase half the time, in mixed case with whitespace runs
@@ -174,18 +169,18 @@ class TestSearchPrefilter:
                                            ("in", "\u0130n"), ("\u017fun", "SUN"),
                                            ("Sun", "SUN")])
     def test_non_ascii_phrase_or_text_is_searched(self, obj, text):
-        assert mentions(record(page=text), obj, FULL_PAGE) == (
-            _phrase_pattern(surface_form(obj)).search(text) is not None)
+        assert mentions(record(page=text), obj) == (
+            _phrase_pattern(surface_form(normalize_key(obj))).search(text) is not None)
 
     def test_absent_token_compiles_nothing(self):
         # ASCII phrases in ASCII text never reach the regex, matched or not
         _phrase_pattern.cache_clear()
-        assert not mentions(record(page="a poet and sailor"), "Film Director", FULL_PAGE)
-        assert first_mentioned(record(abstract="a poet"), ["painter", "chess player"]) is None
-        assert mentions(record(page="a Poet and sailor"), "poet", FULL_PAGE)
+        assert not mentions(record(page="a poet and sailor"), "Film Director")
+        assert first_mentioned(record(abstract="a poet"), ["painter", "chess_player"]) is None
+        assert mentions(record(page="a Poet and sailor"), "poet")
         assert first_mentioned(record(abstract="a sailor, a poet"), ["poet", "sailor"]) == "sailor"
         assert _phrase_pattern.cache_info().misses == 0
-        assert mentions(record(page="a Poet and sailor, caf\u00e9"), "poet", FULL_PAGE)
+        assert mentions(record(page="a Poet and sailor, caf\u00e9"), "poet")
         assert _phrase_pattern.cache_info().misses == 1
 
 
@@ -248,7 +243,7 @@ class TestFirstMentioned:
 
     def test_longer_match_wins_at_same_offset(self):
         rec = record(abstract="a physicist turned writer.")
-        got = first_mentioned(rec, ["physicist", "physicist turned writer"])
+        got = first_mentioned(rec, ["physicist", "physicist_turned_writer"])
         assert got == "physicist_turned_writer"
 
     def test_empty_candidates_rejected(self):
@@ -266,14 +261,14 @@ class TestFirstMentioned:
             rec = corpus.get(person)
             got = first_mentioned(rec, candidates)
             if got is not None:
-                assert mentions(rec, got, ABSTRACT)
+                assert first_mentioned(rec, [got]) == got
 
     def test_returns_normalized_key(self):
         rec = record(abstract="a basketball player")
-        assert first_mentioned(rec, ["Basketball Player"]) == "basketball_player"
+        assert first_mentioned(rec, ["basketball_player"]) == "basketball_player"
 
 
 class TestSurfaceForm:
     def test_underscores_become_spaces(self):
         assert surface_form("basketball_player") == "basketball player"
-        assert surface_form("United States") == "united states"
+        assert surface_form("united_states") == "united states"

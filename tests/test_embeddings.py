@@ -88,7 +88,8 @@ class TestLoadKeys:
             assert same.lookup(key).tolist() == full.lookup(key).tolist()
 
     def test_keeps_only_requested_keys(self, tmp_path):
-        store = load_embeddings(write(tmp_path, self.TEXT), {"Paris", "new york"})
+        keys = {normalize_key(k) for k in ("Paris", "new york")}
+        store = load_embeddings(write(tmp_path, self.TEXT), keys)
         assert len(store) == 2
         assert store.lookup("paris").tolist() == [1.0, 0.0]
         assert store.lookup("new_york").tolist() == [0.5, 0.5]

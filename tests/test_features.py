@@ -1,6 +1,7 @@
 """Feature extraction against hand-computed micro-world values."""
 
 import math
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import store_from
 from triplescore import features
+from triplescore.baselines import first_baseline_predictions
 from triplescore.corpus import load_corpus
 from triplescore.embeddings import load_embeddings, normalize_key
 from triplescore.errors import (
@@ -36,7 +38,6 @@ from triplescore.features import (
     fit_standardizer,
     load_triples,
     load_universe,
-    lookup_keys,
     matrix,
     matrix_to_tsv,
     missing_summary,
@@ -318,7 +319,8 @@ class TestLookupKeys:
              Triple("Dex", Relation.PROFESSION, "coder")]
 
     def test_micro_world_key_set(self, micro):
-        keys = lookup_keys(micro["corpus"], micro["universe"], micro["triples"] + self.EXTRA)
+        keys = set(KeyPlan.of_run(micro["corpus"], micro["universe"],
+                                  micro["triples"] + self.EXTRA).rows)
         assert keys == {"coder", "pilot", "poet", "sailor", "ada", "ben", "cyd", "dex",
                         "wing", "zeppelin", "math", "ghost", "verse"}
 
@@ -328,7 +330,8 @@ class TestLookupKeys:
         triples = micro["triples"] + self.EXTRA
         extract(store, micro["corpus"], micro["universe"], triples,
                 ops_denominator=denominator)
-        assert store.keys == lookup_keys(micro["corpus"], micro["universe"], triples)
+        plan = KeyPlan.of_run(micro["corpus"], micro["universe"], triples)
+        assert store.keys == set(plan.rows)
 
     @staticmethod
     def covers(world: Path, denominator: str):
@@ -337,7 +340,7 @@ class TestLookupKeys:
         persons = sorted({t.entity_key for t in triples})[::2]
         triples = [t for t in triples if t.entity_key in persons]
         full = load_embeddings(world / "embeddings.txt")
-        keys = lookup_keys(corpus, universe, triples)
+        keys = set(KeyPlan.of_run(corpus, universe, triples).rows)
         store = RecordingStore(full)
         vectors = extract(store, corpus, universe, triples, ops_denominator=denominator)
         assert store.keys == keys
@@ -357,11 +360,36 @@ class TestLookupKeys:
         self.covers(DIRTY, denominator)
 
 
+def count_normalize_key_calls(monkeypatch) -> list[str]:
+    """The names normalize_key is called on from here on, by any package module."""
+    calls = []
+
+    def counting(raw):
+        calls.append(raw)
+        return normalize_key(raw)
+
+    for name, module in list(sys.modules.items()):
+        if name == "triplescore" or name.startswith("triplescore."):
+            monkeypatch.setattr(module, "normalize_key", counting, raising=False)
+    return calls
+
+
+def test_loaded_keys_are_not_normalised_again(monkeypatch):
+    """Names are normalised where they enter; the first-mention rule and the
+    filtered loader take the keys they are given as they are."""
+    corpus, universe, triples = load_world(DIRTY)
+    plan = KeyPlan.of_run(corpus, universe, triples)
+    calls = count_normalize_key_calls(monkeypatch)
+    first_baseline_predictions(corpus, triples)
+    assert len(calls) == 0
+    load_embeddings(DIRTY / "embeddings.txt", plan.rows)
+    assert len(calls) == 0
+
+
 class TestKeyPlan:
     def test_a_plan_made_earlier_gives_the_same_features(self, micro):
         corpus, universe, triples = micro["corpus"], micro["universe"], micro["triples"]
         plan = KeyPlan.of_run(corpus, universe, triples)
-        assert set(plan.rows) == lookup_keys(corpus, universe, triples)
         for denominator in ("embedded", "all"):
             assert extract(micro["store"], corpus, universe, triples, plan=plan,
                            ops_denominator=denominator) \

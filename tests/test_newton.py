@@ -26,12 +26,9 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import triplescore
-from triplescore.baselines import (
-    MultinomialModel,
-    fit_multinomial,
-    multinomial_hessian,
-    multinomial_nll,
-)
+from conftest import objective_at
+from triplescore import baselines, ordinal
+from triplescore.baselines import MultinomialModel, fit_multinomial
 from triplescore.evaluation import truth_labels
 from triplescore.features import fit_standardizer
 from triplescore.model import NUM_CLASSES, FitConfig
@@ -40,8 +37,6 @@ from triplescore.ordinal import (
     fit,
     initial_params,
     params_from_thresholds,
-    penalized_nll,
-    penalized_nll_hessian,
     thresholds_from_params,
 )
 
@@ -70,7 +65,7 @@ def ordinal_fit_gradient(model, X, y, reg_lambda):
     observed classes, ranked 0..K-1, at the model's cuts between them."""
     observed = np.flatnonzero(np.bincount(y, minlength=NUM_CLASSES))
     params = params_from_thresholds(model.w, model.theta[observed[:-1]])
-    return penalized_nll(params, X, np.searchsorted(observed, y), reg_lambda)[1]
+    return objective_at(ordinal, params, X, np.searchsorted(observed, y), reg_lambda)[1]
 
 
 def multinomial_params(model):
@@ -81,11 +76,11 @@ def oracle_fit(kind, X, y, config):
     """The L-BFGS-B fit over all 8 classes, returned as a model."""
     p = X.shape[1]
     if kind == ORDINAL:
-        objective, start = penalized_nll, initial_params(y, p)
+        module, start = ordinal, initial_params(y, p)
     else:
-        objective, start = multinomial_nll, np.zeros(NUM_CLASSES * p + NUM_CLASSES)
-    x = minimize(objective, start, args=(X, y, config.reg_lambda), method="L-BFGS-B",
-                 jac=True,
+        module, start = baselines, np.zeros(NUM_CLASSES * p + NUM_CLASSES)
+    x = minimize(lambda q: objective_at(module, q, X, y, config.reg_lambda)[:2], start,
+                 method="L-BFGS-B", jac=True,
                  options={"maxiter": config.max_iters, "gtol": config.tol, "ftol": 1e-14}).x
     names = tuple(f"x{i}" for i in range(p))
     if kind == ORDINAL:
@@ -104,8 +99,8 @@ def assert_newton_matches_oracle(kind, X, y, config=FitConfig()):
         value, oracle_value = ordinal_value(model, X, y, lam), ordinal_value(oracle, X, y, lam)
         grad = ordinal_fit_gradient(model, X, y, lam)
     else:
-        value, grad = multinomial_nll(multinomial_params(model), X, y, lam)
-        oracle_value, _ = multinomial_nll(multinomial_params(oracle), X, y, lam)
+        value, grad, _ = objective_at(baselines, multinomial_params(model), X, y, lam)
+        oracle_value = objective_at(baselines, multinomial_params(oracle), X, y, lam)[0]
     assert value <= oracle_value + 1e-12 * abs(oracle_value)
     assert np.max(np.abs(grad)) <= config.tol
     assert model.predict(X) == oracle.predict(X)
@@ -142,13 +137,13 @@ class TestAgainstLbfgsOracle:
                                      np.asarray(truth_labels(triples)))
 
 
-def central_difference_hessian(objective, params, X, y, reg_lambda, h=1e-6):
+def central_difference_hessian(module, params, X, y, reg_lambda, h=1e-6):
     columns = []
     for i in range(params.size):
         e = np.zeros_like(params)
         e[i] = h
-        columns.append((objective(params + e, X, y, reg_lambda)[1]
-                        - objective(params - e, X, y, reg_lambda)[1]) / (2 * h))
+        columns.append((objective_at(module, params + e, X, y, reg_lambda)[1]
+                        - objective_at(module, params - e, X, y, reg_lambda)[1]) / (2 * h))
     return np.column_stack(columns)
 
 
@@ -164,8 +159,8 @@ class TestHessians:
         y = rng.integers(0, k, size=n)
         cuts = np.sort(rng.normal(scale=2.0, size=k - 1)) + np.arange(k - 1) * 0.05
         params = params_from_thresholds(rng.normal(size=p), cuts)
-        H = penalized_nll_hessian(params, X, y, reg_lambda)
-        fd = central_difference_hessian(penalized_nll, params, X, y, reg_lambda)
+        H = objective_at(ordinal, params, X, y, reg_lambda)[2]()
+        fd = central_difference_hessian(ordinal, params, X, y, reg_lambda)
         assert np.allclose(H, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.max(np.abs(H))))
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -176,8 +171,8 @@ class TestHessians:
         X = rng.normal(size=(n, p))
         y = rng.integers(0, k, size=n)
         params = rng.normal(size=k * p + k)
-        H = multinomial_hessian(params, X, y, reg_lambda)
-        fd = central_difference_hessian(multinomial_nll, params, X, y, reg_lambda)
+        H = objective_at(baselines, params, X, y, reg_lambda)[2]()
+        fd = central_difference_hessian(baselines, params, X, y, reg_lambda)
         assert np.allclose(H, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.max(np.abs(H))))
 
 

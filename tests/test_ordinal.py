@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import objective_at
+from triplescore import ordinal
 from triplescore.errors import DegenerateLabelsError
 from triplescore.model import ARGMAX, EXPECTED_ROUNDED, NUM_CLASSES, FitConfig
 from triplescore.ordinal import (
@@ -13,7 +15,6 @@ from triplescore.ordinal import (
     initial_params,
     logistic,
     params_from_thresholds,
-    penalized_nll,
     thresholds_from_params,
 )
 
@@ -241,21 +242,21 @@ class TestPenalizedNll:
 
     def test_gradient_matches_central_differences(self):
         params, X, y = self.instance(31)
-        value, grad = penalized_nll(params, X, y, 0.1)
+        value, grad, _ = objective_at(ordinal, params, X, y, 0.1)
         h = 1e-6
         for i in range(params.size):
             e = np.zeros_like(params)
             e[i] = h
-            hi, _ = penalized_nll(params + e, X, y, 0.1)
-            lo, _ = penalized_nll(params - e, X, y, 0.1)
+            hi = objective_at(ordinal, params + e, X, y, 0.1)[0]
+            lo = objective_at(ordinal, params - e, X, y, 0.1)[0]
             fd = (hi - lo) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
     def test_penalty_applies_to_weights_only(self):
         params, X, y = self.instance(37)
         p = 3
-        base, grad0 = penalized_nll(params, X, y, 0.0)
-        val, grad2 = penalized_nll(params, X, y, 2.0)
+        base, grad0, _ = objective_at(ordinal, params, X, y, 0.0)
+        val, grad2, _ = objective_at(ordinal, params, X, y, 2.0)
         w = params[:p]
         assert val - base == pytest.approx(0.5 * 2.0 * np.dot(w, w), rel=1e-12)
         diff = grad2 - grad0
@@ -265,7 +266,7 @@ class TestPenalizedNll:
     def test_value_finite_under_extreme_scores(self):
         params, X, y = self.instance(41)
         params[:3] = [300.0, -300.0, 250.0]
-        value, grad = penalized_nll(params, X, y, 1e-3)
+        value, grad, _ = objective_at(ordinal, params, X, y, 1e-3)
         assert np.isfinite(value)
 
 
