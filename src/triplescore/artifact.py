@@ -48,9 +48,9 @@ def model_from_dict(data: dict) -> LearnedModel:
         raise ArtifactError(
             f"unsupported artifact version {version!r}; this build reads {ARTIFACT_VERSION!r}"
         )
-    if model_type not in MODEL_TYPES:
+    model_cls = MODEL_TYPES.get(model_type) if isinstance(model_type, str) else None
+    if model_cls is None:
         raise ArtifactError(f"unknown model_type {model_type!r}")
-    model_cls = MODEL_TYPES[model_type]
 
     try:
         return model_cls(
@@ -79,4 +79,9 @@ def load_model(path) -> LearnedModel:
         raise ArtifactError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ArtifactError(f"{path}: expected a JSON object")
-    return model_from_dict(data)
+    model = model_from_dict(data)
+    std = model.standardizer
+    if std is not None and {len(std.means), len(std.stddevs)} != {model.n_features}:
+        raise ArtifactError(f"{path}: standardizer has {len(std.means)} means and "
+                            f"{len(std.stddevs)} stddevs for {model.n_features} weights")
+    return model

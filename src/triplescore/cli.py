@@ -134,8 +134,7 @@ def _load_and_extract(config: RunConfig, relation: Relation):
     triples = load_triples(config.triples, relation)
     plan = KeyPlan.of_run(corpus, universe, triples)
     store = load_embeddings(config.embeddings, plan.rows)
-    vectors, X = extract_matrix(store, corpus, universe, triples,
-                                ops_denominator=config.ops_denominator, plan=plan)
+    vectors, X = extract_matrix(store, plan, ops_denominator=config.ops_denominator)
     return corpus, triples, vectors, X
 
 
@@ -356,7 +355,7 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputFormatError, OSError, ValueError) as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

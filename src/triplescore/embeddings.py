@@ -8,6 +8,7 @@ vector.
 
 from __future__ import annotations
 
+import os
 import re
 
 import numpy as np
@@ -117,7 +118,11 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
         if count < 1:
             raise MalformedLineError(path, 1, f"header must declare an entry, got {count}")
 
-        loader = _Loader(path, dim, keys)
+        # Kept vectors go into one matrix. A vector line takes at least 2 * dim + 1
+        # bytes, so a header cannot make it longer, or wider, than the file could fill.
+        size = os.fstat(fh.fileno()).st_size
+        rows = min(count, size // (2 * dim + 1), count if keys is None else len(keys))
+        loader = _Loader(path, dim, keys, np.empty((rows, min(dim, size))))
         line_no = loader.block(first[end.end():] if end else b"", 2)
         for block in blocks:
             line_no = loader.block(block, line_no)
@@ -126,7 +131,7 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
         raise MalformedLineError(
             path, 1, f"header declares {count} entries, file holds {len(loader.seen)}"
         )
-    return EmbeddingStore(loader.keys, np.concatenate(loader.vectors or [np.empty((0, dim))]))
+    return EmbeddingStore(loader.keys, loader.vectors[:len(loader.keys)])
 
 
 def _blocks(fh):
@@ -169,12 +174,12 @@ class _Loader:
     and the first bad line is the one named.
     """
 
-    def __init__(self, path, dim: int, wanted):
+    def __init__(self, path, dim: int, wanted, vectors: np.ndarray):
         self.path = path
         self.dim = dim
         self.wanted = wanted
         self.keys: list[str] = []
-        self.vectors: list[np.ndarray] = []
+        self.vectors = vectors
         self.seen: set[str] = set()
 
     def line(self, raw: bytes, line_no: int) -> None:
@@ -200,8 +205,14 @@ class _Loader:
             raise MalformedLineError(self.path, line_no, "non-numeric vector component") from None
         if not np.isfinite(vec).all():
             raise MalformedLineError(self.path, line_no, "non-finite vector component")
-        self.keys.append(key)
-        self.vectors.append(vec[None])
+        self.keep([key], vec[None])
+
+    def keep(self, keys: list[str], rows: np.ndarray) -> None:
+        """Write kept keys' rows next in `vectors`, dropping any past its end
+        (only a file with more lines than its header declares has those)."""
+        at = len(self.keys)
+        self.vectors[at:at + len(keys)] = rows[:max(0, len(self.vectors) - at)]
+        self.keys += keys
 
     def record(self, keys) -> None:
         """Add keys to `seen` in line order; one seen before is a duplicate."""
@@ -275,8 +286,7 @@ class _Loader:
                 done = j
         self.record(keys[done:])
         if vectors is not None:
-            self.keys += [keys[j] for j in kept]
-            self.vectors.append(vectors)
+            self.keep([keys[j] for j in kept], vectors)
         return line_no + len(ends)
 
 

@@ -80,6 +80,11 @@ class RelationMismatchError(InputFormatError):
     pass
 
 
+class UnknownRelationError(InputFormatError, ValueError):
+    """A relation name that is neither profession nor nationality; a
+    ValueError too, as for any other value an artifact field cannot take."""
+
+
 class EmptyUniverseError(InputFormatError):
     pass
 

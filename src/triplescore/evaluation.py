@@ -267,7 +267,6 @@ class FoldPlan:
 
     def __init__(self, triples: Sequence[Triple], folds: int, seed: int):
         rows = list(triples)
-        self.triples, self.folds, self.seed = triples, folds, seed
         self.labels = truth_labels(rows)
         keys = [t.entity_key for t in rows]
         self.assignment = entity_fold_assignments(list(dict.fromkeys(keys)), folds, seed)
@@ -279,24 +278,18 @@ class FoldPlan:
         )
 
 
-def cross_validate(triples: Sequence[Triple], X, trainer: Trainer, *,
-                   folds: int = 5, seed: int = 0, delta: int = 2,
+def cross_validate(plan: FoldPlan, X, trainer: Trainer, *, delta: int = 2,
                    tau_variant: str = TAU_B,
                    singleton_policy: str = SINGLETON_ONE,
-                   max_workers: int = 1, plan: FoldPlan | None = None) -> CVResult:
-    """Entity-grouped k-fold cross-validation of one trainer.
+                   max_workers: int = 1) -> CVResult:
+    """Entity-grouped k-fold cross-validation of one trainer over the plan's folds.
 
-    `plan`, if given, is the FoldPlan of these same triples, folds and
-    seed; without one the splits are made here. One worker runs the folds
-    in order in the calling thread; more run them on a pool of max_workers
-    threads. Reports come back in fold order.
+    X holds one feature row per triple of the plan. One worker runs the
+    folds in order in the calling thread; more run them on a pool of
+    max_workers threads. Reports come back in fold order.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
-    if plan is None:
-        plan = FoldPlan(triples, folds, seed)
-    elif plan.triples is not triples or (plan.folds, plan.seed) != (folds, seed):
-        raise ValueError("plan was made for other triples, folds or seed")
     X = np.asarray(X, dtype=float)
     if X.shape[0] != plan.labels.size:
         raise ValueError("feature matrix rows must match triple count")

@@ -17,7 +17,6 @@ files stay visible without killing a run.
 from __future__ import annotations
 
 from bisect import bisect_left
-from copy import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -32,6 +31,7 @@ from .errors import (
     EmptyUniverseError,
     MalformedLineError,
     RelationMismatchError,
+    UnknownRelationError,
     text_lines,
 )
 
@@ -57,10 +57,10 @@ class Relation(str, Enum):
     @classmethod
     def parse(cls, name: str) -> "Relation":
         try:
-            return cls(name.strip().lower())
+            return cls(str(name).strip().lower())
         except ValueError:
             valid = ", ".join(r.value for r in cls)
-            raise ValueError(f"unknown relation {name!r}; expected one of: {valid}") from None
+        raise UnknownRelationError(f"unknown relation {name!r}; expected one of: {valid}")
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,8 @@ class KeyPlan:
     The keys are numbered in one pass, each at its first appearance: the
     objects first, so that universe objects put first take rows 0..U-1,
     then the entities, then the linked keys of the entities' page
-    records. `build` reads them all with one `_unit_rows` call. The
-    objects and entities given are normalized keys.
+    records. The objects and entities given are normalized keys. A plan
+    holds no vectors, so one plan serves any store.
     """
 
     def __init__(self, corpus: Corpus, objects, entities):
@@ -171,31 +171,28 @@ class KeyPlan:
         keys = dict.fromkeys(chain(objects, self.entities, *(
             record.linked_keys for record in self.records if record is not None)))
         self.rows = dict(zip(keys, range(len(keys))))
-        self.inputs = None
 
     @classmethod
     def of_run(cls, corpus: Corpus, universe: ObjectUniverse,
                triples: list[Triple]) -> "KeyPlan":
-        """The plan of the keys `extract` reads for these inputs: the universe
-        objects, each triple's entity and object, and the linked entities of
-        those entities' page records. A store of only these keys gives the
-        same features as the full one."""
+        """The plan `extract` reads: the universe objects, each triple's entity
+        and object, and the linked entities of those entities' page records,
+        plus the universe and the triples, which must share its relation. A
+        store of only these keys gives the same features as the full one."""
+        for t in triples:
+            if t.relation != universe.relation:
+                raise RelationMismatchError(f"triple relation {t.relation.value!r} does not "
+                                            f"match universe relation {universe.relation.value!r}")
         plan = cls(corpus, [*universe.objects, *(t.object_key for t in triples)],
                    (t.entity_key for t in triples))
-        plan.inputs = (corpus, universe, triples)
+        plan.universe, plan.triples = universe, triples
         return plan
-
-    def build(self, store: EmbeddingStore) -> "KeyPlan":
-        """A copy that also holds each key's unit row in store, and whether it is usable."""
-        table = copy(self)
-        table.units, table.usable = _unit_rows(store, list(self.rows))
-        return table
 
 
 def _page_sums(units: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Each page's sum of the unit rows `rows` lists for it, as numpy sums them alone.
 
-    rows holds page 0's terms[0] table rows, then page 1's, and so on.
+    rows holds page 0's terms[0] rows of units, then page 1's, and so on.
     Pages with the same number of terms are gathered, a chunk at a time,
     into one (pages, terms, d) block and summed over its middle axis,
     which numpy does for each page exactly as it sums that page's own
@@ -214,7 +211,7 @@ def _page_sums(units: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> np.nda
 
 
 class _Pages:
-    """ops of table rows against the pages of the table's entities.
+    """The plan keys' `_unit_rows` in store, by plan row, and ops against the plan's pages.
 
     The mean cosine between an object and a page's usable linked entities
     (duplicates counted per occurrence) is the dot product of the object's
@@ -224,31 +221,31 @@ class _Pages:
     is computed with.
     """
 
-    def __init__(self, table: KeyPlan, denominator: str):
+    def __init__(self, plan: KeyPlan, store: EmbeddingStore, denominator: str):
         if denominator not in (OPS_DENOM_EMBEDDED, OPS_DENOM_ALL):
             raise ValueError(
                 f"denominator must be {OPS_DENOM_EMBEDDED!r} or {OPS_DENOM_ALL!r}, "
                 f"got {denominator!r}"
             )
-        self.table = table
-        records = table.records
+        self.units, self.usable = _unit_rows(store, list(plan.rows))
+        records = plan.records
         linked = np.array([0 if r is None else len(r.linked_keys) for r in records], dtype=int)
-        rows = np.array([table.rows[key] for r in records if r is not None
+        rows = np.array([plan.rows[key] for r in records if r is not None
                          for key in r.linked_keys], dtype=np.intp)
-        used = table.usable[rows]
+        used = self.usable[rows]
         terms = np.bincount(np.repeat(np.arange(len(records)), linked)[used],
                             minlength=len(records))
-        self.sums = _page_sums(table.units, rows[used], terms)
+        self.sums = _page_sums(self.units, rows[used], terms)
         self.live = terms > 0
         denoms = terms if denominator == OPS_DENOM_EMBEDDED else linked
         self.denoms = np.where(self.live, denoms, 1).astype(float)
 
     def outer(self, first: int, last: int, n_rows: int) -> np.ndarray:
-        """ops of table rows 0..n_rows-1 (columns) against pages first..last-1.
+        """ops of plan rows 0..n_rows-1 (columns) against pages first..last-1.
 
         Zero for unusable rows and for pages without a usable term.
         """
-        rows, sums = self.table.units[:n_rows], self.sums[first:last]
+        rows, sums = self.units[:n_rows], self.sums[first:last]
         dots = np.empty((len(sums), n_rows))
         per_chunk = _per_chunk(rows[0].nbytes)
         r_step = min(n_rows, per_chunk)
@@ -260,13 +257,13 @@ class _Pages:
                 part = product[:len(part_s), :len(part_r)]
                 np.multiply(part_r[None], part_s[:, None], out=part)
                 dots[i:i + p_step, j:j + r_step] = part.sum(axis=-1)
-        keep = self.table.usable[:n_rows] & self.live[first:last, None]
+        keep = self.usable[:n_rows] & self.live[first:last, None]
         return np.where(keep, dots / self.denoms[first:last, None], 0.0)
 
     def paired(self, pages: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """ops of table row rows[i] against page pages[i], for each i."""
-        dots = (self.table.units[rows] * self.sums[pages]).sum(axis=1)
-        keep = self.table.usable[rows] & self.live[pages]
+        """ops of plan row rows[i] against page pages[i], for each i."""
+        dots = (self.units[rows] * self.sums[pages]).sum(axis=1)
+        keep = self.usable[rows] & self.live[pages]
         return np.where(keep, dots / self.denoms[pages], 0.0)
 
 
@@ -292,8 +289,8 @@ def ops(store: EmbeddingStore, corpus: Corpus, entity: str, obj: str,
     "all" divides by the total linked-entity count, so unembeddable page
     entities drag the average toward zero.
     """
-    table = KeyPlan(corpus, (normalize_key(obj),), (normalize_key(entity),))
-    pages = _Pages(table.build(store), denominator)
+    plan = KeyPlan(corpus, (normalize_key(obj),), (normalize_key(entity),))
+    pages = _Pages(plan, store, denominator)
     first = np.zeros(1, dtype=int)
     return float(pages.paired(first, first)[0])
 
@@ -306,8 +303,8 @@ def ops_rank(store: EmbeddingStore, corpus: Corpus, entity: str,
     bijection onto 1..len(universe).
     """
     n_objects = len(universe.objects)
-    table = KeyPlan(corpus, universe.objects, (normalize_key(entity),))
-    values = _Pages(table.build(store), denominator).outer(0, 1, n_objects)
+    plan = KeyPlan(corpus, universe.objects, (normalize_key(entity),))
+    values = _Pages(plan, store, denominator).outer(0, 1, n_objects)
     ranks = _places(np.broadcast_to(values, (n_objects, n_objects)), values[0],
                     np.arange(n_objects))
     return dict(zip(universe.objects, ranks.tolist()))
@@ -336,43 +333,27 @@ def _flag_sets() -> tuple[frozenset[str], ...]:
 _FLAG_SETS = _flag_sets()
 
 
-def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
-            triples: list[Triple], *, ops_denominator: str = "embedded",
-            plan: KeyPlan | None = None) -> list[FeatureVector]:
-    """Feature vectors for the triples, in input order.
+def extract(store: EmbeddingStore, plan: KeyPlan, *,
+            ops_denominator: str = "embedded") -> list[FeatureVector]:
+    """Feature vectors for the plan's triples, in input order.
 
-    `plan`, if given, is `KeyPlan.of_run` of these same corpus, universe
-    and triples objects, made earlier (to choose the vectors to load) and
-    not made again. Every key it lists is unit-normalised once, in one
-    table, and each entity's page is summed once. The universe ops are
-    computed for a chunk of entities at a time; each of the chunk's rows
-    then gets its ops, its place among that universe row, and its
-    similarity, a chunk of rows at a time. Each page is lowercased once
-    for all of its entity's mention searches.
+    `plan` is `KeyPlan.of_run` of the corpus, universe and triples. Every
+    key it lists is unit-normalised once, and each entity's page is summed
+    once. The universe ops are computed for a chunk of entities at a time;
+    each of the chunk's rows then gets its ops, its place among that
+    universe row, and its similarity, a chunk of rows at a time. Each page
+    is lowercased once for all of its entity's mention searches.
     """
-    for t in triples:
-        if t.relation != universe.relation:
-            raise RelationMismatchError(
-                f"triple relation {t.relation.value!r} does not match "
-                f"universe relation {universe.relation.value!r}"
-            )
-
-    objects = universe.objects
+    triples, objects = plan.triples, plan.universe.objects
     n_objects = len(objects)
-    if plan is None:
-        plan = KeyPlan.of_run(corpus, universe, triples)
-    elif plan.inputs is None or any(
-            a is not b for a, b in zip(plan.inputs, (corpus, universe, triples))):
-        raise ValueError("plan was made for other inputs")
-    table = plan.build(store)
-    pages = _Pages(table, ops_denominator)
-    entity_of = {key: i for i, key in enumerate(table.entities)}
+    pages = _Pages(plan, store, ops_denominator)
+    entity_of = {key: i for i, key in enumerate(plan.entities)}
     entity = np.array([entity_of[t.entity_key] for t in triples], dtype=int)
-    obj = np.array([table.rows[t.object_key] for t in triples], dtype=int)
-    e_row = np.array([table.rows[t.entity_key] for t in triples], dtype=int)
+    obj = np.array([plan.rows[t.object_key] for t in triples], dtype=int)
+    e_row = np.array([plan.rows[t.entity_key] for t in triples], dtype=int)
     position = np.array([bisect_left(objects, t.object_key) for t in triples], dtype=int)
 
-    units, usable = table.units, table.usable
+    units, usable = pages.units, pages.usable
     values = np.zeros(len(triples))
     ranks = np.zeros(len(triples), dtype=int)
     sims = np.zeros(len(triples))
@@ -380,7 +361,7 @@ def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
     by_entity = entity[order]
     step = _per_chunk(8 * n_objects)
     row_step = _per_chunk(8 * max(n_objects, units.shape[1]))
-    for first in range(0, len(table.entities), step):
+    for first in range(0, len(plan.entities), step):
         universe_ops = pages.outer(first, first + step, n_objects)
         lo, hi = np.searchsorted(by_entity, (first, first + step))
         for i in range(lo, hi, row_step):
@@ -393,12 +374,12 @@ def extract(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
             sims[part] = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
     sims = np.where(usable[e_row] & usable[obj], sims, 0.0)
 
-    no_record = np.array([record is None for record in table.records], dtype=bool)
+    no_record = np.array([record is None for record in plan.records], dtype=bool)
     codes = (~usable[e_row] * 1 + ~usable[obj] * 2
              + no_record[entity] * 4 + ~pages.live[entity] * 8)
 
     texts = [None if record is None else (record.page_text, record.page_text.lower())
-             for record in table.records]
+             for record in plan.records]
     phrases: dict[str, str] = {}
     mention = []
     for t, e in zip(triples, entity.tolist()):
@@ -511,7 +492,11 @@ def load_universe(path, relation: Relation) -> ObjectUniverse:
             body = stripped.lstrip("#").strip()
             if body.lower().startswith("relation:"):
                 declared = body.split(":", 1)[1].strip()
-                if Relation.parse(declared) != relation:
+                try:
+                    declared_relation = Relation.parse(declared)
+                except UnknownRelationError as exc:
+                    raise MalformedLineError(path, line_no, str(exc)) from None
+                if declared_relation != relation:
                     raise RelationMismatchError(
                         f"{path}:{line_no}: universe file declares relation "
                         f"{declared!r}, requested {relation.value!r}"

@@ -13,15 +13,7 @@ from .baselines import MultinomialModel, first_baseline_predictions, fit_multino
 from .corpus import Corpus
 from .embeddings import EmbeddingStore
 from .evaluation import CVResult, FoldPlan, Trainer, cross_validate, truth_labels
-from .features import (
-    KeyPlan,
-    ObjectUniverse,
-    Relation,
-    Triple,
-    extract,
-    fit_standardizer,
-    matrix,
-)
+from .features import KeyPlan, Relation, Triple, extract, fit_standardizer, matrix
 from .model import ARGMAX, FitConfig, LearnedModel
 from .ordinal import OrdinalModel
 from .ordinal import fit as fit_ordinal
@@ -32,12 +24,10 @@ MODEL_ORDINAL = OrdinalModel.model_type
 CV_MODEL_TYPES = (MODEL_FIRST, MODEL_MULTINOMIAL, MODEL_ORDINAL)
 
 
-def extract_matrix(store: EmbeddingStore, corpus: Corpus, universe: ObjectUniverse,
-                   triples: list[Triple], *, ops_denominator: str = "embedded",
-                   plan: KeyPlan | None = None):
-    """Feature vectors plus their (n, 4) matrix form; `plan` as for `extract`."""
-    vectors = extract(store, corpus, universe, triples, ops_denominator=ops_denominator,
-                      plan=plan)
+def extract_matrix(store: EmbeddingStore, plan: KeyPlan, *,
+                   ops_denominator: str = "embedded"):
+    """Feature vectors of the plan's triples plus their (n, 4) matrix form."""
+    vectors = extract(store, plan, ops_denominator=ops_denominator)
     return vectors, matrix(vectors)
 
 
@@ -120,8 +110,7 @@ def run_cv_comparison(triples: list[Triple], X, corpus: Corpus, *,
         # min() keeps a max_workers below 1 an error for this model too
         workers = min(max_workers, 1) if model_type == MODEL_FIRST else max_workers
         results[model_type] = cross_validate(
-            triples, X, trainer, folds=folds, seed=seed, delta=delta,
-            tau_variant=tau_variant, singleton_policy=singleton_policy,
-            max_workers=workers, plan=plan,
+            plan, X, trainer, delta=delta, tau_variant=tau_variant,
+            singleton_policy=singleton_policy, max_workers=workers,
         )
     return results

@@ -15,6 +15,7 @@ import pytest
 
 from triplescore import (
     EmbeddingStore,
+    KeyPlan,
     Relation,
     extract_matrix,
     load_corpus,
@@ -81,6 +82,12 @@ def store_from(dim: int, vectors: dict) -> EmbeddingStore:
     return EmbeddingStore(list(vectors), matrix)
 
 
+def micro_plan(micro, triples=None) -> KeyPlan:
+    """`KeyPlan.of_run` of the micro-world, over its triples or the ones given."""
+    return KeyPlan.of_run(micro["corpus"], micro["universe"],
+                          micro["triples"] if triples is None else triples)
+
+
 def objective_at(module, params, X, y, reg_lambda):
     """`module.newton_objective` at params, as (value, grad, hessian).
 
@@ -131,7 +138,7 @@ def planted():
     """(triples, raw feature matrix, corpus) of the planted world."""
     triples = load_triples(PLANTED / "triples.tsv", Relation.PROFESSION)
     corpus = load_corpus(PLANTED / "corpus.jsonl")
-    _, X = extract_matrix(load_embeddings(PLANTED / "embeddings.txt"), corpus,
-                          load_universe(PLANTED / "universe.txt", Relation.PROFESSION),
-                          triples)
+    universe = load_universe(PLANTED / "universe.txt", Relation.PROFESSION)
+    _, X = extract_matrix(load_embeddings(PLANTED / "embeddings.txt"),
+                          KeyPlan.of_run(corpus, universe, triples))
     return triples, X, corpus

@@ -40,6 +40,7 @@ from triplescore.features import (
     FLAG_OPS_TERMS,
     FLAG_PAGE_RECORD,
     FeatureVector,
+    KeyPlan,
     Relation,
     Triple,
     extract,
@@ -369,7 +370,8 @@ def test_criterion_7_feature_oracle(micro):
                 object_mention=object_mention_feature(corpus, t.entity_key, t.object_key),
                 missing=frozenset(flags),
             ))
-        pipeline_tsv = matrix_to_tsv(triples, extract(store, corpus, universe, triples))
+        plan = KeyPlan.of_run(corpus, universe, triples)
+        pipeline_tsv = matrix_to_tsv(triples, extract(store, plan))
         composed_tsv = matrix_to_tsv(triples, composed)
         assert pipeline_tsv == composed_tsv
 
@@ -453,7 +455,7 @@ def test_criterion_9_external_data_cv():
             paths = external_paths(root, rel_name)
             universe = load_universe(paths["universe"], relation)
             triples = load_triples(paths["triples"], relation)
-            _, X = extract_matrix(store, corpus, universe, triples)
+            _, X = extract_matrix(store, KeyPlan.of_run(corpus, universe, triples))
             results = run_cv_comparison(triples, X, corpus, folds=5, seed=0)
             ordinal_acc = results["ordinal"].mean.accuracy
             assert ordinal_acc > results["first"].mean.accuracy, rel_name

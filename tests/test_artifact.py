@@ -112,6 +112,14 @@ class TestMalformedArtifacts:
         with pytest.raises(ArtifactError, match="model_type"):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("field, value", [("model_type", []), ("model_type", 5),
+                                              ("relation", 5), ("relation", ["profession"])])
+    def test_field_of_another_json_type(self, ordinal_model, field, value):
+        data = model_to_dict(ordinal_model)
+        data[field] = value
+        with pytest.raises(ArtifactError, match=field):
+            model_from_dict(data)
+
     @pytest.mark.parametrize("field", ["version", "model_type", "w", "theta", "fit_config"])
     def test_missing_field(self, ordinal_model, field):
         data = model_to_dict(ordinal_model)

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import triplescore
-from triplescore import __version__
+from conftest import micro_plan
+from triplescore import __version__, cli
 from triplescore.artifact import ARTIFACT_VERSION, load_model
 from triplescore.cli import main
 from triplescore.config import RunConfig, apply_overrides, parse_config_file
-from triplescore.errors import MalformedLineError
+from triplescore.errors import ArtifactError, MalformedLineError
 from triplescore.evaluation import FoldPlan
 from triplescore.features import FEATURE_NAMES, KeyPlan, extract, matrix_to_tsv
 from triplescore.ordinal import OrdinalModel
@@ -121,8 +122,7 @@ class TestExtract:
             capsys, "extract", *input_args(micro_paths), "--output", str(out_path)
         )
         assert code == 0
-        vectors = extract(micro["store"], micro["corpus"], micro["universe"],
-                          micro["triples"])
+        vectors = extract(micro["store"], micro_plan(micro))
         assert out_path.read_text() == matrix_to_tsv(micro["triples"], vectors)
         assert "missing data: 4/10 rows flagged" in err
 
@@ -362,8 +362,7 @@ class TestPredict:
         )
         assert code == 0
         model = load_model(trained)
-        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
-                              micro["triples"])
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
         scores = predict_scores(model, X, "argmax")
         expected = "".join(
             f"{t.entity}\t{t.object}\t{s}\n"
@@ -428,8 +427,7 @@ class TestPredict:
         invoke(capsys, "train", *input_args(micro_paths), "--model", str(model_path),
                "--model-type", "multinomial", "--reg-lambda", "1")
         model = load_model(model_path)
-        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
-                              micro["triples"])
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
         X_std = model.standardizer.apply(X)
         expected = np.rint(model.class_probs(X_std) @ np.arange(8)).astype(int).tolist()
         assert expected != model.predict(X_std)  # the two rules differ on this model
@@ -483,6 +481,68 @@ class TestPredict:
         assert code == 2
         assert out == ""
         assert "model artifact is malformed" in err and "finite" in err
+
+
+class TestErrorFamilies:
+    """Input errors exit 2 and fit errors 3; any other exception is a fault
+    of the program and propagates with its traceback."""
+
+    RELATIONS = "expected one of: profession, nationality"
+
+    def test_unknown_relation_flag_is_exit_2(self, micro_paths, capsys):
+        code, out, err = invoke(capsys, "extract", *input_args(micro_paths),
+                                "--relation", "bogus")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown relation 'bogus'; {self.RELATIONS}\n"
+
+    def test_unknown_universe_relation_names_the_line(self, micro_paths, tmp_path, capsys):
+        universe = tmp_path / "universe.txt"
+        universe.write_text("coder\n# relation: bogus\npoet\n")
+        args = input_args(micro_paths)
+        args[args.index("--universe") + 1] = str(universe)
+        code, out, err = invoke(capsys, "extract", *args)
+        assert (code, out) == (2, "")
+        assert err == f"error: {universe}:2: unknown relation 'bogus'; {self.RELATIONS}\n"
+
+    def test_unknown_artifact_relation_is_malformed(self, micro_paths, trained, tmp_path,
+                                                    capsys):
+        data = json.loads(trained.read_text())
+        data["relation"] = "bogus"
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(data))
+        code, out, err = invoke(capsys, "predict", *input_args(micro_paths),
+                                "--model", str(model_path))
+        assert (code, out) == (2, "")
+        assert err == \
+            f"error: model artifact is malformed: unknown relation 'bogus'; {self.RELATIONS}\n"
+
+    @pytest.mark.parametrize("fields", [("means", "stddevs"), ("means",), ("stddevs",)])
+    def test_standardizer_of_another_width_fails_before_any_input_is_read(
+            self, micro_paths, trained, tmp_path, capsys, monkeypatch, fields):
+        data = json.loads(trained.read_text())
+        for field in fields:
+            data["standardizer"][field].pop()
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(data))
+        means, stddevs = (len(data["standardizer"][f]) for f in ("means", "stddevs"))
+        message = (f"{model_path}: standardizer has {means} means and {stddevs} stddevs "
+                   "for 4 weights")
+        with pytest.raises(ArtifactError) as exc:
+            load_model(model_path)
+        assert str(exc.value) == message
+        read = []
+        monkeypatch.setattr(cli, "load_corpus", lambda path: read.append(path))
+        code, out, err = invoke(capsys, "predict", *input_args(micro_paths),
+                                "--model", str(model_path))
+        assert (code, out, err, read) == (2, "", f"error: {message}\n", [])
+
+    def test_a_broken_internal_contract_propagates(self, micro_paths, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("broken contract")
+
+        monkeypatch.setattr(cli, "extract_matrix", broken)
+        with pytest.raises(ValueError, match="broken contract"):
+            main(["extract", *input_args(micro_paths)])
 
 
 class TestEvaluate:
@@ -655,8 +715,7 @@ class TestCv:
         argmax, rounded = payloads["argmax"], payloads["expected-rounded"]
         assert rounded["first"] == argmax["first"]
         assert rounded["multinomial"] != argmax["multinomial"]
-        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
-                              micro["triples"])
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
         library = run_cv_comparison(micro["triples"], X, micro["corpus"], folds=3, seed=11,
                                     prediction_rule="expected-rounded")
         assert rounded["multinomial"] == library["multinomial"].to_dict()

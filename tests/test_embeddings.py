@@ -233,3 +233,54 @@ class TestStore:
         with pytest.raises(DuplicateKeyError) as err:
             load_embeddings(path)
         assert err.value.key == "new_york"
+
+
+class TestAllocation:
+    """Kept vectors are written into one matrix sized from the header, the
+    file size and the keys; a header never makes the loader allocate more
+    than the file could fill, and extra lines are never written past it."""
+
+    KEYS = [None, {"paris", "rome", "oslo", "bern"}]
+
+    @pytest.mark.parametrize("keys", KEYS)
+    @pytest.mark.parametrize("header", ["1000000000000 100", "1000000000000 2",
+                                        "1 1000000000000", "1 4611686018427387904"])
+    def test_an_over_declaring_header_fails_on_its_lines(self, tmp_path, keys, header):
+        path = write(tmp_path, f"{header}\nparis 1 0\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_embeddings(path, keys)
+        count, dim = map(int, header.split())
+        if dim == 2:
+            assert err.value.line_no == 1
+            assert f"header declares {count} entries, file holds 1" in str(err.value)
+        else:
+            assert err.value.line_no == 2
+            assert f"expected 1 key + {dim} values, got 3 tokens" in str(err.value)
+
+    @pytest.mark.parametrize("keys", KEYS + [{"paris", "rome", "oslo", "bern", "lima"}])
+    @pytest.mark.parametrize("extra", [1, 3, 4])
+    # the scanned path, the per-line path (a tab), and per-line lines before
+    # scanned ones, which then start past the end of the matrix
+    @pytest.mark.parametrize("seps", [" " * 5, "\t" * 5, "\t\t   "])
+    def test_more_lines_than_declared(self, tmp_path, keys, extra, seps):
+        names = ["paris", "rome", "oslo", "bern", "lima"][:1 + extra]
+        lines = "".join(f"{name}{sep}{i}{sep}1\n"
+                        for i, (name, sep) in enumerate(zip(names, seps)))
+        path = write(tmp_path, "1 2\n" + lines)
+        with pytest.raises(MalformedLineError) as err:
+            load_embeddings(path, keys)
+        assert err.value.line_no == 1
+        assert str(err.value).endswith(f"header declares 1 entries, file holds {1 + extra}")
+
+    @pytest.mark.parametrize("sep", [" ", "\t"])
+    def test_a_filtered_store_holds_the_kept_rows_in_file_order(self, tmp_path, sep):
+        rows = {"paris": (1.0, 0.0), "rome": (0.0, 1.0), "oslo": (0.5, 2.0),
+                "bern": (3.0, -1.0), "lima": (-2.0, 0.25)}
+        text = "".join(f"{sep.join([key, *map(repr, v)])}\n" for key, v in rows.items())
+        path = write(tmp_path, f"{len(rows)} 2\n{text}")
+        for keys in (None, {"rome", "bern", "atlantis"}, set()):
+            store = load_embeddings(path, keys)
+            kept = [key for key in rows if keys is None or key in keys]
+            assert len(store) == len(kept)
+            assert store.vectors.shape == (len(kept), 2)
+            assert store.vectors.tolist() == [list(rows[key]) for key in kept]

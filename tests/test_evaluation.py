@@ -381,7 +381,7 @@ class TestCrossValidate:
     def test_oracle_trainer_is_perfect(self):
         triples = toy_triples()
         X = np.zeros((len(triples), 2))
-        result = cross_validate(triples, X, oracle_trainer, folds=3, seed=1)
+        result = cross_validate(FoldPlan(triples, 3, 1), X, oracle_trainer)
         assert len(result.fold_reports) == 3
         for report in result.fold_reports:
             assert report.accuracy == 1.0
@@ -393,8 +393,8 @@ class TestCrossValidate:
     def test_repeatable(self):
         triples = toy_triples()
         X = np.arange(len(triples) * 2, dtype=float).reshape(-1, 2)
-        a = cross_validate(triples, X, oracle_trainer, folds=3, seed=9)
-        b = cross_validate(triples, X, oracle_trainer, folds=3, seed=9)
+        a = cross_validate(FoldPlan(triples, 3, 9), X, oracle_trainer)
+        b = cross_validate(FoldPlan(triples, 3, 9), X, oracle_trainer)
         assert a.to_dict() == b.to_dict()
 
     def test_folds_partition_entities(self):
@@ -413,7 +413,7 @@ class TestCrossValidate:
 
             return predict
 
-        cross_validate(triples, X, capturing, folds=3, seed=2)
+        cross_validate(FoldPlan(triples, 3, 2), X, capturing)
         all_entities = {t.entity_key for t in triples}
         assert set().union(*seen_test) == all_entities
         assert sum(len(s) for s in seen_test) == len(all_entities)
@@ -430,36 +430,36 @@ class TestCrossValidate:
             assert all(y == t.truth for y, t in zip(y_train, train_triples))
             return lambda test_triples, X_test: [0] * len(test_triples)
 
-        cross_validate(triples, X, checking, folds=2, seed=0)
+        cross_validate(FoldPlan(triples, 2, 0), X, checking)
 
     def test_worker_count_does_not_change_result(self):
         triples = toy_triples()
         X = np.zeros((len(triples), 1))
-        a = cross_validate(triples, X, oracle_trainer, folds=3, seed=4, max_workers=1)
-        b = cross_validate(triples, X, oracle_trainer, folds=3, seed=4, max_workers=3)
+        a = cross_validate(FoldPlan(triples, 3, 4), X, oracle_trainer, max_workers=1)
+        b = cross_validate(FoldPlan(triples, 3, 4), X, oracle_trainer, max_workers=3)
         assert a.to_dict() == b.to_dict()
 
     def test_nonpositive_workers_rejected(self):
         triples = toy_triples()
         with pytest.raises(ValueError):
-            cross_validate(triples, np.zeros((len(triples), 1)), oracle_trainer,
-                           folds=3, max_workers=0)
+            cross_validate(FoldPlan(triples, 3, 0), np.zeros((len(triples), 1)), oracle_trainer,
+                           max_workers=0)
 
     def test_matrix_length_checked(self):
         triples = toy_triples()
         with pytest.raises(ValueError):
-            cross_validate(triples, np.zeros((3, 2)), oracle_trainer, folds=2)
+            cross_validate(FoldPlan(triples, 2, 0), np.zeros((3, 2)), oracle_trainer)
 
     def test_truth_required(self):
         triples = [Triple("a", Relation.PROFESSION, "x"),
                    Triple("b", Relation.PROFESSION, "y", 3)]
         with pytest.raises(InputFormatError, match="no truth score"):
-            cross_validate(triples, np.zeros((2, 1)), oracle_trainer, folds=2)
+            cross_validate(FoldPlan(triples, 2, 0), np.zeros((2, 1)), oracle_trainer)
 
     def test_result_serializes(self):
         triples = toy_triples(4, 2)
         X = np.zeros((len(triples), 1))
-        result = cross_validate(triples, X, oracle_trainer, folds=2, seed=0)
+        result = cross_validate(FoldPlan(triples, 2, 0), X, oracle_trainer)
         data = result.to_dict()
         assert len(data["folds"]) == 2
         assert data["mean"]["accuracy"] == 1.0
@@ -473,7 +473,7 @@ class TestCrossValidate:
             threads.add(threading.get_ident())
             return oracle_trainer(train_triples, X_train, y_train)
 
-        cross_validate(triples, np.zeros((len(triples), 1)), recording, folds=3, seed=4)
+        cross_validate(FoldPlan(triples, 3, 4), np.zeros((len(triples), 1)), recording)
         assert threads == {threading.get_ident()}
 
     def test_more_workers_run_the_folds_on_a_pool(self):
@@ -484,7 +484,7 @@ class TestCrossValidate:
             threads.append(threading.get_ident())
             return oracle_trainer(train_triples, X_train, y_train)
 
-        cross_validate(triples, np.zeros((len(triples), 1)), recording, folds=3, seed=4,
+        cross_validate(FoldPlan(triples, 3, 4), np.zeros((len(triples), 1)), recording,
                        max_workers=2)
         assert len(threads) == 3 and threading.get_ident() not in threads
 
@@ -514,26 +514,12 @@ class TestFoldPlan:
         triples = toy_triples(7, 3)
         X = np.arange(len(triples) * 2, dtype=float).reshape(-1, 2)
         plan = FoldPlan(triples, 3, seed=4)
-        made = cross_validate(triples, X, sum_trainer, folds=3, seed=4, max_workers=workers)
-        given = cross_validate(triples, X, sum_trainer, folds=3, seed=4,
-                               max_workers=workers, plan=plan)
+        made = cross_validate(FoldPlan(triples, 3, 4), X, sum_trainer, max_workers=workers)
+        given = cross_validate(plan, X, sum_trainer, max_workers=workers)
         assert made.to_dict() == given.to_dict()
         # the plan is read, never changed, so it serves a second trainer too
-        again = cross_validate(triples, X, sum_trainer, folds=3, seed=4,
-                               max_workers=workers, plan=plan)
+        again = cross_validate(plan, X, sum_trainer, max_workers=workers)
         assert again.to_dict() == made.to_dict()
-
-    def test_plan_of_other_triples_rejected(self):
-        triples = toy_triples()
-        plan = FoldPlan(list(triples), 3, seed=4)   # equal triples, another list
-        with pytest.raises(ValueError, match="plan was made for other triples"):
-            cross_validate(triples, np.zeros((len(triples), 1)), oracle_trainer,
-                           folds=3, seed=4, plan=plan)
-
-    @pytest.mark.parametrize("folds, seed", [(2, 4), (3, 5)])
-    def test_plan_of_other_folds_or_seed_rejected(self, folds, seed):
-        triples = toy_triples()
-        plan = FoldPlan(triples, 3, seed=4)
-        with pytest.raises(ValueError, match="plan was made for other"):
-            cross_validate(triples, np.zeros((len(triples), 1)), oracle_trainer,
-                           folds=folds, seed=seed, plan=plan)
+        other = cross_validate(plan, X, oracle_trainer, max_workers=workers)
+        assert other.to_dict() == cross_validate(FoldPlan(triples, 3, 4), X,
+                                                 oracle_trainer).to_dict()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import store_from
+from conftest import micro_plan, store_from
 from triplescore import features
 from triplescore.baselines import first_baseline_predictions
 from triplescore.corpus import load_corpus
@@ -19,6 +19,7 @@ from triplescore.errors import (
     DuplicateKeyError,
     EmptyTrainingSetError,
     EmptyUniverseError,
+    InputFormatError,
     MalformedLineError,
     RelationMismatchError,
 )
@@ -181,7 +182,7 @@ class TestObjectMention:
 class TestExtract:
     def test_equals_per_feature_composition(self, micro):
         store, corpus, universe = micro["store"], micro["corpus"], micro["universe"]
-        vectors = extract(store, corpus, universe, micro["triples"])
+        vectors = extract(store, KeyPlan.of_run(corpus, universe, micro["triples"]))
         for t, fv in zip(micro["triples"], vectors):
             assert fv.obj_entity_sim == object_entity_similarity(store, t.entity, t.object)
             assert fv.ops == ops(store, corpus, t.entity, t.object)
@@ -190,8 +191,7 @@ class TestExtract:
             assert fv.object_mention == object_mention_feature(corpus, t.entity, t.object)
 
     def test_missing_flags(self, micro):
-        vectors = extract(micro["store"], micro["corpus"], micro["universe"],
-                          micro["triples"])
+        vectors = extract(micro["store"], micro_plan(micro))
         by_pair = {
             (t.entity_key, t.object_key): fv.missing
             for t, fv in zip(micro["triples"], vectors)
@@ -204,7 +204,7 @@ class TestExtract:
 
     def test_unknown_entity_gets_flags_not_errors(self, micro):
         triples = [Triple("dex", Relation.PROFESSION, "coder")]
-        (fv,) = extract(micro["store"], micro["corpus"], micro["universe"], triples)
+        (fv,) = extract(micro["store"], micro_plan(micro, triples))
         assert fv.obj_entity_sim == 0.0
         assert fv.ops == 0.0
         assert fv.object_mention == 0.0
@@ -214,17 +214,17 @@ class TestExtract:
     def test_relation_mismatch_rejected(self, micro):
         triples = [Triple("ada", Relation.NATIONALITY, "coder")]
         with pytest.raises(RelationMismatchError):
-            extract(micro["store"], micro["corpus"], micro["universe"], triples)
+            KeyPlan.of_run(micro["corpus"], micro["universe"], triples)
 
     def test_repeated_calls_give_equal_output(self, micro):
-        args = (micro["store"], micro["corpus"], micro["universe"], micro["triples"])
+        args = (micro["store"], micro_plan(micro))
         assert extract(*args) == extract(*args)
 
     def test_underflowing_entity_vector_is_flagged(self, micro):
         # [1e-170, 1e-170] has nonzero components but a norm of 0.0
         store = with_vectors(micro["store"], ada=(1e-170, 1e-170))
         triples = [Triple("ada", Relation.PROFESSION, "coder")]
-        (fv,) = extract(store, micro["corpus"], micro["universe"], triples)
+        (fv,) = extract(store, micro_plan(micro, triples))
         assert fv.missing == {FLAG_ENTITY_EMBEDDING}
         assert fv.obj_entity_sim == 0.0
         assert object_entity_similarity(store, "ada", "coder") == 0.0
@@ -232,7 +232,7 @@ class TestExtract:
     def test_underflowing_object_vector_is_flagged(self, micro):
         store = with_vectors(micro["store"], coder=(1e-170, 1e-170))
         triples = [Triple("ada", Relation.PROFESSION, "coder")]
-        (fv,) = extract(store, micro["corpus"], micro["universe"], triples)
+        (fv,) = extract(store, micro_plan(micro, triples))
         assert fv.missing == {FLAG_OBJECT_EMBEDDING, FLAG_OPS_TERMS}
         assert (fv.obj_entity_sim, fv.ops) == (0.0, 0.0)
         assert ops(store, micro["corpus"], "ada", "coder") == 0.0
@@ -241,7 +241,7 @@ class TestExtract:
         # verse is ben's only linked entity
         store = with_vectors(micro["store"], verse=(1e-170, 1e-170))
         triples = [Triple("ben", Relation.PROFESSION, "poet")]
-        (fv,) = extract(store, micro["corpus"], micro["universe"], triples)
+        (fv,) = extract(store, micro_plan(micro, triples))
         assert fv.missing == {FLAG_OPS_TERMS}
         assert fv.ops == 0.0
 
@@ -250,19 +250,19 @@ class TestExtract:
         store = with_vectors(micro["store"], coder=(1e200, 1e200))
         triples = [Triple("ada", Relation.PROFESSION, "coder")]
         with np.errstate(over="ignore"):
-            (fv,) = extract(store, micro["corpus"], micro["universe"], triples)
+            (fv,) = extract(store, micro_plan(micro, triples))
         assert fv.missing == {FLAG_OBJECT_EMBEDDING, FLAG_OPS_TERMS}
         assert (fv.obj_entity_sim, fv.ops) == (0.0, 0.0)
 
     def test_empty_triples(self, micro):
-        assert extract(micro["store"], micro["corpus"], micro["universe"], []) == []
+        assert extract(micro["store"], micro_plan(micro, [])) == []
 
     def test_object_outside_universe_gets_insertion_rank(self, micro):
         # "wing" is embeddable but not a universe object; its rank is the
         # position it would occupy in the universe's descending-score order
         store, corpus, universe = micro["store"], micro["corpus"], micro["universe"]
         triples = [Triple("ada", Relation.PROFESSION, "wing", 3)]
-        (fv,) = extract(store, corpus, universe, triples)
+        (fv,) = extract(store, KeyPlan.of_run(corpus, universe, triples))
         obj_score = ops(store, corpus, "ada", "wing")
         scores = {o: ops(store, corpus, "ada", o) for o in universe.objects}
         ahead = sum(
@@ -306,8 +306,8 @@ def load_world(world: Path):
                                                 ("all", "features_all.tsv")])
 def test_dirty_world_reproduces_the_committed_feature_tables(denominator, table):
     corpus, universe, triples = load_world(DIRTY)
-    vectors = extract(load_embeddings(DIRTY / "embeddings.txt"), corpus, universe, triples,
-                      ops_denominator=denominator)
+    vectors = extract(load_embeddings(DIRTY / "embeddings.txt"),
+                      KeyPlan.of_run(corpus, universe, triples), ops_denominator=denominator)
     assert matrix_to_tsv(triples, vectors) == (DIRTY / table).read_text()
 
 
@@ -327,10 +327,8 @@ class TestLookupKeys:
     @pytest.mark.parametrize("denominator", ["embedded", "all"])
     def test_covers_every_lookup_of_extract_micro(self, micro, denominator):
         store = RecordingStore(micro["store"])
-        triples = micro["triples"] + self.EXTRA
-        extract(store, micro["corpus"], micro["universe"], triples,
-                ops_denominator=denominator)
-        plan = KeyPlan.of_run(micro["corpus"], micro["universe"], triples)
+        plan = micro_plan(micro, micro["triples"] + self.EXTRA)
+        extract(store, plan, ops_denominator=denominator)
         assert store.keys == set(plan.rows)
 
     @staticmethod
@@ -340,15 +338,15 @@ class TestLookupKeys:
         persons = sorted({t.entity_key for t in triples})[::2]
         triples = [t for t in triples if t.entity_key in persons]
         full = load_embeddings(world / "embeddings.txt")
-        keys = set(KeyPlan.of_run(corpus, universe, triples).rows)
+        plan = KeyPlan.of_run(corpus, universe, triples)
+        keys = set(plan.rows)
         store = RecordingStore(full)
-        vectors = extract(store, corpus, universe, triples, ops_denominator=denominator)
+        vectors = extract(store, plan, ops_denominator=denominator)
         assert store.keys == keys
 
         filtered = load_embeddings(world / "embeddings.txt", keys)
         assert len(filtered) < len(full)
-        assert matrix_to_tsv(triples, extract(filtered, corpus, universe, triples,
-                                              ops_denominator=denominator)) \
+        assert matrix_to_tsv(triples, extract(filtered, plan, ops_denominator=denominator)) \
             == matrix_to_tsv(triples, vectors)
 
     @pytest.mark.parametrize("denominator", ["embedded", "all"])
@@ -388,35 +386,26 @@ def test_loaded_keys_are_not_normalised_again(monkeypatch):
 
 class TestKeyPlan:
     def test_a_plan_made_earlier_gives_the_same_features(self, micro):
-        corpus, universe, triples = micro["corpus"], micro["universe"], micro["triples"]
-        plan = KeyPlan.of_run(corpus, universe, triples)
+        plan = micro_plan(micro)
+        # a second store that also holds a vector the plan does not list
+        other = with_vectors(micro["store"], zeppelin=(1.0, 1.0))
         for denominator in ("embedded", "all"):
-            assert extract(micro["store"], corpus, universe, triples, plan=plan,
-                           ops_denominator=denominator) \
-                == extract(micro["store"], corpus, universe, triples,
-                           ops_denominator=denominator)
-        # building a table leaves the plan itself store-free
+            fresh = extract(micro["store"], micro_plan(micro), ops_denominator=denominator)
+            assert extract(micro["store"], plan, ops_denominator=denominator) == fresh
+            assert extract(other, plan, ops_denominator=denominator) == fresh
+        # extracting leaves the plan itself store-free
         assert not hasattr(plan, "units")
 
-    def test_a_plan_for_other_inputs_is_rejected(self, micro):
-        corpus, universe, triples = micro["corpus"], micro["universe"], micro["triples"]
-        plan = KeyPlan.of_run(corpus, universe, triples)
-        with pytest.raises(ValueError, match="other inputs"):
-            extract(micro["store"], corpus, universe, list(triples), plan=plan)
-        with pytest.raises(ValueError, match="other inputs"):
-            extract(micro["store"], corpus, universe, triples,
-                    plan=KeyPlan(corpus, universe.objects, ["ada"]))
 
-
-def loop_pages(table, denominator):
+def loop_pages(plan, pages, denominator):
     """The page sums, live mask and denominators as `_Pages` made them page by page."""
-    ok = table.usable.tolist()
-    sums = np.zeros((len(table.records), table.units.shape[1]))
+    ok = pages.usable.tolist()
+    sums = np.zeros((len(plan.records), pages.units.shape[1]))
     terms, linked = [], []
-    for i, record in enumerate(table.records):
-        page = [] if record is None else [table.rows[key] for key in record.linked_keys]
+    for i, record in enumerate(plan.records):
+        page = [] if record is None else [plan.rows[key] for key in record.linked_keys]
         used = [r for r in page if ok[r]]
-        sums[i] = table.units[used].sum(axis=0)
+        sums[i] = pages.units[used].sum(axis=0)
         terms.append(len(used))
         linked.append(len(page))
     live = np.array(terms) > 0
@@ -435,10 +424,10 @@ class TestPageSums:
         # no usable term; the dirty world also has persons without a page.
         emptied = next(r for r in plan.records if r is not None)
         keys = set(plan.rows) - set(emptied.linked_keys)
-        table = plan.build(load_embeddings(world / "embeddings.txt", keys))
+        store = load_embeddings(world / "embeddings.txt", keys)
         with mock.patch.object(features, "_CHUNK_BYTES", chunk_bytes):
-            pages = features._Pages(table, denominator)
-        sums, live, denoms = loop_pages(table, denominator)
+            pages = features._Pages(plan, store, denominator)
+        sums, live, denoms = loop_pages(plan, pages, denominator)
         assert pages.sums.tobytes() == sums.tobytes()
         assert pages.live.tolist() == live.tolist()
         assert pages.denoms.tobytes() == denoms.tobytes()
@@ -469,8 +458,7 @@ class TestPageSums:
 
 class TestMatrix:
     def test_shape_and_order(self, micro):
-        vectors = extract(micro["store"], micro["corpus"], micro["universe"],
-                          micro["triples"])
+        vectors = extract(micro["store"], micro_plan(micro))
         X = matrix(vectors)
         assert X.shape == (len(vectors), len(FEATURE_NAMES))
         assert X[0].tolist() == list(vectors[0].values())
@@ -512,8 +500,7 @@ class TestStandardizer:
             std.apply(np.array([[1.0, 2.0, 3.0]]))
 
     def test_accepts_feature_vectors(self, micro):
-        vectors = extract(micro["store"], micro["corpus"], micro["universe"],
-                          micro["triples"])
+        vectors = extract(micro["store"], micro_plan(micro))
         std = fit_standardizer(matrix(vectors))
         assert len(std.means) == len(FEATURE_NAMES)
 
@@ -550,6 +537,12 @@ class TestTriple:
         assert Relation.parse(" Profession ") is Relation.PROFESSION
         with pytest.raises(ValueError):
             Relation.parse("sibling")
+
+    def test_unknown_relation_is_an_input_error(self):
+        with pytest.raises(InputFormatError) as err:
+            Relation.parse("sibling")
+        assert str(err.value) == \
+            "unknown relation 'sibling'; expected one of: profession, nationality"
 
 
 class TestLoaders:
@@ -601,6 +594,14 @@ class TestLoaders:
         with pytest.raises(RelationMismatchError):
             load_universe(path, Relation.NATIONALITY)
 
+    def test_universe_unknown_relation_header_names_the_line(self, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text("poet\n# relation: bogus\ncoder\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_universe(path, Relation.PROFESSION)
+        assert str(err.value) == (f"{path}:2: unknown relation 'bogus'; "
+                                  "expected one of: profession, nationality")
+
     def test_universe_relation_header_match(self, tmp_path):
         path = tmp_path / "u.txt"
         path.write_text("# relation: nationality\nfrench\n")
@@ -610,8 +611,7 @@ class TestLoaders:
 
 class TestTsv:
     def test_header_and_row_shape(self, micro):
-        vectors = extract(micro["store"], micro["corpus"], micro["universe"],
-                          micro["triples"])
+        vectors = extract(micro["store"], micro_plan(micro))
         text = matrix_to_tsv(micro["triples"], vectors)
         lines = text.splitlines()
         assert lines[0] == "entity\tobject\ttruth\t" + "\t".join(FEATURE_NAMES) + "\tmissing"
@@ -621,8 +621,7 @@ class TestTsv:
         assert first[0] == "ada" and first[1] == "coder" and first[2] == "7"
 
     def test_float_fields_round_trip(self, micro):
-        vectors = extract(micro["store"], micro["corpus"], micro["universe"],
-                          micro["triples"])
+        vectors = extract(micro["store"], micro_plan(micro))
         text = matrix_to_tsv(micro["triples"], vectors)
         for line, fv in zip(text.splitlines()[1:], vectors):
             fields = line.split("\t")
@@ -630,8 +629,7 @@ class TestTsv:
             assert parsed == fv.values()
 
     def test_missing_summary_counts(self, micro):
-        vectors = extract(micro["store"], micro["corpus"], micro["universe"],
-                          micro["triples"])
+        vectors = extract(micro["store"], micro_plan(micro))
         line = missing_summary(vectors)
         assert "4/10" in line
         assert "object_embedding: 2" in line

@@ -111,12 +111,13 @@ def test_cli_import_leaves_scipy_stats_out(micro_paths):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, triplescore.cli\n"
-            "from triplescore import Relation, extract_matrix, load_corpus, load_embeddings,"
-            " load_triples, load_universe, train_model\n"
+            "from triplescore import KeyPlan, Relation, extract_matrix, load_corpus,"
+            " load_embeddings, load_triples, load_universe, train_model\n"
             "embeddings, corpus, universe, triples = sys.argv[1:]\n"
             "rows = load_triples(triples, Relation.PROFESSION)\n"
-            "_, X = extract_matrix(load_embeddings(embeddings), load_corpus(corpus),\n"
+            "plan = KeyPlan.of_run(load_corpus(corpus),\n"
             "                      load_universe(universe, Relation.PROFESSION), rows)\n"
+            "_, X = extract_matrix(load_embeddings(embeddings), plan)\n"
             "train_model(rows, X)\n"
             "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
             "                or m == 'numpy.ma' or m.startswith('numpy.ma.'))\n"

@@ -28,6 +28,7 @@ from triplescore.features import (
     FLAG_OPS_TERMS,
     FLAG_PAGE_RECORD,
     OPS_DENOM_EMBEDDED,
+    KeyPlan,
     ObjectUniverse,
     Relation,
     Triple,
@@ -211,7 +212,8 @@ def worlds(draw):
 @settings(max_examples=300, deadline=None)
 def test_extract_matches_scalar_oracle(world, denominator):
     store, corpus, universe, triples = world
-    vectors = extract(store, corpus, universe, triples, ops_denominator=denominator)
+    plan = KeyPlan.of_run(corpus, universe, triples)
+    vectors = extract(store, plan, ops_denominator=denominator)
     expected = oracle_extract(store, corpus, universe, triples, denominator)
     for fv, (sim, value, rank, mention, flags) in zip(vectors, expected):
         assert fv.obj_entity_sim == pytest.approx(sim, abs=1e-15)
@@ -226,7 +228,8 @@ def test_extract_matches_scalar_oracle(world, denominator):
 def test_public_wrappers_match_extract(world, denominator):
     # the public wrappers agree bit for bit with what extract reports
     store, corpus, universe, triples = world
-    vectors = extract(store, corpus, universe, triples, ops_denominator=denominator)
+    plan = KeyPlan.of_run(corpus, universe, triples)
+    vectors = extract(store, plan, ops_denominator=denominator)
     for t, fv in zip(triples, vectors):
         assert fv.obj_entity_sim == object_entity_similarity(store, t.entity_key, t.object_key)
         assert fv.ops == ops(store, corpus, t.entity_key, t.object_key, denominator)
@@ -240,8 +243,11 @@ def test_public_wrappers_match_extract(world, denominator):
 @settings(max_examples=100, deadline=None)
 def test_chunk_size_changes_no_value(world, denominator, chunk_bytes):
     # with chunks of one or a few rows, every value keeps its bits
+    store, corpus, universe, triples = world
+    plan = KeyPlan.of_run(corpus, universe, triples)
+
     def table():
-        vectors = extract(*world, ops_denominator=denominator)
+        vectors = extract(store, plan, ops_denominator=denominator)
         return [(*map(repr, fv.values()), fv.missing) for fv in vectors]
 
     whole = table()

@@ -5,10 +5,11 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import micro_plan
 from triplescore import pipeline
 from triplescore.baselines import MultinomialModel
 from triplescore.errors import InputFormatError
-from triplescore.evaluation import cross_validate
+from triplescore.evaluation import FoldPlan, cross_validate
 from triplescore.features import Relation, Triple, fit_standardizer
 from triplescore.model import EXPECTED_ROUNDED, FitConfig
 from triplescore.ordinal import OrdinalModel
@@ -38,8 +39,7 @@ class TestTruthLabels:
 
 class TestTrainAndPredict:
     def test_ordinal_standardizes_internally(self, micro):
-        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
-                              micro["triples"])
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
         model = train_model(micro["triples"], X, relation=Relation.PROFESSION)
         assert isinstance(model, OrdinalModel)
         assert model.standardizer == fit_standardizer(X)
@@ -49,21 +49,18 @@ class TestTrainAndPredict:
         assert scores == manual
 
     def test_multinomial_variant(self, micro):
-        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
-                              micro["triples"])
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
         model = train_model(micro["triples"], X, model_type="multinomial")
         assert isinstance(model, MultinomialModel)
         assert all(0 <= s <= 7 for s in predict_scores(model, X))
 
     def test_unknown_model_type(self, micro):
-        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
-                              micro["triples"])
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
         with pytest.raises(ValueError, match="model type"):
             train_model(micro["triples"], X, model_type="tree")
 
     def test_prediction_rule_passthrough(self, micro):
-        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
-                              micro["triples"])
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
         model = train_model(micro["triples"], X)
         rounded = predict_scores(model, X, EXPECTED_ROUNDED)
         manual = model.predict(model.standardizer.apply(X), EXPECTED_ROUNDED)
@@ -89,8 +86,7 @@ class TestMakeTrainer:
 
     def test_model_trainer_standardizes_on_training_rows_only(self, micro):
         """Held-out rows must not leak into the feature scaling."""
-        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
-                              micro["triples"])
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
         train_idx = [0, 1, 2, 3, 4, 5, 6]
         test_idx = [7, 8, 9]
         train_triples = [micro["triples"][i] for i in train_idx]
@@ -113,8 +109,7 @@ class TestMakeTrainer:
 
 class TestRunCvComparison:
     def test_identical_folds_across_model_types(self, micro):
-        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
-                              micro["triples"])
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
         results = run_cv_comparison(micro["triples"], X, micro["corpus"],
                                     folds=3, seed=5)
         assert set(results) == set(CV_MODEL_TYPES)
@@ -125,17 +120,15 @@ class TestRunCvComparison:
         assert len(set(map(tuple, fold_shapes.values()))) == 1
 
     def test_matches_direct_cross_validate(self, micro):
-        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
-                              micro["triples"])
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
         results = run_cv_comparison(micro["triples"], X, micro["corpus"],
                                     folds=3, seed=2)
         trainer = make_trainer(MODEL_FIRST, corpus=micro["corpus"])
-        direct = cross_validate(micro["triples"], X, trainer, folds=3, seed=2)
+        direct = cross_validate(FoldPlan(micro["triples"], 3, 2), X, trainer)
         assert results[MODEL_FIRST].to_dict() == direct.to_dict()
 
     def test_first_rule_runs_inline_and_learned_fits_on_the_pool(self, micro, monkeypatch):
-        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
-                              micro["triples"])
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
         threads: dict[str, list[int]] = {"first": [], "fit": []}
 
         def recorded(name, call):
@@ -160,8 +153,7 @@ class TestRunCvComparison:
             {k: r.to_dict() for k, r in serial.items()}
 
     def test_nonpositive_workers_rejected(self, micro, monkeypatch):
-        _, X = extract_matrix(micro["store"], micro["corpus"], micro["universe"],
-                              micro["triples"])
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
         calls = []
         monkeypatch.setattr(pipeline, "first_baseline_predictions",
                             lambda *args: calls.append(args))

@@ -34,7 +34,7 @@ from triplescore import Relation, run_cv_comparison, train_model
 from triplescore.cli import main
 from triplescore.corpus import load_corpus
 from triplescore.embeddings import load_embeddings
-from triplescore.features import extract, load_triples, load_universe, matrix_to_tsv
+from triplescore.features import KeyPlan, extract, load_triples, load_universe, matrix_to_tsv
 
 PLANTED = Path(__file__).parent / "data" / "planted"
 INPUTS = ["--embeddings", str(PLANTED / "embeddings.txt"),
@@ -60,9 +60,9 @@ def test_ops_rank_carries_the_largest_weight(planted):
 
 def test_extract_reproduces_the_committed_feature_table():
     triples = load_triples(PLANTED / "triples.tsv", Relation.PROFESSION)
-    vectors = extract(load_embeddings(PLANTED / "embeddings.txt"),
-                      load_corpus(PLANTED / "corpus.jsonl"),
-                      load_universe(PLANTED / "universe.txt", Relation.PROFESSION), triples)
+    plan = KeyPlan.of_run(load_corpus(PLANTED / "corpus.jsonl"),
+                          load_universe(PLANTED / "universe.txt", Relation.PROFESSION), triples)
+    vectors = extract(load_embeddings(PLANTED / "embeddings.txt"), plan)
     assert matrix_to_tsv(triples, vectors) == (PLANTED / "features.tsv").read_text()
 
 
