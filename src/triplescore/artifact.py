@@ -53,17 +53,29 @@ def model_from_dict(data: dict) -> LearnedModel:
         raise ArtifactError(f"unknown model_type {model_type!r}")
 
     try:
+        _numbers(data, model_cls.param_names)
+        std = data.get("standardizer")
         return model_cls(
             **{name: np.array(data[name], dtype=float) for name in model_cls.param_names},
             feature_names=tuple(data["feature_names"]),
             standardizer=(
-                Standardizer.from_dict(data["standardizer"]) if data.get("standardizer") else None
+                Standardizer.from_dict(_numbers(std, ("means", "stddevs"))) if std else None
             ),
             relation=Relation.parse(data["relation"]) if data.get("relation") else None,
-            fit_config=FitConfig.from_dict(data["fit_config"]),
+            fit_config=FitConfig.from_dict(
+                _numbers(data["fit_config"], ("reg_lambda", "max_iters", "tol"))),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"model artifact is malformed: {exc}") from exc
+
+
+def _numbers(section: dict, names) -> dict:
+    """`section`, once each of its `names` fields holds a JSON number or nested
+    lists of them; float() would take true, false and numeric strings."""
+    for name in names:
+        if not all(type(v) in (int, float) for v in np.array(section[name], dtype=object).flat):
+            raise ArtifactError(f"model artifact field {name!r} holds a value that is not a number")
+    return section
 
 
 def save_model(model: LearnedModel, path) -> None:

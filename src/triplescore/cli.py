@@ -14,7 +14,15 @@ from pathlib import Path
 
 from . import __version__
 from .artifact import ARTIFACT_VERSION, load_model, save_model
-from .config import DEFAULT_RELATION, RunConfig, apply_overrides, parse_config_file
+from .config import (
+    DEFAULT_RELATION,
+    SETTINGS,
+    RunConfig,
+    apply_overrides,
+    flag,
+    parse_config_file,
+    validate,
+)
 from .corpus import load_corpus
 from .embeddings import load_embeddings
 from .errors import (
@@ -24,18 +32,9 @@ from .errors import (
     InputFormatError,
     RelationMismatchError,
 )
-from .evaluation import (
-    SINGLETON_ONE,
-    SINGLETON_SKIP,
-    TAU_A,
-    TAU_B,
-    evaluate,
-    format_comparison_table,
-)
+from .evaluation import evaluate, format_comparison_table
 from .features import (
     FEATURE_NAMES,
-    OPS_DENOM_ALL,
-    OPS_DENOM_EMBEDDED,
     KeyPlan,
     Relation,
     load_triples,
@@ -43,11 +42,9 @@ from .features import (
     matrix_to_tsv,
     missing_summary,
 )
-from .model import ARGMAX, EXPECTED_ROUNDED, FitConfig
+from .model import FitConfig
 from .pipeline import (
     CV_MODEL_TYPES,
-    MODEL_MULTINOMIAL,
-    MODEL_ORDINAL,
     extract_matrix,
     predict_scores,
     run_cv_comparison,
@@ -55,19 +52,6 @@ from .pipeline import (
 )
 
 _EXTRACT_INPUTS = ("embeddings", "corpus", "universe", "triples")
-
-# the values each enumerated setting takes
-_CHOICES = {
-    "model_type": (MODEL_ORDINAL, MODEL_MULTINOMIAL),
-    "prediction_rule": (ARGMAX, EXPECTED_ROUNDED),
-    "ops_denominator": (OPS_DENOM_EMBEDDED, OPS_DENOM_ALL),
-    "tau_variant": (TAU_B, TAU_A),
-    "singleton_policy": (SINGLETON_ONE, SINGLETON_SKIP),
-}
-
-
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
 
 
 def _resolve_relation(config: RunConfig, fallback: Relation | None = None) -> Relation:
@@ -84,7 +68,7 @@ def _require_inputs(config: RunConfig, names) -> None:
         value = getattr(config, name)
         if value is None:
             raise InputFormatError(
-                f"missing required input: pass {_flag(name)} or set config key {name!r}"
+                f"missing required input: pass {flag(name)} or set config key {name!r}"
             )
         if not Path(value).is_file():
             raise InputFormatError(f"{name} file not found: {value}")
@@ -93,27 +77,8 @@ def _require_inputs(config: RunConfig, names) -> None:
 def _require_output(config: RunConfig, name: str) -> None:
     if getattr(config, name) is None:
         raise InputFormatError(
-            f"missing required output path: pass {_flag(name)} or set config key {name!r}"
+            f"missing required output path: pass {flag(name)} or set config key {name!r}"
         )
-
-
-def _validate_params(config: RunConfig) -> None:
-    checks = (
-        (config.delta >= 0, "delta must be >= 0"),
-        (config.folds >= 2, "folds must be >= 2"),
-        (config.max_iters >= 1, "max_iters must be >= 1"),
-        (config.reg_lambda >= 0, "reg_lambda must be >= 0"),
-        (config.tol > 0, "tol must be > 0"),
-        (config.max_workers >= 1, "max_workers must be >= 1"),
-    )
-    for ok, message in checks:
-        if not ok:
-            raise InputFormatError(message)
-    for name, choices in _CHOICES.items():
-        value = getattr(config, name)
-        if value not in choices:
-            raise InputFormatError(
-                f"{_flag(name)} must be one of {', '.join(choices)}, got {value!r}")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -265,35 +230,24 @@ def cmd_cv(config: RunConfig) -> int:
     return 0
 
 
-def _add_flags(parser, *names) -> None:
-    specs = {
-        "embeddings": ("path to the embedding vectors file", str),
-        "corpus": ("path to the page corpus (JSON lines)", str),
-        "universe": ("path to the object universe file", str),
-        "triples": ("path to the triple TSV (truth column where applicable)", str),
-        "predictions": ("path to a predicted-score TSV", str),
-        "model": ("path of the model artifact (JSON)", str),
-        "output": ("output path (default: stdout)", str),
-        "relation": ("relation to score: profession or nationality", str),
-        "model_type": ("model to train: ordinal or multinomial", str),
-        "prediction_rule": ("argmax or expected-rounded", str),
-        "reg_lambda": ("L2 penalty strength on the weights", float),
-        "max_iters": ("Newton iteration cap of the fit", int),
-        "tol": ("the fit stops once max |gradient| <= tol", float),
-        "delta": ("accuracy tolerance on the score difference", int),
-        "folds": ("cross-validation fold count", int),
-        "seed": ("shuffle seed for fold assignment", int),
-        "tau_variant": ("rank correlation variant: b or a", str),
-        "singleton_policy": ("one-triple entity groups: one or skip", str),
-        "ops_denominator": ("ops average denominator: embedded or all", str),
-        "max_workers": ("worker threads for cross-validation folds", int),
-    }
-    for name in names:
-        help_text, value_type = specs[name]
-        parser.add_argument(
-            _flag(name), dest=name, type=value_type,
-            default=None, help=help_text,
-        )
+_FIT = ("reg_lambda", "max_iters", "tol")
+_EVAL = ("delta", "tau_variant", "singleton_policy")
+
+# subcommand: (function, help, the settings it takes as flags, in --help order)
+_COMMANDS = {
+    "extract": (cmd_extract, "write the feature matrix as TSV",
+                (*_EXTRACT_INPUTS, "relation", "output", "ops_denominator")),
+    "train": (cmd_train, "fit a model and save its artifact",
+              (*_EXTRACT_INPUTS, "relation", "model", "model_type", *_FIT, "ops_denominator")),
+    "predict": (cmd_predict, "score triples with a saved model",
+                (*_EXTRACT_INPUTS, "relation", "model", "output", "prediction_rule",
+                 "ops_denominator")),
+    "evaluate": (cmd_evaluate, "compare a prediction file to a truth file",
+                 ("predictions", "triples", "relation", "output", *_EVAL)),
+    "cv": (cmd_cv, "cross-validate every model type on one dataset",
+           (*_EXTRACT_INPUTS, "relation", "output", "prediction_rule", "folds", "seed",
+            *_EVAL, *_FIT, "ops_denominator", "max_workers")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,38 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"%(prog)s {__version__} (artifact format {ARTIFACT_VERSION})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fit_flags = ("model_type", "reg_lambda", "max_iters", "tol")
-    eval_flags = ("delta", "tau_variant", "singleton_policy")
-
-    p = sub.add_parser("extract", help="write the feature matrix as TSV")
-    p.add_argument("--config", help="key = value config file; flags override")
-    _add_flags(p, *_EXTRACT_INPUTS, "relation", "output", "ops_denominator")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("train", help="fit a model and save its artifact")
-    p.add_argument("--config", help="key = value config file; flags override")
-    _add_flags(p, *_EXTRACT_INPUTS, "relation", "model", *fit_flags, "ops_denominator")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="score triples with a saved model")
-    p.add_argument("--config", help="key = value config file; flags override")
-    _add_flags(p, *_EXTRACT_INPUTS, "relation", "model", "output",
-               "prediction_rule", "ops_denominator")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("evaluate", help="compare a prediction file to a truth file")
-    p.add_argument("--config", help="key = value config file; flags override")
-    _add_flags(p, "predictions", "triples", "relation", "output", *eval_flags)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("cv", help="cross-validate every model type on one dataset")
-    p.add_argument("--config", help="key = value config file; flags override")
-    _add_flags(p, *_EXTRACT_INPUTS, "relation", "output", "prediction_rule",
-               "folds", "seed", *eval_flags, "reg_lambda", "max_iters", "tol",
-               "ops_denominator", "max_workers")
-    p.set_defaults(func=cmd_cv)
-
+    for command, (func, help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key = value config file; flags override")
+        for name in names:
+            meta = SETTINGS[name].metadata
+            p.add_argument(flag(name), dest=name, type=meta["type"], default=None,
+                           help=meta["help"])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -345,12 +275,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config_file(args.config) if args.config else RunConfig()
-        overrides = {
-            k: v for k, v in vars(args).items()
-            if k not in ("command", "func", "config")
-        }
-        config = apply_overrides(config, overrides)
-        _validate_params(config)
+        config = apply_overrides(config, vars(args))
+        validate(config)
         return args.func(config)
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,19 +1,37 @@
 """Run configuration: a flat key = value file plus flag overrides.
 
 One recorded config file reproduces a run exactly; command-line flags
-override individual keys when both are given. Values are typed by the
-RunConfig field they land in.
+override individual keys when both are given. Each RunConfig field is the
+one declaration of its setting: its default, its flag help and the values
+it may take. The flag parser, the config-file parser and `validate` all
+read them from the field, and a value is typed by its field's default.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
-from .errors import MalformedLineError, read_text
-from .features import OPS_DENOM_EMBEDDED
+from .errors import InputFormatError, MalformedLineError, read_text
+from .evaluation import SINGLETON_ONE, SINGLETON_SKIP, TAU_A, TAU_B
+from .features import OPS_DENOM_ALL, OPS_DENOM_EMBEDDED
+from .model import ARGMAX, EXPECTED_ROUNDED, FitConfig
+from .pipeline import MODEL_MULTINOMIAL, MODEL_ORDINAL
 
 DEFAULT_RELATION = "profession"
+_BOUNDS = {">=": operator.ge, ">": operator.gt}
+
+
+def _setting(default, help_text: str, choices: tuple = (), bound: tuple | None = None):
+    """A RunConfig field; its value is one of `choices`, or within `bound`,
+    an (operator, limit) pair such as (">=", 0), and parses as its default's type."""
+    return dataclasses.field(default=default, metadata={
+        "help": help_text + " or ".join(choices),
+        "type": str if default is None else type(default),
+        "choices": choices,
+        "bound": bound,
+    })
 
 
 @dataclass(frozen=True)
@@ -21,45 +39,59 @@ class RunConfig:
     """Paths and parameters for one pipeline run; None means not provided."""
 
     # input and output paths
-    embeddings: str | None = None
-    corpus: str | None = None
-    universe: str | None = None
-    triples: str | None = None
-    predictions: str | None = None
-    model: str | None = None
-    output: str | None = None
+    embeddings: str | None = _setting(None, "path to the embedding vectors file")
+    corpus: str | None = _setting(None, "path to the page corpus (JSON lines)")
+    universe: str | None = _setting(None, "path to the object universe file")
+    triples: str | None = _setting(
+        None, "path to the triple TSV (truth column where applicable)")
+    predictions: str | None = _setting(None, "path to a predicted-score TSV")
+    model: str | None = _setting(None, "path of the model artifact (JSON)")
+    output: str | None = _setting(None, "output path (default: stdout)")
     # what to score and with which model; relation None defers to the
     # model artifact (predict) or the profession default
-    relation: str | None = None
-    model_type: str = "ordinal"
-    prediction_rule: str = "argmax"
+    relation: str | None = _setting(None, "relation to score: profession or nationality")
+    model_type: str = _setting(
+        MODEL_ORDINAL, "model to train: ", (MODEL_ORDINAL, MODEL_MULTINOMIAL))
+    prediction_rule: str = _setting(ARGMAX, "", (ARGMAX, EXPECTED_ROUNDED))
     # fitting
-    reg_lambda: float = 1e-3
-    max_iters: int = 500
-    tol: float = 1e-6
+    reg_lambda: float = _setting(
+        FitConfig.reg_lambda, "L2 penalty strength on the weights", bound=(">=", 0))
+    max_iters: int = _setting(
+        FitConfig.max_iters, "Newton iteration cap of the fit", bound=(">=", 1))
+    tol: float = _setting(
+        FitConfig.tol, "the fit stops once max |gradient| <= tol", bound=(">", 0))
     # evaluation
-    delta: int = 2
-    folds: int = 5
-    seed: int = 0
-    tau_variant: str = "b"
-    singleton_policy: str = "one"
-    max_workers: int = 1  # cross-validation fold threads
+    delta: int = _setting(2, "accuracy tolerance on the score difference", bound=(">=", 0))
+    folds: int = _setting(5, "cross-validation fold count", bound=(">=", 2))
+    seed: int = _setting(0, "shuffle seed for fold assignment")
+    tau_variant: str = _setting(TAU_B, "rank correlation variant: ", (TAU_B, TAU_A))
+    singleton_policy: str = _setting(
+        SINGLETON_ONE, "one-triple entity groups: ", (SINGLETON_ONE, SINGLETON_SKIP))
+    max_workers: int = _setting(1, "worker threads for cross-validation folds", bound=(">=", 1))
     # feature extraction
-    ops_denominator: str = OPS_DENOM_EMBEDDED
+    ops_denominator: str = _setting(
+        OPS_DENOM_EMBEDDED, "ops average denominator: ", (OPS_DENOM_EMBEDDED, OPS_DENOM_ALL))
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+SETTINGS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
-def _convert(name: str, raw: str):
-    field = _FIELDS[name]
-    if field.type in ("str | None", "str"):
-        return raw
-    if field.type == "int":
-        return int(raw)
-    if field.type == "float":
-        return float(raw)
-    raise AssertionError(f"unhandled config field type {field.type!r}")
+def flag(name: str) -> str:
+    """The command-line flag of a setting: --max-iters for max_iters."""
+    return "--" + name.replace("_", "-")
+
+
+def validate(config: RunConfig) -> None:
+    """Raise InputFormatError for the first setting outside its choices or bound."""
+    for name, setting in SETTINGS.items():
+        value = getattr(config, name)
+        choices, bound = setting.metadata["choices"], setting.metadata["bound"]
+        if choices and value not in choices:
+            raise InputFormatError(
+                f"{flag(name)} must be one of {', '.join(choices)}, got {value!r}")
+        # nan is within no bound
+        if bound and not _BOUNDS[bound[0]](value, bound[1]):
+            raise InputFormatError(f"{name} must be {bound[0]} {bound[1]}")
 
 
 def _unquote(raw: str) -> str:
@@ -81,13 +113,13 @@ def parse_config_file(path) -> RunConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = _unquote(raw.strip())
-        if key not in _FIELDS:
-            known = ", ".join(sorted(_FIELDS))
+        if key not in SETTINGS:
+            known = ", ".join(sorted(SETTINGS))
             raise MalformedLineError(path, line_no, f"unknown key {key!r}; known keys: {known}")
         if key in values:
             raise MalformedLineError(path, line_no, f"duplicate key {key!r}")
         try:
-            values[key] = _convert(key, raw)
+            values[key] = SETTINGS[key].metadata["type"](raw)
         except ValueError:
             raise MalformedLineError(
                 path, line_no, f"invalid value {raw!r} for key {key!r}"
@@ -97,5 +129,5 @@ def parse_config_file(path) -> RunConfig:
 
 def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
     """Replace fields whose override value is not None. Flags win."""
-    updates = {k: v for k, v in overrides.items() if v is not None and k in _FIELDS}
+    updates = {k: v for k, v in overrides.items() if v is not None and k in SETTINGS}
     return dataclasses.replace(config, **updates)

@@ -8,6 +8,7 @@ vector.
 
 from __future__ import annotations
 
+import codecs
 import os
 import re
 
@@ -91,12 +92,13 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
     the token-count and duplicate-key checks and counts toward the header's
     entry count; the numeric and finiteness checks run on the kept lines.
 
-    The file must be UTF-8; lines end at "\\n", "\\r\\n" or "\\r", and
-    tokens are separated by whitespace as `str.split()` defines it.
+    The file must be UTF-8, and one leading byte-order mark is skipped;
+    lines end at "\\n", "\\r\\n" or "\\r", and tokens are separated by
+    whitespace as `str.split()` defines it.
     """
     with open(path, "rb") as fh:
         blocks = _blocks(fh)
-        first = next(blocks, b"")
+        first = next(blocks, b"").removeprefix(codecs.BOM_UTF8)
         end = re.search(rb"\r\n?|\n", first)
         header = _decode(first[: end.start()] if end else first, path, 1)
         if not header.strip():

@@ -3,8 +3,9 @@
 Two failure families matter to callers: input/format problems (CLI exit
 code 2) and numerical/fit problems (CLI exit code 3). Everything derives
 from TripleScoreError so library users can catch broadly. `text_lines`
-and `read_text` read the text input files and turn undecodable bytes into
-an input error that names the file.
+and `read_text` read the text input files, skipping one leading UTF-8
+byte-order mark, and turn undecodable bytes into an input error that
+names the file.
 """
 
 
@@ -25,7 +26,7 @@ def text_lines(path):
     """
     line_no = 0
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 yield line_no, line
     except UnicodeDecodeError:
@@ -38,7 +39,7 @@ def read_text(path) -> str:
     Bytes that are not UTF-8 raise InputFormatError naming the file.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError:
         raise InputFormatError(f"{path}: not valid UTF-8") from None

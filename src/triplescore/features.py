@@ -415,6 +415,8 @@ class Standardizer:
     def __post_init__(self):
         if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.stddevs))):
             raise ValueError("standardizer means and stddevs must be finite")
+        if min(self.stddevs, default=0.0) < 0:
+            raise ValueError("standardizer stddevs must be >= 0")
 
     def apply(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)

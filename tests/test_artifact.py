@@ -43,6 +43,16 @@ def multinomial_model(training_data):
                            relation=Relation.NATIONALITY)
 
 
+def with_value(data, path, value):
+    """A deep copy of an artifact dict with the entry at `path` set to `value`."""
+    data = json.loads(json.dumps(data))
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return data
+
+
 class TestRoundTrip:
     def test_ordinal_predictions_bit_identical(self, ordinal_model, training_data, tmp_path):
         X, _ = training_data
@@ -143,12 +153,36 @@ class TestMalformedArtifacts:
     ])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_rejected(self, request, model_name, path, value):
-        data = json.loads(json.dumps(model_to_dict(request.getfixturevalue(model_name))))
-        holder = data
-        for key in path[:-1]:
-            holder = holder[key]
-        holder[path[-1]] = value
+        data = with_value(model_to_dict(request.getfixturevalue(model_name)), path, value)
         with pytest.raises(ArtifactError, match="finite"):
+            model_from_dict(data)
+
+    @pytest.mark.parametrize("model_name, path, value", [
+        ("ordinal_model", ("w", 0), True),
+        ("ordinal_model", ("w", 1), "0.5"),
+        ("ordinal_model", ("theta", 2), None),
+        ("multinomial_model", ("W", 3, 1), False),
+        ("multinomial_model", ("b", 7), "1"),
+        ("ordinal_model", ("standardizer", "means", 2), True),
+        ("ordinal_model", ("standardizer", "stddevs", 1), "2.0"),
+        ("ordinal_model", ("fit_config", "max_iters"), True),
+        ("ordinal_model", ("fit_config", "tol"), "1e-6"),
+        ("ordinal_model", ("fit_config", "reg_lambda"), False),
+    ])
+    def test_value_that_is_not_a_number_rejected(self, request, model_name, path, value):
+        data = with_value(model_to_dict(request.getfixturevalue(model_name)), path, value)
+        field = [key for key in path if isinstance(key, str)][-1]
+        with pytest.raises(ArtifactError, match=f"field '{field}' holds a value that is not"):
+            model_from_dict(data)
+
+    def test_negative_stddev_rejected(self, ordinal_model):
+        data = with_value(model_to_dict(ordinal_model), ("standardizer", "stddevs", 0), -1.0)
+        with pytest.raises(ArtifactError, match="stddevs must be >= 0"):
+            model_from_dict(data)
+
+    def test_integer_beyond_float_range_rejected(self, ordinal_model):
+        data = with_value(model_to_dict(ordinal_model), ("w", 0), 10**400)
+        with pytest.raises(ArtifactError, match="malformed"):
             model_from_dict(data)
 
     def test_invalid_json_file(self, tmp_path):

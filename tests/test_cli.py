@@ -813,3 +813,35 @@ class TestEnumSettings:
         assert out == ""
         assert err.startswith(f"error: {flag} must be one of ")
         assert err.endswith(", got 'z'\n")
+
+
+class TestSettingChecks:
+    @pytest.mark.parametrize("entry", ["flag", "config file"])
+    @pytest.mark.parametrize("name, value, message", [
+        ("delta", "-1", "delta must be >= 0"),
+        ("folds", "1", "folds must be >= 2"),
+        ("max_iters", "0", "max_iters must be >= 1"),
+        ("reg_lambda", "-0.5", "reg_lambda must be >= 0"),
+        ("reg_lambda", "nan", "reg_lambda must be >= 0"),
+        ("tol", "0", "tol must be > 0"),
+        ("tol", "nan", "tol must be > 0"),
+        ("max_workers", "0", "max_workers must be >= 1"),
+        ("model_type", "z", "--model-type must be one of ordinal, multinomial, got 'z'"),
+        ("prediction_rule", "z",
+         "--prediction-rule must be one of argmax, expected-rounded, got 'z'"),
+        ("ops_denominator", "z", "--ops-denominator must be one of embedded, all, got 'z'"),
+        ("tau_variant", "z", "--tau-variant must be one of b, a, got 'z'"),
+        ("singleton_policy", "z", "--singleton-policy must be one of one, skip, got 'z'"),
+    ])
+    def test_bad_value_fails_before_any_input_is_read(self, micro_paths, tmp_path, capsys,
+                                                       entry, name, value, message):
+        args = input_args(micro_paths)
+        args[args.index("--embeddings") + 1] = str(tmp_path / "absent.txt")
+        if entry == "flag":
+            args += ["--" + name.replace("_", "-"), value]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"{name} = {value}\n")
+            args += ["--config", str(conf)]
+        command = "train" if name == "model_type" else "cv"
+        assert invoke(capsys, command, *args) == (2, "", f"error: {message}\n")

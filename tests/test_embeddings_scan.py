@@ -1,14 +1,15 @@
 """The block-scanning embedding loader against the per-line oracle.
 
 The oracle below is `load_embeddings` as it was before the block scan:
-text-mode reading (universal newlines), one `str.split()` per line, and
+text-mode reading (universal newlines, one leading byte-order mark
+skipped), one `str.split()` per line, and
 the token-count, duplicate-key, numeric, finiteness and header-count
 checks in line order. Random files exercise the places where a byte scan
 could part from it: case duplicates, blank and whitespace-only lines,
 runs of spaces, tabs and the other ASCII and Unicode whitespace,
 `\\r\\n` and lone `\\r` line ends, non-ASCII keys, wrong token counts,
-bad and non-finite components, an off header count and a missing final
-newline, with the block size patched down so that block edges fall
+bad and non-finite components, an off header count, a missing final
+newline and a leading byte-order mark, with the block size patched down so that block edges fall
 everywhere. Some files draw their values from a numeric alphabet (digits,
 ". e E + - _ x", "inf" and "nan"), whose tokens numpy's C text reader and
 `float()` may judge differently; a refused kept line must then take the
@@ -33,7 +34,7 @@ def oracle_load_embeddings(path, keys=None) -> EmbeddingStore:
     wanted = None if keys is None else {normalize_key(k) for k in keys}
     entries: dict[str, np.ndarray] = {}
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline()
         if not header.strip():
             raise MalformedLineError(path, 1, "missing header line '<count> <dim>'")
@@ -134,6 +135,8 @@ def embedding_files(draw):
         text += line + draw(st.sampled_from(ends))
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
+    if draw(st.integers(0, 7)) == 0:
+        text = "\ufeff" + text
     wanted = st.builds(str.__add__, st.sampled_from(KEYS + ABSENT), st.sampled_from(SUFFIXES))
     keys = draw(st.one_of(st.none(), st.lists(wanted, max_size=8)))
     return text, keys

@@ -37,6 +37,7 @@ from triplescore.embeddings import load_embeddings
 from triplescore.features import KeyPlan, extract, load_triples, load_universe, matrix_to_tsv
 
 PLANTED = Path(__file__).parent / "data" / "planted"
+BOM = b"\xef\xbb\xbf"
 INPUTS = ["--embeddings", str(PLANTED / "embeddings.txt"),
           "--corpus", str(PLANTED / "corpus.jsonl"),
           "--universe", str(PLANTED / "universe.txt"),
@@ -76,4 +77,26 @@ def test_train_then_predict_reproduces_the_committed_scores(tmp_path, capsys):
     model, scores = tmp_path / "model.json", tmp_path / "scores.tsv"
     assert main(["train", *INPUTS, "--model", str(model)]) == 0
     assert main(["predict", *INPUTS, "--model", str(model), "--output", str(scores)]) == 0
+    assert scores.read_bytes() == (PLANTED / "scores.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["embeddings", "corpus", "universe", "triples"])
+def test_a_byte_order_mark_is_skipped_in_each_input(name, tmp_path, capsys):
+    args = list(INPUTS)
+    i = args.index(f"--{name}") + 1
+    copy = tmp_path / Path(args[i]).name
+    copy.write_bytes(BOM + Path(args[i]).read_bytes())
+    args[i] = str(copy)
+    assert main(["extract", *args]) == 0
+    assert capsys.readouterr().out == (PLANTED / "features.tsv").read_text()
+
+
+def test_a_byte_order_mark_is_skipped_in_the_config_file_and_the_artifact(tmp_path):
+    config, model, scores = tmp_path / "run.conf", tmp_path / "model.json", tmp_path / "out.tsv"
+    lines = [f"{flag[2:]} = {path}\n" for flag, path in zip(INPUTS[::2], INPUTS[1::2])]
+    config.write_bytes(BOM + "".join(lines).encode())
+    assert main(["train", "--config", str(config), "--model", str(model)]) == 0
+    model.write_bytes(BOM + model.read_bytes())
+    assert main(["predict", "--config", str(config), "--model", str(model),
+                 "--output", str(scores)]) == 0
     assert scores.read_bytes() == (PLANTED / "scores.tsv").read_bytes()
