@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import MultinomialModel
+from .config import SETTINGS, broken_bound
 from .errors import ArtifactError, read_text
 from .features import Relation, Standardizer
 from .model import FitConfig, LearnedModel
@@ -62,8 +63,7 @@ def model_from_dict(data: dict) -> LearnedModel:
                 Standardizer.from_dict(_numbers(std, ("means", "stddevs"))) if std else None
             ),
             relation=Relation.parse(data["relation"]) if data.get("relation") else None,
-            fit_config=FitConfig.from_dict(
-                _numbers(data["fit_config"], ("reg_lambda", "max_iters", "tol"))),
+            fit_config=_fit_config(data["fit_config"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"model artifact is malformed: {exc}") from exc
@@ -76,6 +76,22 @@ def _numbers(section: dict, names) -> dict:
         if not all(type(v) in (int, float) for v in np.array(section[name], dtype=object).flat):
             raise ArtifactError(f"model artifact field {name!r} holds a value that is not a number")
     return section
+
+
+def _fit_config(section: dict) -> FitConfig:
+    """The artifact's fit settings, once each is a value its run setting takes:
+    within the setting's bound, and a whole number for an int setting."""
+    names = ("reg_lambda", "max_iters", "tol")
+    _numbers(section, names)
+    for name in names:
+        value = section[name]
+        broken = broken_bound(name, value)
+        if not broken and SETTINGS[name].metadata["type"] is int \
+                and isinstance(value, float) and not value.is_integer():
+            broken = "must be a whole number"
+        if broken:
+            raise ArtifactError(f"model artifact field {name!r} {broken}, got {value!r}")
+    return FitConfig.from_dict(section)
 
 
 def save_model(model: LearnedModel, path) -> None:

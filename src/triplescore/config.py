@@ -67,7 +67,9 @@ class RunConfig:
     tau_variant: str = _setting(TAU_B, "rank correlation variant: ", (TAU_B, TAU_A))
     singleton_policy: str = _setting(
         SINGLETON_ONE, "one-triple entity groups: ", (SINGLETON_ONE, SINGLETON_SKIP))
-    max_workers: int = _setting(1, "worker threads for cross-validation folds", bound=(">=", 1))
+    max_workers: int = _setting(
+        1, "at most this many worker threads for cross-validation folds; small folds "
+        "run in the calling thread", bound=(">=", 1))
     # feature extraction
     ops_denominator: str = _setting(
         OPS_DENOM_EMBEDDED, "ops average denominator: ", (OPS_DENOM_EMBEDDED, OPS_DENOM_ALL))
@@ -81,17 +83,26 @@ def flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def broken_bound(name: str, value) -> str | None:
+    """The bound of setting `name` that `value` breaks, as "must be >= 1", or
+    None when the value is within it or the setting has none."""
+    bound = SETTINGS[name].metadata["bound"]
+    # nan is within no bound
+    if bound and not _BOUNDS[bound[0]](value, bound[1]):
+        return f"must be {bound[0]} {bound[1]}"
+    return None
+
+
 def validate(config: RunConfig) -> None:
     """Raise InputFormatError for the first setting outside its choices or bound."""
     for name, setting in SETTINGS.items():
         value = getattr(config, name)
-        choices, bound = setting.metadata["choices"], setting.metadata["bound"]
+        choices = setting.metadata["choices"]
         if choices and value not in choices:
             raise InputFormatError(
                 f"{flag(name)} must be one of {', '.join(choices)}, got {value!r}")
-        # nan is within no bound
-        if bound and not _BOUNDS[bound[0]](value, bound[1]):
-            raise InputFormatError(f"{name} must be {bound[0]} {bound[1]}")
+        if broken := broken_bound(name, value):
+            raise InputFormatError(f"{name} {broken}")
 
 
 def _unquote(raw: str) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import Callable, Sequence
@@ -24,6 +23,11 @@ TAU_B = "b"
 TAU_A = "a"
 SINGLETON_ONE = "one"
 SINGLETON_SKIP = "skip"
+# Folds run on threads only once every fold trains on at least this many
+# rows. Below it each fit's numpy calls are so short that the threads
+# mostly hand the GIL back and forth, and the folds run as fast or faster
+# in order (README, "--max-workers", has the measured crossover).
+_POOL_MIN_TRAIN_ROWS = 10_000
 
 
 def _group_taus(xs: np.ndarray, ys: np.ndarray, group: np.ndarray, n_groups: int,
@@ -284,9 +288,11 @@ def cross_validate(plan: FoldPlan, X, trainer: Trainer, *, delta: int = 2,
                    max_workers: int = 1) -> CVResult:
     """Entity-grouped k-fold cross-validation of one trainer over the plan's folds.
 
-    X holds one feature row per triple of the plan. One worker runs the
-    folds in order in the calling thread; more run them on a pool of
-    max_workers threads. Reports come back in fold order.
+    X holds one feature row per triple of the plan. max_workers is an
+    upper bound: the folds run on a pool of max_workers threads only when
+    it is above 1 and every fold trains on at least _POOL_MIN_TRAIN_ROWS
+    rows; otherwise they run in order in the calling thread. Reports come
+    back in fold order either way.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
@@ -300,9 +306,13 @@ def cross_validate(plan: FoldPlan, X, trainer: Trainer, *, delta: int = 2,
         predicted = predict_fn(split.test_triples, X[split.test])
         return evaluate(split.test_triples, predicted, delta, tau_variant, singleton_policy)
 
-    if max_workers == 1:
+    train_rows = min(len(split.train_triples) for split in plan.splits)
+    if max_workers == 1 or train_rows < _POOL_MIN_TRAIN_ROWS:
         reports = list(map(run_fold, plan.splits))
     else:
+        # imported here, so a run that starts no pool does not load it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             reports = list(pool.map(run_fold, plan.splits))
     return CVResult(fold_reports=tuple(reports), mean=mean_report(reports))

@@ -97,8 +97,10 @@ def run_cv_comparison(triples: list[Triple], X, corpus: Corpus, *,
 
     The three result sets share the exact same splits, so they are
     directly comparable. The first-mention rule has nothing to fit, so its
-    folds run in the calling thread whatever max_workers says; the learned
-    models fit theirs on max_workers threads.
+    folds run in the calling thread whatever max_workers says. The learned
+    models fit theirs on at most max_workers threads: on a pool only when
+    every fold is large enough for threads to pay (see cross_validate),
+    and otherwise in order in the calling thread.
     """
     plan = FoldPlan(triples, folds, seed)
     results = {}

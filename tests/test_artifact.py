@@ -175,6 +175,37 @@ class TestMalformedArtifacts:
         with pytest.raises(ArtifactError, match=f"field '{field}' holds a value that is not"):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("reg_lambda", -5, "must be >= 0, got -5"),
+        ("tol", 0, "must be > 0, got 0"),
+        ("max_iters", 2.5, "must be a whole number, got 2.5"),
+        ("max_iters", 0, "must be >= 1, got 0"),
+        ("max_iters", float("inf"), "must be a whole number, got inf"),
+        ("reg_lambda", float("nan"), "must be >= 0, got nan"),
+        ("tol", float("nan"), "must be > 0, got nan"),
+        ("max_iters", float("nan"), "must be >= 1, got nan"),
+    ])
+    def test_fit_setting_its_run_setting_refuses_rejected(self, ordinal_model, field, value,
+                                                          rule):
+        data = with_value(model_to_dict(ordinal_model), ("fit_config", field), value)
+        with pytest.raises(ArtifactError) as exc:
+            model_from_dict(data)
+        assert str(exc.value) == f"model artifact field {field!r} {rule}"
+
+    def test_json_nan_fit_setting_rejected(self, ordinal_model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(ordinal_model, path)
+        path.write_text(path.read_text().replace('"tol": 1e-06', '"tol": NaN'))
+        with pytest.raises(ArtifactError, match="'tol' must be > 0, got nan"):
+            load_model(path)
+
+    def test_fit_settings_at_their_bounds_load(self, ordinal_model):
+        data = model_to_dict(ordinal_model)
+        data["fit_config"] = {"reg_lambda": 0, "max_iters": 1.0, "tol": 5e-324}
+        config = model_from_dict(data).fit_config
+        assert config == FitConfig(reg_lambda=0.0, max_iters=1, tol=5e-324)
+        assert type(config.max_iters) is int
+
     def test_negative_stddev_rejected(self, ordinal_model):
         data = with_value(model_to_dict(ordinal_model), ("standardizer", "stddevs", 0), -1.0)
         with pytest.raises(ArtifactError, match="stddevs must be >= 0"):

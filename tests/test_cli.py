@@ -483,6 +483,26 @@ class TestPredict:
         assert "model artifact is malformed" in err and "finite" in err
 
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("reg_lambda", -5, "must be >= 0, got -5"),
+        ("tol", 0, "must be > 0, got 0"),
+        ("max_iters", 2.5, "must be a whole number, got 2.5"),
+        ("max_iters", 0, "must be >= 1, got 0"),
+        ("tol", float("nan"), "must be > 0, got nan"),
+    ])
+    def test_fit_setting_out_of_bounds_is_exit_2(self, micro_paths, trained, tmp_path, capsys,
+                                                 field, value, rule):
+        data = json.loads(trained.read_text())
+        data["fit_config"][field] = value
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(data, indent=2, sort_keys=True))
+        code, out, err = invoke(
+            capsys, "predict", *input_args(micro_paths), "--model", str(model_path)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: model artifact field {field!r} {rule}\n"
+
+
 class TestErrorFamilies:
     """Input errors exit 2 and fit errors 3; any other exception is a fault
     of the program and propagates with its traceback."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from triplescore import evaluation
 from triplescore.errors import EmptyInputError, InputFormatError, TooFewEntitiesError
 from triplescore.evaluation import (
     SINGLETON_ONE,
@@ -476,17 +477,48 @@ class TestCrossValidate:
         cross_validate(FoldPlan(triples, 3, 4), np.zeros((len(triples), 1)), recording)
         assert threads == {threading.get_ident()}
 
-    def test_more_workers_run_the_folds_on_a_pool(self):
-        triples = toy_triples()
-        threads = []
-
-        def recording(train_triples, X_train, y_train):
-            threads.append(threading.get_ident())
-            return oracle_trainer(train_triples, X_train, y_train)
-
-        cross_validate(FoldPlan(triples, 3, 4), np.zeros((len(triples), 1)), recording,
-                       max_workers=2)
+    def test_more_workers_run_the_folds_on_a_pool(self, monkeypatch):
+        plan = FoldPlan(toy_triples(), 3, 4)
+        monkeypatch.setattr(evaluation, "_POOL_MIN_TRAIN_ROWS", min_train_rows(plan))
+        threads, pooled = fold_threads(plan, max_workers=2)
         assert len(threads) == 3 and threading.get_ident() not in threads
+        assert pooled.to_dict() == fold_threads(plan, max_workers=1)[1].to_dict()
+
+    def test_small_folds_run_in_the_calling_thread_at_any_worker_count(self):
+        plan = FoldPlan(toy_triples(), 3, 4)
+        assert min_train_rows(plan) < evaluation._POOL_MIN_TRAIN_ROWS
+        threads, inline = fold_threads(plan, max_workers=2)
+        assert threads == [threading.get_ident()] * 3
+        assert inline.to_dict() == fold_threads(plan, max_workers=1)[1].to_dict()
+
+    @pytest.mark.parametrize("above, pool", [(0, True), (1, False)])
+    def test_the_pool_starts_exactly_at_the_constant(self, monkeypatch, above, pool):
+        plan = FoldPlan(toy_triples(7, 3), 3, 4)  # folds train on 12 to 15 rows
+        monkeypatch.setattr(evaluation, "_POOL_MIN_TRAIN_ROWS", min_train_rows(plan) + above)
+        threads, result = fold_threads(plan, max_workers=3)
+        if pool:
+            assert len(threads) == 3 and threading.get_ident() not in threads
+        else:
+            assert threads == [threading.get_ident()] * 3
+        assert result.to_dict() == fold_threads(plan, max_workers=1)[1].to_dict()
+
+
+def min_train_rows(plan):
+    """The training rows of the plan's smallest training side."""
+    return min(len(split.train_triples) for split in plan.splits)
+
+
+def fold_threads(plan, max_workers):
+    """The thread that fitted each fold of the plan, and the CV result."""
+    threads = []
+
+    def recording(train_triples, X_train, y_train):
+        threads.append(threading.get_ident())
+        return sum_trainer(train_triples, X_train, y_train)
+
+    X = np.arange(plan.labels.size, dtype=float).reshape(-1, 1)
+    result = cross_validate(plan, X, recording, max_workers=max_workers)
+    return threads, result
 
 
 def sum_trainer(train_triples, X_train, y_train):

@@ -101,15 +101,23 @@ class TestAgainstOracle:
         assert bits(got) == bits(expected)
 
 
+def run_on_micro_paths(code: str, micro_paths) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter on the package under test, with the
+    micro-world's embeddings, corpus, universe and triples paths as argv[1:]."""
+    src = str(Path(triplescore.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    paths = [str(micro_paths[key]) for key in ("embeddings", "corpus", "universe", "triples")]
+    return subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                          capture_output=True, text=True)
+
+
 def test_cli_import_leaves_scipy_stats_out(micro_paths):
     """Importing the CLI and fitting a model load neither scipy nor numpy.ma.
 
     scipy is a test-only dependency; `numpy.ma` (which `np.unique` imports
     lazily) would add about 20 ms to every fitting run.
     """
-    src = str(Path(triplescore.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, triplescore.cli\n"
             "from triplescore import KeyPlan, Relation, extract_matrix, load_corpus,"
             " load_embeddings, load_triples, load_universe, train_model\n"
@@ -122,7 +130,24 @@ def test_cli_import_leaves_scipy_stats_out(micro_paths):
             "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
             "                or m == 'numpy.ma' or m.startswith('numpy.ma.'))\n"
             "assert not loaded, loaded[:5]\n")
-    paths = [str(micro_paths[key]) for key in ("embeddings", "corpus", "universe", "triples")]
-    result = subprocess.run([sys.executable, "-c", code, *paths], env=env,
-                            capture_output=True, text=True)
+    result = run_on_micro_paths(code, micro_paths)
+    assert result.returncode == 0, result.stderr
+
+
+def test_cv_on_small_folds_leaves_the_thread_pool_out(micro_paths):
+    """Neither importing the CLI nor a `--max-workers 2` cv whose folds are too
+    small for threads loads concurrent.futures, or the logging module it
+    imports; a run that starts no pool has no use for either."""
+    code = ("import contextlib, io, sys, triplescore.cli\n"
+            "def loaded():\n"
+            "    return [m for m in ('concurrent.futures', 'logging') if m in sys.modules]\n"
+            "assert not loaded(), loaded()\n"
+            "embeddings, corpus, universe, triples = sys.argv[1:]\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = triplescore.cli.main(['cv', '--embeddings', embeddings, '--corpus', corpus,\n"
+            "                                 '--universe', universe, '--triples', triples,\n"
+            "                                 '--folds', '3', '--max-workers', '2'])\n"
+            "assert code == 0 and 'kendall_tau' in out.getvalue(), code\n"
+            "assert not loaded(), loaded()\n")
+    result = run_on_micro_paths(code, micro_paths)
     assert result.returncode == 0, result.stderr

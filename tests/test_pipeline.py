@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import micro_plan
-from triplescore import pipeline
+from triplescore import evaluation, pipeline
 from triplescore.baselines import MultinomialModel
 from triplescore.errors import InputFormatError
 from triplescore.evaluation import FoldPlan, cross_validate
@@ -129,6 +129,9 @@ class TestRunCvComparison:
 
     def test_first_rule_runs_inline_and_learned_fits_on_the_pool(self, micro, monkeypatch):
         _, X = extract_matrix(micro["store"], micro_plan(micro))
+        splits = FoldPlan(micro["triples"], 3, 2).splits
+        monkeypatch.setattr(evaluation, "_POOL_MIN_TRAIN_ROWS",
+                            min(len(split.train_triples) for split in splits))
         threads: dict[str, list[int]] = {"first": [], "fit": []}
 
         def recorded(name, call):
