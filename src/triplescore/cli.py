@@ -27,7 +27,6 @@ from .corpus import load_corpus
 from .embeddings import load_embeddings
 from .errors import (
     ArtifactError,
-    DuplicateKeyError,
     FitError,
     InputFormatError,
     RelationMismatchError,
@@ -156,14 +155,9 @@ def cmd_predict(config: RunConfig) -> int:
     return 0
 
 
-def _keyed_by_pair(triples, path):
-    out = {}
-    for t in triples:
-        key = (t.entity_key, t.object_key)
-        if key in out:
-            raise DuplicateKeyError(f"{t.entity}/{t.object}", path)
-        out[key] = t
-    return out
+def _keyed_by_pair(triples):
+    """Triples by normalized (entity, object) pair; `load_triples` rejects a repeat."""
+    return {(t.entity_key, t.object_key): t for t in triples}
 
 
 def cmd_evaluate(config: RunConfig) -> int:
@@ -171,8 +165,8 @@ def cmd_evaluate(config: RunConfig) -> int:
     relation = _resolve_relation(config)
     truth_triples = load_triples(config.triples, relation)
     pred_triples = load_triples(config.predictions, relation)
-    truth_map = _keyed_by_pair(truth_triples, config.triples)
-    pred_map = _keyed_by_pair(pred_triples, config.predictions)
+    truth_map = _keyed_by_pair(truth_triples)
+    pred_map = _keyed_by_pair(pred_triples)
 
     missing = [k for k in truth_map if k not in pred_map]
     extra = [k for k in pred_map if k not in truth_map]

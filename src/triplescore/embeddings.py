@@ -26,13 +26,20 @@ def normalize_key(raw: str) -> str:
 
 
 class EmbeddingStore:
-    """Immutable map from normalized key to a row of one read-only (n, dim) matrix.
+    """Immutable map from normalized key to the unit row of its vector.
 
-    Safe for concurrent reads once constructed; loading is single-threaded.
+    The rows are one read-only float64 (n, dim) matrix, `vectors`, and the
+    read-only mask `usable` marks the rows whose vector has a positive
+    finite norm. Such a row is the vector divided by its norm; every other
+    row is zero, and so is the row of a key the store numbers but does not
+    hold. Safe for concurrent reads once constructed; loading is
+    single-threaded.
     """
 
     def __init__(self, keys, vectors):
-        vectors = np.asarray(vectors, dtype=float)
+        """A store of normalized keys and a matrix with one row per key, in that
+        order; the rows are unit-normalised here, on a copy."""
+        vectors = np.array(vectors, dtype=float)
         if vectors.ndim != 2:
             raise DimensionMismatchError(f"vectors must be (n, dim), got {vectors.shape}")
         n, dim = vectors.shape
@@ -44,31 +51,66 @@ class EmbeddingStore:
             raise DuplicateKeyError(next(k for i, k in enumerate(keys) if index[k] != i))
         if len(index) != n:
             raise DimensionMismatchError(f"{len(keys)} keys for {n} vectors")
-        self.dim = dim
-        self.vectors = vectors.view()
-        self.vectors.flags.writeable = False
-        self._index = index
+        self._hold(index, vectors, _unit(vectors), np.ones(n, dtype=bool))
+
+    @classmethod
+    def _of_units(cls, index: dict, vectors, usable, held) -> "EmbeddingStore":
+        """A store of rows that are already unit rows (the loader's)."""
+        store = cls.__new__(cls)
+        store._hold(index, vectors, usable, held)
+        return store
+
+    def _hold(self, index: dict, vectors, usable, held) -> None:
+        self.dim = vectors.shape[1]
+        self.vectors, self.usable = vectors.view(), usable.view()
+        self.vectors.flags.writeable = self.usable.flags.writeable = False
+        self._index, self._held = index, held
+        self._count = int(np.count_nonzero(held))
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._count
 
     def __contains__(self, key: str) -> bool:
-        return normalize_key(key) in self._index
+        return self.lookup(key) is not None
 
     def lookup(self, key: str) -> np.ndarray | None:
-        """Read-only vector for the normalized key, or None if unknown."""
+        """Read-only unit row for the normalized key, or None if the store does not hold it."""
         i = self._index.get(normalize_key(key))
-        return None if i is None else self.vectors[i]
+        return None if i is None or not self._held[i] else self.vectors[i]
+
+    def in_order_of(self, keys) -> bool:
+        """Whether `keys` is the store's own index: the dict `load_embeddings`
+        was given and kept as it is, not an equal copy. Row i then holds the
+        key `keys` numbers i."""
+        return keys is self._index
 
     def rows(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh copies of normalized keys' rows, zero where absent, and which are held."""
+        """A gather: fresh copies of normalized keys' unit rows, zero where a
+        key is not held, and which of them are usable."""
         at = np.array([self._index.get(key, -1) for key in keys], dtype=np.intp)
+        if not len(self.vectors):   # take() raises on an empty axis
+            return np.zeros((len(at), self.dim)), np.zeros(len(at), dtype=bool)
         held = at >= 0
-        if not len(self._index):   # take() raises on an empty axis
-            return np.zeros((len(at), self.dim)), held
         rows = self.vectors.take(at, axis=0)
         rows[~held] = 0.0
-        return rows, held
+        return rows, self.usable[at] & held
+
+
+def _unit(rows: np.ndarray) -> np.ndarray:
+    """Unit-normalise rows in place, zero the unusable ones, and return which are usable.
+
+    A row is usable iff its norm is a positive finite number. Each row's
+    norm and division are its own, so a row gets the same bits whatever
+    rows it is normalised with.
+    """
+    norms = np.linalg.norm(rows, axis=1)
+    usable = (norms > 0.0) & np.isfinite(norms)
+    if usable.all():   # the common case, with fewer numpy calls
+        rows /= norms[:, None]
+    else:
+        rows /= np.where(usable, norms, 1.0)[:, None]
+        rows[~usable] = 0.0
+    return usable
 
 
 # Bytes per read. A block is cut after its last line end, so a line longer
@@ -86,11 +128,19 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
     ones that overflow, such as 1e999), which would otherwise reach the
     features as nan.
 
-    With `keys`, a set or dict of normalized keys (such as a `KeyPlan`'s
-    `rows`), only the vectors whose normalized key is in `keys` are parsed
-    and stored; `keys` is read as it is, not copied. Every line still gets
-    the token-count and duplicate-key checks and counts toward the header's
-    entry count; the numeric and finiteness checks run on the kept lines.
+    The store holds unit rows (see `EmbeddingStore`): each kept vector is
+    unit-normalised as its block is parsed. Without `keys` (or with None)
+    every vector is kept, in file order.
+
+    With `keys`, normalized keys such as a `KeyPlan`'s `rows`, only the
+    vectors whose normalized key is in `keys` are parsed and stored, each
+    at its key's row of one zeroed (len(keys), dim) matrix: the keys are
+    numbered in their order. A dict that already numbers its keys so, as
+    `KeyPlan.rows` does, becomes the store's index as it is, not copied.
+    A key the file does not hold keeps a zero row, and the store does not
+    hold it. Every line still gets the token-count and
+    duplicate-key checks and counts toward the header's entry count; the
+    numeric and finiteness checks run on the kept lines.
 
     The file must be UTF-8, and one leading byte-order mark is skipped;
     lines end at "\\n", "\\r\\n" or "\\r", and tokens are separated by
@@ -120,11 +170,17 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
         if count < 1:
             raise MalformedLineError(path, 1, f"header must declare an entry, got {count}")
 
-        # Kept vectors go into one matrix. A vector line takes at least 2 * dim + 1
-        # bytes, so a header cannot make it longer, or wider, than the file could fill.
+        # Kept vectors go into one matrix, in file order or at their keys' rows. A
+        # vector line takes at least 2 * dim + 1 bytes, so a header cannot make the
+        # matrix longer, or wider, than the file could fill.
         size = os.fstat(fh.fileno()).st_size
-        rows = min(count, size // (2 * dim + 1), count if keys is None else len(keys))
-        loader = _Loader(path, dim, keys, np.empty((rows, min(dim, size))))
+        if keys is None:
+            order, rows = None, min(count, size // (2 * dim + 1))
+        else:
+            order = keys if _numbers_in_order(keys) else {
+                key: i for i, key in enumerate(dict.fromkeys(keys))}
+            rows = len(order)
+        loader = _Loader(path, dim, order, np.zeros((rows, min(dim, size))))
         line_no = loader.block(first[end.end():] if end else b"", 2)
         for block in blocks:
             line_no = loader.block(block, line_no)
@@ -133,7 +189,17 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
         raise MalformedLineError(
             path, 1, f"header declares {count} entries, file holds {len(loader.seen)}"
         )
-    return EmbeddingStore(loader.keys, loader.vectors[:len(loader.keys)])
+    if order is None:
+        n = len(loader.keys)
+        return EmbeddingStore._of_units(dict(zip(loader.keys, range(n))), loader.vectors[:n],
+                                        loader.usable[:n], np.ones(n, dtype=bool))
+    return EmbeddingStore._of_units(order, loader.vectors, loader.usable, loader.held)
+
+
+def _numbers_in_order(keys) -> bool:
+    """Whether keys is a dict that maps its keys to 0, 1, ... in order, as
+    `KeyPlan.rows` does, and so can serve as a store's index as it is."""
+    return isinstance(keys, dict) and list(keys.values()) == list(range(len(keys)))
 
 
 def _blocks(fh):
@@ -176,12 +242,14 @@ class _Loader:
     and the first bad line is the one named.
     """
 
-    def __init__(self, path, dim: int, wanted, vectors: np.ndarray):
+    def __init__(self, path, dim: int, order: dict | None, vectors: np.ndarray):
         self.path = path
         self.dim = dim
-        self.wanted = wanted
-        self.keys: list[str] = []
+        self.order = order
+        self.keys: list[str] = []   # kept keys in file order, without `order`
         self.vectors = vectors
+        self.usable = np.zeros(len(vectors), dtype=bool)
+        self.held = None if order is None else np.zeros(len(vectors), dtype=bool)
         self.seen: set[str] = set()
 
     def line(self, raw: bytes, line_no: int) -> None:
@@ -199,7 +267,7 @@ class _Loader:
 
     def entry(self, key: str, values: list[str], line_no: int) -> None:
         self.record((key,))
-        if self.wanted is not None and key not in self.wanted:
+        if self.order is not None and key not in self.order:
             return
         try:
             vec = np.array(values, dtype=float)
@@ -210,11 +278,21 @@ class _Loader:
         self.keep([key], vec[None])
 
     def keep(self, keys: list[str], rows: np.ndarray) -> None:
-        """Write kept keys' rows next in `vectors`, dropping any past its end
-        (only a file with more lines than its header declares has those)."""
-        at = len(self.keys)
-        self.vectors[at:at + len(keys)] = rows[:max(0, len(self.vectors) - at)]
-        self.keys += keys
+        """Unit-normalise kept keys' rows in place and write them into `vectors`:
+        at their rows in `order`, or else next in file order, dropping any past
+        its end (only a file with more lines than its header declares has those)."""
+        usable = _unit(rows)
+        if self.order is None:
+            at = len(self.keys)
+            room = max(0, len(self.vectors) - at)
+            self.vectors[at:at + len(keys)] = rows[:room]
+            self.usable[at:at + len(keys)] = usable[:room]
+            self.keys += keys
+        else:
+            at = np.array([self.order[key] for key in keys], dtype=np.intp)
+            self.vectors[at] = rows
+            self.usable[at] = usable
+            self.held[at] = True
 
     def record(self, keys) -> None:
         """Add keys to `seen` in line order; one seen before is a duplicate."""
@@ -264,8 +342,8 @@ class _Loader:
             b, e = spans[j]
             return text[b + len(keys[j]):e]
 
-        wanted = self.wanted
-        kept = [j for j, key in enumerate(keys) if wanted is None or key in wanted]
+        order = self.order
+        kept = [j for j, key in enumerate(keys) if order is None or key in order]
         # The kept fast lines are parsed together; with none kept there is no
         # call, as numpy warns on empty input. If that fails, each is parsed
         # on its own, in line order below, so the first error is raised.

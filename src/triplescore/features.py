@@ -132,21 +132,19 @@ def _per_chunk(row_bytes: int) -> int:
 
 
 def _unit_rows(store: EmbeddingStore, keys) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalised rows of the normalized keys' vectors, and which rows are usable.
+    """The normalized keys' unit rows, in the order of `keys`, and which are usable.
 
     A vector is usable iff the store holds it and its norm is a positive
     finite number. This one rule decides the similarity flags, the ops
     terms and the ops_terms flag. The rows of unusable vectors are zero.
+    The store unit-normalised its rows when it was made, so this is only
+    a gather, and none when the store holds its rows in the order of
+    `keys` (the CLI loads `plan.rows`): its own read-only matrix and mask
+    are returned as they are.
     """
-    rows, usable = store.rows(keys)
-    step = _per_chunk(8 * store.dim)
-    for i in range(0, len(rows), step):
-        part = rows[i:i + step]
-        norms = np.linalg.norm(part, axis=1)
-        ok = usable[i:i + step] = (norms > 0.0) & np.isfinite(norms)
-        part /= np.where(ok, norms, 1.0)[:, None]
-        part[~ok] = 0.0
-    return rows, usable
+    if store.in_order_of(keys):
+        return store.vectors, store.usable
+    return store.rows(keys)
 
 
 def object_entity_similarity(store: EmbeddingStore, entity: str, obj: str) -> float:
@@ -213,6 +211,9 @@ def _page_sums(units: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> np.nda
 class _Pages:
     """The plan keys' `_unit_rows` in store, by plan row, and ops against the plan's pages.
 
+    The rows are the store's own matrix and mask when the store was loaded
+    with `plan.rows`, and a gather from it otherwise; they are only read.
+
     The mean cosine between an object and a page's usable linked entities
     (duplicates counted per occurrence) is the dot product of the object's
     unit vector with the sum of the page's unit vectors, over the
@@ -227,7 +228,7 @@ class _Pages:
                 f"denominator must be {OPS_DENOM_EMBEDDED!r} or {OPS_DENOM_ALL!r}, "
                 f"got {denominator!r}"
             )
-        self.units, self.usable = _unit_rows(store, list(plan.rows))
+        self.units, self.usable = _unit_rows(store, plan.rows)
         records = plan.records
         linked = np.array([0 if r is None else len(r.linked_keys) for r in records], dtype=int)
         rows = np.array([plan.rows[key] for r in records if r is not None
@@ -337,12 +338,13 @@ def extract(store: EmbeddingStore, plan: KeyPlan, *,
             ops_denominator: str = "embedded") -> list[FeatureVector]:
     """Feature vectors for the plan's triples, in input order.
 
-    `plan` is `KeyPlan.of_run` of the corpus, universe and triples. Every
-    key it lists is unit-normalised once, and each entity's page is summed
-    once. The universe ops are computed for a chunk of entities at a time;
-    each of the chunk's rows then gets its ops, its place among that
-    universe row, and its similarity, a chunk of rows at a time. Each page
-    is lowercased once for all of its entity's mention searches.
+    `plan` is `KeyPlan.of_run` of the corpus, universe and triples. The
+    store's unit rows are read in plan order, with no copy when the store
+    was loaded with `plan.rows`, and each entity's page is summed once.
+    The universe ops are computed for a chunk of entities at a time; each
+    of the chunk's rows then gets its ops, its place among that universe
+    row, and its similarity, a chunk of rows at a time. Each page is
+    lowercased once for all of its entity's mention searches.
     """
     triples, objects = plan.triples, plan.universe.objects
     n_objects = len(objects)
@@ -450,9 +452,12 @@ def load_triples(path, relation: Relation) -> list[Triple]:
     """Load a TSV triple file: entity<TAB>object[<TAB>score].
 
     An absent or empty score column means unscored; otherwise the score
-    must be an integer in [0, 7].
+    must be an integer in [0, 7]. A normalized (entity, object) pair may
+    occur once: a repeat is a `DuplicateKeyError` naming the file and the
+    pair.
     """
     triples = []
+    pairs = set()
     for line_no, line in text_lines(path):
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
@@ -475,7 +480,12 @@ def load_triples(path, relation: Relation) -> list[Triple]:
                 ) from None
             if not (0 <= truth <= 7):
                 raise MalformedLineError(path, line_no, f"score must be in [0, 7], got {truth}")
-        triples.append(Triple(entity=entity, relation=relation, object=obj, truth=truth))
+        triple = Triple(entity=entity, relation=relation, object=obj, truth=truth)
+        pair = (triple.entity_key, triple.object_key)
+        if pair in pairs:
+            raise DuplicateKeyError(f"{entity}/{obj}", path)
+        pairs.add(pair)
+        triples.append(triple)
     return triples
 
 

@@ -21,6 +21,7 @@ from triplescore.features import FEATURE_NAMES, KeyPlan, extract, matrix_to_tsv
 from triplescore.ordinal import OrdinalModel
 from triplescore.pipeline import extract_matrix, predict_scores, run_cv_comparison
 
+PLANTED = Path(__file__).parent / "data" / "planted"
 
 def invoke(capsys, *args):
     code = main(list(args))
@@ -556,6 +557,23 @@ class TestErrorFamilies:
                                 "--model", str(model_path))
         assert (code, out, err, read) == (2, "", f"error: {message}\n", [])
 
+    @pytest.mark.parametrize("command", ["train", "cv", "predict"])
+    def test_a_repeated_triple_pair_is_exit_2(self, trained, tmp_path, capsys, command):
+        # the planted triples plus a second copy of the first pair, scored 1, not 6
+        text = (PLANTED / "triples.tsv").read_text()
+        entity, obj, score = text.splitlines()[0].split("\t")
+        assert score == "6"
+        triples = tmp_path / "triples.tsv"
+        triples.write_text(f"{text}{entity}\t{obj}\t1\n")
+        args = input_args({"embeddings": PLANTED / "embeddings.txt",
+                           "corpus": PLANTED / "corpus.jsonl",
+                           "universe": PLANTED / "universe.txt", "triples": triples})
+        model = {"train": tmp_path / "model.json", "predict": trained}.get(command)
+        code, out, err = invoke(capsys, command, *args,
+                                *(["--model", str(model)] if model else []))
+        assert (code, out) == (2, "")
+        assert err == f"error: duplicate key '{entity}/{obj}' in {triples}\n"
+
     def test_a_broken_internal_contract_propagates(self, micro_paths, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("broken contract")
@@ -619,10 +637,10 @@ class TestEvaluate:
 
     def test_duplicate_prediction_rows(self, tmp_path, capsys):
         truth = [("a", "x", 5)]
-        preds = [("a", "x", 5), ("a", "x", 4)]
+        preds = [("a", "x", 5), ("A", "x ", 4)]
         code, _, err = self.run_eval(capsys, tmp_path, truth, preds)
         assert code == 2
-        assert "duplicate" in err
+        assert err == f"error: duplicate key 'A/x' in {tmp_path / 'preds.tsv'}\n"
 
     def test_missing_score_column(self, tmp_path, capsys):
         truth = tmp_path / "truth.tsv"

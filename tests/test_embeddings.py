@@ -5,18 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_units import RawStore, unit_rows, units
+from triplescore.corpus import Corpus
 from triplescore.embeddings import EmbeddingStore, load_embeddings, normalize_key
 from triplescore.errors import DimensionMismatchError, DuplicateKeyError, MalformedLineError
+from triplescore.features import KeyPlan
 
 
 def masked_gather(store, keys):
     """The store's former gather, kept as the oracle for `EmbeddingStore.rows`:
-    zeros, then the held rows assigned through a boolean mask."""
+    zeros, then the numbered keys' rows and usable flags assigned through a
+    boolean mask. A key the store numbers but does not hold has a zero,
+    unusable row, so it gathers as an absent key does."""
     at = np.array([store._index.get(key, -1) for key in keys], dtype=np.intp)
-    held = at >= 0
+    numbered = at >= 0
     rows = np.zeros((len(at), store.dim))
-    rows[held] = store.vectors[at[held]]
-    return rows, held
+    rows[numbered] = store.vectors[at[numbered]]
+    usable = np.zeros(len(at), dtype=bool)
+    usable[numbered] = store.usable[at[numbered]]
+    return rows, usable
 
 
 def write(tmp_path, text, name="emb.txt"):
@@ -35,8 +42,10 @@ class TestLoad:
         store = load_embeddings(
             write(tmp_path, "2 2\na 0.25 -1.5\nb 3.125 0.0078125\n")
         )
-        assert store.lookup("a").tolist() == [0.25, -1.5]
-        assert store.lookup("b").tolist() == [3.125, 0.0078125]
+        # the store holds unit rows: the exact vectors, each over its norm
+        want = units([[0.25, -1.5], [3.125, 0.0078125]])
+        assert store.lookup("a").tobytes() == want[0].tobytes()
+        assert store.lookup("b").tobytes() == want[1].tobytes()
 
     def test_wrong_component_count(self, tmp_path):
         path = write(tmp_path, "1 3\nparis 1 0\n")
@@ -92,7 +101,7 @@ class TestLoadKeys:
         store = load_embeddings(write(tmp_path, self.TEXT), keys)
         assert len(store) == 2
         assert store.lookup("paris").tolist() == [1.0, 0.0]
-        assert store.lookup("new_york").tolist() == [0.5, 0.5]
+        assert store.lookup("new_york").tolist() == units([[0.5, 0.5]])[0].tolist()
         assert store.lookup("rome") is None
 
     def test_requested_key_absent_from_file_is_absent(self, tmp_path):
@@ -191,10 +200,13 @@ class TestStore:
             EmbeddingStore(["a", "b", "a"], np.eye(3))
         assert err.value.key == "a"
 
-    def test_vectors_are_read_only(self, tmp_path):
-        store = load_embeddings(write(tmp_path, "2 2\nparis 1 0\nrome 0 1\n"))
+    @pytest.mark.parametrize("keys", [None, {"paris": 0, "oslo": 1, "rome": 2}])
+    def test_vectors_are_read_only(self, tmp_path, keys):
+        store = load_embeddings(write(tmp_path, "2 2\nparis 1 0\nrome 0 1\n"), keys)
         with pytest.raises(ValueError):
             store.lookup("paris")[:] = 0.0
+        with pytest.raises(ValueError):
+            store.usable[:] = True
         assert store.lookup("paris").tolist() == [1.0, 0.0]
 
     def test_rows_are_fresh_copies_by_key(self, tmp_path):
@@ -216,11 +228,15 @@ class TestStore:
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(0, 6), dim=st.integers(1, 4),
-           picks=st.lists(st.integers(-3, 8), max_size=12), seed=st.integers(0, 2**16))
-    def test_rows_match_the_masked_gather(self, n, dim, picks, seed):
-        # picks below 0 or from n on name absent keys; the rest are held
+           picks=st.lists(st.integers(-3, 8), max_size=12), seed=st.integers(0, 2**16),
+           zero=st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_rows_match_the_masked_gather(self, n, dim, picks, seed, zero):
+        # picks below 0 or from n on name absent keys; the rest are held,
+        # and a zero vector is held but unusable
         keys = [f"k{i}" for i in range(n)]
-        store = EmbeddingStore(keys, np.random.default_rng(seed).normal(size=(n, dim)))
+        vectors = np.random.default_rng(seed).normal(size=(n, dim))
+        vectors[zero[:n]] = 0.0
+        store = EmbeddingStore(keys, vectors)
         wanted = [f"k{i}" if 0 <= i < n else f"absent{i}" for i in picks]
         rows, held = store.rows(wanted)
         want_rows, want_held = masked_gather(store, wanted)
@@ -233,6 +249,64 @@ class TestStore:
         with pytest.raises(DuplicateKeyError) as err:
             load_embeddings(path)
         assert err.value.key == "new_york"
+
+
+# Components whose squares overflow (the norm is then infinite and the row
+# unusable), underflow to subnormals or to zero, or are ordinary numbers.
+COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e200, -1e200, 1e-170, 1e-310, -2.2e-308, 5e-324]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+NAMES = [f"k{i}" for i in range(8)]
+
+
+@st.composite
+def unit_files(draw):
+    """(dim, raw vectors by key in file order, keys to load with, the row order)."""
+    dim = draw(st.integers(1, 4))
+    vectors = {}
+    for name in draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=8, unique=True)):
+        zero = draw(st.integers(0, 4)) == 0
+        vectors[name] = [0.0] * dim if zero else [draw(COMPONENTS) for _ in range(dim)]
+    # the keys to load may name keys the file lacks
+    picked = draw(st.lists(st.sampled_from(NAMES + ["absent", "gone"]), unique=True))
+    kind = draw(st.sampled_from(["none", "set", "plan"]))
+    if kind == "none":
+        return dim, vectors, None, list(vectors)
+    if kind == "set":
+        keys = set(picked)
+        return dim, vectors, keys, list(keys)
+    cut = draw(st.integers(0, len(picked)))
+    keys = KeyPlan(Corpus({}), picked[:cut], picked[cut:]).rows
+    return dim, vectors, keys, list(keys)
+
+
+class TestUnitRows:
+    """The store's rows against the former copy-then-normalise `_unit_rows`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_files())
+    def test_loaded_rows_and_mask_match_the_reference(self, tmp_path_factory, file):
+        dim, vectors, keys, order = file
+        path = tmp_path_factory.mktemp("units") / "emb.txt"
+        path.write_text(f"{len(vectors)} {dim}\n" + "".join(
+            " ".join([key, *map(repr, v)]) + "\n" for key, v in vectors.items()))
+        with np.errstate(over="ignore"):
+            store = load_embeddings(path, keys)
+            want_rows, want_usable = unit_rows(RawStore(dim, vectors), order)
+            built = EmbeddingStore(list(vectors), np.array(list(vectors.values())))
+            want_built = unit_rows(RawStore(dim, vectors), list(vectors))
+        assert store.vectors.tobytes() == want_rows.tobytes()
+        assert store.usable.tolist() == want_usable.tolist()
+        assert built.vectors.tobytes() == want_built[0].tobytes()
+        assert built.usable.tolist() == want_built[1].tolist()
+        held = [key for key in order if key in vectors]
+        assert len(store) == len(held)
+        assert [key for key in NAMES + ["absent"] if key in store] == sorted(held)
+        for i, key in enumerate(order):
+            row = store.lookup(key)
+            assert (row is None) == (key not in vectors)
+            assert row is None or row.tobytes() == want_rows[i].tobytes()
 
 
 class TestAllocation:
@@ -273,14 +347,24 @@ class TestAllocation:
         assert str(err.value).endswith(f"header declares 1 entries, file holds {1 + extra}")
 
     @pytest.mark.parametrize("sep", [" ", "\t"])
-    def test_a_filtered_store_holds_the_kept_rows_in_file_order(self, tmp_path, sep):
+    def test_a_store_holds_unit_rows_in_file_order_or_in_the_order_of_its_keys(
+            self, tmp_path, sep):
         rows = {"paris": (1.0, 0.0), "rome": (0.0, 1.0), "oslo": (0.5, 2.0),
                 "bern": (3.0, -1.0), "lima": (-2.0, 0.25)}
         text = "".join(f"{sep.join([key, *map(repr, v)])}\n" for key, v in rows.items())
         path = write(tmp_path, f"{len(rows)} 2\n{text}")
-        for keys in (None, {"rome", "bern", "atlantis"}, set()):
+        raw = RawStore(2, rows)
+        store = load_embeddings(path)
+        assert len(store) == len(rows)
+        assert store.vectors.tobytes() == unit_rows(raw, list(rows))[0].tobytes()
+        # the keys are numbered in their order, whatever a dict maps them to;
+        # a key the file lacks keeps a zero row that the store does not hold
+        for keys in ({"rome", "bern", "atlantis"}, {"lima": 0, "atlantis": 1, "oslo": 2},
+                     {"lima": 2, "atlantis": 0, "oslo": 1}, ["oslo", "lima", "oslo"], set()):
             store = load_embeddings(path, keys)
-            kept = [key for key in rows if keys is None or key in keys]
-            assert len(store) == len(kept)
-            assert store.vectors.shape == (len(kept), 2)
-            assert store.vectors.tolist() == [list(rows[key]) for key in kept]
+            assert store.in_order_of(keys) == (keys == {"lima": 0, "atlantis": 1, "oslo": 2})
+            keys = list(dict.fromkeys(keys))
+            assert len(store) == len(set(keys) & set(rows))
+            assert store.vectors.shape == (len(keys), 2)
+            assert store.vectors.tobytes() == unit_rows(raw, list(keys))[0].tobytes()
+            assert ("atlantis" in store, store.lookup("atlantis")) == (False, None)

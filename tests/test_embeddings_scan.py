@@ -13,7 +13,10 @@ newline and a leading byte-order mark, with the block size patched down so that 
 everywhere. Some files draw their values from a numeric alphabet (digits,
 ". e E + - _ x", "inf" and "nan"), whose tokens numpy's C text reader and
 `float()` may judge differently; a refused kept line must then take the
-per-line `float()` path and load, or fail, as the oracle does.
+per-line `float()` path and load, or fail, as the oracle does. The
+oracle's vectors go into `EmbeddingStore(keys, vectors)`, which
+unit-normalises them, so both stores are compared by their unit rows and
+usable flags.
 """
 
 from unittest import mock
@@ -24,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EMBEDDINGS_TEXT, store_from
+from oracle_units import units
 from triplescore import embeddings
 from triplescore.cli import main
 from triplescore.embeddings import EmbeddingStore, load_embeddings, normalize_key
@@ -142,15 +146,22 @@ def embedding_files(draw):
     return text, keys
 
 
-def outcome(load, path, keys):
-    """A loaded store as its dim and each vector's bytes, or the error."""
+def outcome(load, path, keys, order=None):
+    """A loaded store as its dim and each held key's unit row bytes and usable
+    flag, or the error. With `order`, the keys the store was loaded with in
+    the order it numbers them, row i must be the i-th key's row, or zero."""
     try:
         store = load(path, keys)
     except Exception as exc:
         return type(exc), str(exc)
-    names = {normalize_key(k + s) for k in KEYS for s in SUFFIXES}
-    vectors = {k: store.lookup(k).tobytes() for k in names if k in store}
+    names = sorted({normalize_key(k + s) for k in KEYS for s in SUFFIXES})
+    rows, usable = store.rows(names)
+    vectors = {k: (row.tobytes(), ok)
+               for k, row, ok in zip(names, rows, usable.tolist()) if k in store}
     assert len(vectors) == len(store)
+    for i, key in enumerate(order or ()):
+        row = store.lookup(key)
+        assert store.vectors[i].tobytes() == (np.zeros(store.dim) if row is None else row).tobytes()
     return store.dim, vectors
 
 
@@ -166,7 +177,7 @@ def test_matches_oracle(emb_path, file, block):
     emb_path.write_bytes(text.encode("utf-8"))
     wanted = None if keys is None else {normalize_key(k) for k in keys}
     with mock.patch.object(embeddings, "_BLOCK_BYTES", block):
-        got = outcome(load_embeddings, emb_path, wanted)
+        got = outcome(load_embeddings, emb_path, wanted, None if wanted is None else list(wanted))
     assert got == outcome(oracle_load_embeddings, emb_path, keys)
 
 
@@ -180,7 +191,7 @@ def test_long_line_across_blocks(tmp_path, block, end):
     with mock.patch.object(embeddings, "_BLOCK_BYTES", block):
         store = load_embeddings(path, {"rome"})
     assert len(store) == 1
-    assert store.lookup("rome").tobytes() == np.full(50_000, 0.5).tobytes()
+    assert store.lookup("rome").tobytes() == units([np.full(50_000, 0.5)])[0].tobytes()
 
 
 def test_crlf_is_never_split_across_blocks(tmp_path):
@@ -211,8 +222,8 @@ def test_only_unscannable_lines_take_the_exact_path(tmp_path):
     with mock.patch.object(embeddings._Loader, "line", spy):
         store = load_embeddings(path, {"café", "k3"})
     assert exact == [9, 32]
-    assert store.lookup("café").tolist() == [7.0, 1.0]
-    assert store.lookup("k3").tolist() == [3.0, 1.0]
+    assert store.lookup("café").tolist() == units([[7.0, 1.0]])[0].tolist()
+    assert store.lookup("k3").tolist() == units([[3.0, 1.0]])[0].tolist()
     assert len(store) == 2
 
 
@@ -258,9 +269,10 @@ def test_value_only_float_accepts_loads_through_the_fallback(tmp_path, monkeypat
     fallback = spy_entries(monkeypatch)
     store = load_embeddings(path, {"paris", "rome", "bern"})
     assert fallback == [2, 3, 5]
-    assert store.lookup("rome").tolist() == [10.0, 3.0]
-    assert store.lookup("bern").tolist() == [6.0, 1e50]
-    assert store.lookup("paris").tolist() == [1.0, 2.0]
+    want = units([[10.0, 3.0], [6.0, 1e50], [1.0, 2.0]])
+    assert store.lookup("rome").tolist() == want[0].tolist()
+    assert store.lookup("bern").tolist() == want[1].tolist()
+    assert store.lookup("paris").tolist() == want[2].tolist()
     assert "oslo" not in store
 
 
@@ -270,7 +282,7 @@ def test_block_of_accepted_values_takes_no_fallback(tmp_path, monkeypatch):
     fallback = spy_entries(monkeypatch)
     store = load_embeddings(path)
     assert fallback == []
-    assert store.vectors.tobytes() == np.array([[1, 2], [-0.0, 0.5], [5, 1e-3]]).tobytes()
+    assert store.vectors.tobytes() == units([[1, 2], [-0.0, 0.5], [5, 1e-3]]).tobytes()
 
 
 @pytest.mark.parametrize("value, message", [
@@ -297,5 +309,5 @@ def test_block_mixing_a_failing_kept_line_names_the_first_bad_line(tmp_path):
     with pytest.raises(MalformedLineError) as err:
         load_embeddings(path, {"paris", "rome", "bern", "kyiv", "riga"})
     assert str(err.value) == f"{path}:5: non-numeric vector component"
-    store = load_embeddings(path, {"paris", "rome", "riga"})
-    assert store.vectors.tolist() == [[1.0, 2.0], [10.0, 3.0], [5.0, 6.0]]
+    store = load_embeddings(path, {"paris": 0, "rome": 1, "riga": 2})
+    assert store.vectors.tolist() == units([[1.0, 2.0], [10.0, 3.0], [5.0, 6.0]]).tolist()

@@ -57,8 +57,11 @@ VEC = {
 
 
 def with_vectors(store, **replaced):
-    """A copy of the store with some vectors replaced or added."""
-    return store_from(store.dim, {key: store.lookup(key) for key in VEC} | replaced)
+    """A store of the micro-world vectors with some replaced or added.
+
+    It is built from VEC, not from the store's rows: those are unit rows,
+    and normalising them again could move their last bits."""
+    return store_from(store.dim, VEC | replaced)
 
 
 def oracle_cos(a, b):
@@ -246,11 +249,12 @@ class TestExtract:
         assert fv.ops == 0.0
 
     def test_overflowing_norm_is_unusable(self, micro):
-        # finite components whose norm overflows cannot be normalised
-        store = with_vectors(micro["store"], coder=(1e200, 1e200))
-        triples = [Triple("ada", Relation.PROFESSION, "coder")]
+        # finite components whose norm overflows cannot be normalised; the
+        # store normalises its rows, so the overflow happens as it is made
         with np.errstate(over="ignore"):
-            (fv,) = extract(store, micro_plan(micro, triples))
+            store = with_vectors(micro["store"], coder=(1e200, 1e200))
+        triples = [Triple("ada", Relation.PROFESSION, "coder")]
+        (fv,) = extract(store, micro_plan(micro, triples))
         assert fv.missing == {FLAG_OBJECT_EMBEDDING, FLAG_OPS_TERMS}
         assert (fv.obj_entity_sim, fv.ops) == (0.0, 0.0)
 
@@ -273,10 +277,15 @@ class TestExtract:
 
 
 class RecordingStore:
-    """A store that records every key its rows are gathered for."""
+    """A store that records every key its rows are gathered for.
+
+    It is in the order of no plan, so extract gathers every row it reads."""
 
     def __init__(self, store):
         self.store, self.dim, self.keys = store, store.dim, set()
+
+    def in_order_of(self, keys):
+        return False
 
     def rows(self, keys):
         keys = list(keys)
@@ -309,6 +318,22 @@ def test_dirty_world_reproduces_the_committed_feature_tables(denominator, table)
     vectors = extract(load_embeddings(DIRTY / "embeddings.txt"),
                       KeyPlan.of_run(corpus, universe, triples), ops_denominator=denominator)
     assert matrix_to_tsv(triples, vectors) == (DIRTY / table).read_text()
+
+
+def test_a_store_in_plan_order_is_read_as_it_is_by_two_extracts():
+    # the CLI's store: _Pages reads its matrix and mask without a copy, and a
+    # second extract reads the same bits, as does one that gathers from a
+    # store in file order
+    corpus, universe, triples = load_world(PLANTED)
+    plan = KeyPlan.of_run(corpus, universe, triples)
+    store = load_embeddings(PLANTED / "embeddings.txt", plan.rows)
+    units, usable = features._unit_rows(store, plan.rows)
+    assert units is store.vectors and usable is store.usable
+    assert not store.in_order_of(dict(plan.rows))
+    first = matrix_to_tsv(triples, extract(store, plan))
+    assert matrix_to_tsv(triples, extract(store, plan)) == first
+    gathered = extract(load_embeddings(PLANTED / "embeddings.txt"), plan)
+    assert matrix_to_tsv(triples, gathered) == first == (PLANTED / "features.tsv").read_text()
 
 
 class TestLookupKeys:
@@ -570,6 +595,15 @@ class TestLoaders:
         path.write_text("a\tb\t9\n")
         with pytest.raises(MalformedLineError):
             load_triples(path, Relation.PROFESSION)
+
+    def test_triples_repeated_pair_is_duplicate(self, tmp_path):
+        # the pair is compared as normalized keys; a score does not tell copies apart
+        path = tmp_path / "t.tsv"
+        path.write_text("Ada  Lovelace\tcoder\t7\nada lovelace\tpoet\t2\n"
+                        "ada lovelace\tCoder \t1\n")
+        with pytest.raises(DuplicateKeyError) as err:
+            load_triples(path, Relation.PROFESSION)
+        assert str(err.value) == f"duplicate key 'ada lovelace/Coder' in {path}"
 
     def test_triples_empty_file(self, tmp_path):
         path = tmp_path / "t.tsv"
