@@ -7,16 +7,21 @@ the token-count, duplicate-key, numeric, finiteness and header-count
 checks in line order. Random files exercise the places where a byte scan
 could part from it: case duplicates, blank and whitespace-only lines,
 runs of spaces, tabs and the other ASCII and Unicode whitespace,
-`\\r\\n` and lone `\\r` line ends, non-ASCII keys, wrong token counts,
-bad and non-finite components, an off header count, a missing final
-newline and a leading byte-order mark, with the block size patched down so that block edges fall
-everywhere. Some files draw their values from a numeric alphabet (digits,
-". e E + - _ x", "inf" and "nan"), whose tokens numpy's C text reader and
-`float()` may judge differently; a refused kept line must then take the
-per-line `float()` path and load, or fail, as the oracle does. The
-oracle's vectors go into `EmbeddingStore(keys, vectors)`, which
-unit-normalises them, so both stores are compared by their unit rows and
-usable flags.
+`\\r\\n` and lone `\\r` line ends, non-ASCII keys, DEL and C0 control
+bytes in keys and in values, wrong token counts, bad and non-finite
+components, an off header count, a missing final newline and a leading
+byte-order mark, with the block size patched down so that block edges
+fall everywhere, or drawn around the loader's own block size. Some files
+draw their values from a numeric alphabet (digits, ". e E + - _ x", "inf"
+and "nan"), whose tokens numpy's C text reader and `float()` may judge
+differently; a refused kept line must then take the per-line `float()`
+path and load, or fail, as the oracle does. The oracle's vectors go into
+`EmbeddingStore(keys, vectors)`, which unit-normalises them, so both
+stores are compared by their unit rows and usable flags. Fixed files
+cover what random ones rarely reach: a first block longer than the ones
+after it, so the loader's reused masks hold stale bytes past a block's
+end, and lines around the length where the scan's token counts change
+width.
 """
 
 from unittest import mock
@@ -90,13 +95,14 @@ def oracle_load_embeddings(path, keys=None) -> EmbeddingStore:
 
 
 KEYS = ["paris", "Paris", "rome", "new_york", "NEW_YORK", "oslo", "a", "b_c",
-        "café", "Café", "straße", "İstanbul", "ſun", "Ｋ", "東京"]
+        "café", "Café", "straße", "İstanbul", "ſun", "Ｋ", "東京", "del\x7f", "\x01x", "e\x1bsc"]
 SUFFIXES = ["", "", "", "2", "3", "_x", "_é"]
 ABSENT = ["atlantis", "el_dorado", "CAFÉ"]
 SPACES = [" ", " ", " ", "  ", "   ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
           "\x1f", "\x85", "\xa0", "　"]
 VALUES = ["0", "1", "-2.5", "0.125", "1e3", "-0", "+7", ".5", "1_0", "١", "٣.٥",
-          "infinity", "1e999", "nan", "inf", "-inf", "x", "0x1p3", "1d3", "--1", "\x00"]
+          "infinity", "1e999", "nan", "inf", "-inf", "x", "0x1p3", "1d3", "--1", "\x00",
+          "\x7f", "1\x7f", "\x012", "3\x1b"]
 ENDS = ["\n", "\n", "\n", "\r\n", "\r"]
 # tokens such as "0x10", "1e5_0", "nan1", "5.e-" or "+inf"
 NUMERIC = st.lists(st.sampled_from([*"0123456789.eE+-_x", "inf", "nan"]),
@@ -171,7 +177,9 @@ def emb_path(tmp_path_factory):
 
 
 @settings(max_examples=400, deadline=None)
-@given(embedding_files(), st.one_of(st.integers(1, 64), st.just(1 << 16)))
+@given(embedding_files(), st.one_of(
+    st.integers(1, 64),
+    st.integers(embeddings._BLOCK_BYTES // 2, 2 * embeddings._BLOCK_BYTES)))
 def test_matches_oracle(emb_path, file, block):
     text, keys = file
     emb_path.write_bytes(text.encode("utf-8"))
@@ -179,6 +187,48 @@ def test_matches_oracle(emb_path, file, block):
     with mock.patch.object(embeddings, "_BLOCK_BYTES", block):
         got = outcome(load_embeddings, emb_path, wanted, None if wanted is None else list(wanted))
     assert got == outcome(oracle_load_embeddings, emb_path, keys)
+
+
+def stale_mask_file(variant: int) -> str:
+    """A file whose first vector line is long and whose later lines are
+    short, mixing clean lines with ones the scan must hand to `line`; from
+    variant 3 on, one line is malformed."""
+    lines = ["Paris" + " " * 700 + "1 2 3", "rome 4 5 6"]
+    odd = ["café\t7 8 9", "straße 1 0 1", "del\x7f 2 2 2", "e\x1bsc 3 3 3", "   ",
+           "  ſun 4 4 4", "\x01x 9 9 9", "東京 1_0 2 3", "Ｋ 1 1 1", "a_é 6 6 6\t"]
+    filler = iter([k + s for s in ("2", "3", "_x") for k in ("new_york", "oslo", "a", "b_c",
+                                                              "paris", "rome", "café")])
+    for i in range(30):
+        lines.append(odd[(i + variant) % len(odd)] if i % 3 == variant % 3 else
+                     f"{next(filler)} {i} {i % 7} -{i}")
+    if variant >= 3:
+        lines.insert(5 * variant, ["oslo 1 2", "new_york 1 x 2", "b_c 7 1e999 1"][variant - 3])
+    entries = sum(1 for line in lines if line.split())
+    return f"{entries} 3\n" + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("variant", range(6))
+@pytest.mark.parametrize("block", [16, 64, 100, 333])
+@pytest.mark.parametrize("keys", [None, ["paris", "new_york2", "rome", "café", "東京", "b_c_x",
+                                         "e\x1bsc", "b_c"], ["a2", "a3", "del\x7f", "oslo"]])
+def test_first_block_longer_than_the_rest(tmp_path, variant, block, keys):
+    """Blocks after a long first one reuse masks sized for it; their stale
+    bytes past each block's end must change no outcome."""
+    path = tmp_path / "emb.txt"
+    path.write_bytes(stale_mask_file(variant).encode())
+    with mock.patch.object(embeddings, "_BLOCK_BYTES", block):
+        got = outcome(load_embeddings, path, None if keys is None else set(keys), None)
+    assert got == outcome(oracle_load_embeddings, path, keys)
+
+
+@pytest.mark.parametrize("dim", [65533, 65534, 65535])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_token_counts_exact_across_the_16_bit_limit(tmp_path, dim, extra):
+    """A line shorter than 2**17 - 1 bytes has its tokens counted in uint16;
+    at 65,536 tokens a line is longer, and its count must not wrap to 0."""
+    path = tmp_path / "emb.txt"
+    path.write_text(f"1 {dim}\nparis" + " 1" * (dim + extra) + "\n")
+    assert outcome(load_embeddings, path, None) == outcome(oracle_load_embeddings, path, None)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
