@@ -78,15 +78,19 @@ class EmbeddingStore:
         i = self._index.get(normalize_key(key))
         return None if i is None or not self._held[i] else self.vectors[i]
 
-    def in_order_of(self, keys) -> bool:
-        """Whether `keys` is the store's own index: the dict `load_embeddings`
-        was given and kept as it is, not an equal copy. Row i then holds the
-        key `keys` numbers i."""
-        return keys is self._index
-
     def rows(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """A gather: fresh copies of normalized keys' unit rows, zero where a
-        key is not held, and which of them are usable."""
+        """The normalized keys' unit rows, in the order of `keys`, and which are usable.
+
+        A vector is usable iff the store holds it and its norm is a positive
+        finite number; this one rule decides the similarity flags, the ops
+        terms and the ops_terms flag. When `keys` is the store's own index
+        (the dict `load_embeddings` was given and kept as it is, not an equal
+        copy), row i holds the key `keys` numbers i, so the store's own
+        read-only matrix and mask are returned as they are. Otherwise this
+        is a gather: fresh copies, zero where a key is not held.
+        """
+        if keys is self._index:
+            return self.vectors, self.usable
         at = np.array([self._index.get(key, -1) for key in keys], dtype=np.intp)
         if not len(self.vectors):   # take() raises on an empty axis
             return np.zeros((len(at), self.dim)), np.zeros(len(at), dtype=bool)
@@ -242,9 +246,9 @@ class _Loader:
     lines it cannot vouch for go to `line`. One set intersection with
     `order` picks the block's kept keys, and only the kept lines are cut
     out and read: they go to numpy's C text reader in one call (`_parse`).
-    If it refuses one of them, each kept line is parsed on its own with
-    `float()` by `entry`, in line order, so a value only `float()` accepts
-    (such as "1_0") still loads and the first bad line is the one named.
+    If it refuses one of them, each kept line goes to `line`, in line order,
+    whose `float()` parse loads a value only `float()` accepts (such as
+    "1_0") and names the first bad line.
     """
 
     def __init__(self, path, dim: int, order: dict | None, vectors: np.ndarray):
@@ -270,14 +274,12 @@ class _Loader:
                 f"expected 1 key + {self.dim} values, got {len(tokens)} tokens",
             )
         # a token holds no whitespace and lower() adds none: lower() normalizes it
-        self.entry(tokens[0].lower(), tokens[1:], line_no)
-
-    def entry(self, key: str, values: list[str], line_no: int) -> None:
+        key = tokens[0].lower()
         self.record((key,))
         if self.order is not None and key not in self.order:
             return
         try:
-            vec = np.array(values, dtype=float)
+            vec = np.array(tokens[1:], dtype=float)
         except ValueError:
             raise MalformedLineError(self.path, line_no, "non-numeric vector component") from None
         if not np.isfinite(vec).all():
@@ -371,27 +373,22 @@ class _Loader:
         stops = ends[fast_lines[kept]].tolist()
         lines = [text[firsts[j] + len(keys[j]):e] for j, e in zip(kept, stops)]
         # The kept fast lines are parsed together; with none kept there is no
-        # call, as numpy warns on empty input. If that fails, each is parsed
-        # on its own, in line order below, so the first error is raised.
+        # call, as numpy warns on empty input. If that fails, each goes to
+        # `line`, in line order below, so the first error is raised.
         vectors = _parse(lines) if kept else None
         todo = np.flatnonzero(~(fast | blank))
-        refused = {}
         if kept and vectors is None:
             todo = np.union1d(todo, fast_lines[kept])
-            refused = dict(zip(kept, lines))
         # The other fast lines only record their keys, in a batch before the
-        # next line in todo (at: the index among the fast lines it comes at).
+        # next line in todo (at: the index among the fast lines it comes at, or
+        # its own, whose key `line` records, when it is a refused fast line).
         at = np.searchsorted(fast_lines, todo).tolist()
         done = 0
         for i, j in zip(todo.tolist(), at):
             if j > done:
                 self.record(keys[done:j])
-            if fast[i]:
-                self.entry(keys[j], refused[j].split(), line_no + i)
-                done = j + 1
-            else:
-                self.line(buf[begins[i]:ends[i]], line_no + i)
-                done = j
+            self.line(buf[begins[i]:ends[i]], line_no + i)
+            done = j + 1 if fast[i] else j
         self.record(keys[done:])
         if vectors is not None:
             self.keep([keys[j] for j in kept], vectors)

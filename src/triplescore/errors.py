@@ -63,11 +63,8 @@ class DimensionMismatchError(InputFormatError):
     pass
 
 
-class MalformedRecordError(InputFormatError):
-    def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = path
-        self.line_no = line_no
+class MalformedRecordError(MalformedLineError):
+    pass
 
 
 class DuplicatePersonError(InputFormatError):

@@ -121,8 +121,9 @@ class FeatureVector:
         return (self.obj_entity_sim, self.ops, self.ops_rank, self.object_mention)
 
 
-# Cap on the bytes of each temporary array the features are computed in.
-# Every row is reduced on its own, so the cap changes no value.
+# Cap on the bytes of each temporary array the features are computed in; a
+# chunk of `_Pages.outer` holds at least one page's U x d products. Every row
+# is reduced on its own, so the cap changes no value.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -131,25 +132,9 @@ def _per_chunk(row_bytes: int) -> int:
     return max(1, _CHUNK_BYTES // row_bytes)
 
 
-def _unit_rows(store: EmbeddingStore, keys) -> tuple[np.ndarray, np.ndarray]:
-    """The normalized keys' unit rows, in the order of `keys`, and which are usable.
-
-    A vector is usable iff the store holds it and its norm is a positive
-    finite number. This one rule decides the similarity flags, the ops
-    terms and the ops_terms flag. The rows of unusable vectors are zero.
-    The store unit-normalised its rows when it was made, so this is only
-    a gather, and none when the store holds its rows in the order of
-    `keys` (the CLI loads `plan.rows`): its own read-only matrix and mask
-    are returned as they are.
-    """
-    if store.in_order_of(keys):
-        return store.vectors, store.usable
-    return store.rows(keys)
-
-
 def object_entity_similarity(store: EmbeddingStore, entity: str, obj: str) -> float:
     """Cosine between the entity and object embeddings, 0.0 when unavailable."""
-    rows, usable = _unit_rows(store, (normalize_key(entity), normalize_key(obj)))
+    rows, usable = store.rows((normalize_key(entity), normalize_key(obj)))
     return float(rows[0] @ rows[1]) if usable.all() else 0.0
 
 
@@ -209,10 +194,7 @@ def _page_sums(units: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> np.nda
 
 
 class _Pages:
-    """The plan keys' `_unit_rows` in store, by plan row, and ops against the plan's pages.
-
-    The rows are the store's own matrix and mask when the store was loaded
-    with `plan.rows`, and a gather from it otherwise; they are only read.
+    """The plan keys' `store.rows`, only read, and ops against the plan's pages.
 
     The mean cosine between an object and a page's usable linked entities
     (duplicates counted per occurrence) is the dot product of the object's
@@ -228,7 +210,7 @@ class _Pages:
                 f"denominator must be {OPS_DENOM_EMBEDDED!r} or {OPS_DENOM_ALL!r}, "
                 f"got {denominator!r}"
             )
-        self.units, self.usable = _unit_rows(store, plan.rows)
+        self.units, self.usable = store.rows(plan.rows)
         records = plan.records
         linked = np.array([0 if r is None else len(r.linked_keys) for r in records], dtype=int)
         rows = np.array([plan.rows[key] for r in records if r is not None
@@ -248,16 +230,9 @@ class _Pages:
         """
         rows, sums = self.units[:n_rows], self.sums[first:last]
         dots = np.empty((len(sums), n_rows))
-        per_chunk = _per_chunk(rows[0].nbytes)
-        r_step = min(n_rows, per_chunk)
-        p_step = max(1, per_chunk // r_step)
-        product = np.empty((min(p_step, len(sums)), r_step, rows.shape[1]))
-        for i in range(0, len(sums), p_step):
-            for j in range(0, n_rows, r_step):
-                part_r, part_s = rows[j:j + r_step], sums[i:i + p_step]
-                part = product[:len(part_s), :len(part_r)]
-                np.multiply(part_r[None], part_s[:, None], out=part)
-                dots[i:i + p_step, j:j + r_step] = part.sum(axis=-1)
+        step = _per_chunk(rows.nbytes)
+        for i in range(0, len(sums), step):
+            dots[i:i + step] = (sums[i:i + step, None] * rows).sum(axis=-1)
         keep = self.usable[:n_rows] & self.live[first:last, None]
         return np.where(keep, dots / self.denoms[first:last, None], 0.0)
 
@@ -339,8 +314,8 @@ def extract(store: EmbeddingStore, plan: KeyPlan, *,
     """Feature vectors for the plan's triples, in input order.
 
     `plan` is `KeyPlan.of_run` of the corpus, universe and triples. The
-    store's unit rows are read in plan order, with no copy when the store
-    was loaded with `plan.rows`, and each entity's page is summed once.
+    store's unit rows are read in plan order (`EmbeddingStore.rows`), and
+    each entity's page is summed once.
     The universe ops are computed for a chunk of entities at a time; each
     of the chunk's rows then gets its ops, its place among that universe
     row, and its similarity, a chunk of rows at a time. Each page is

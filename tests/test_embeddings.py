@@ -362,8 +362,14 @@ class TestAllocation:
         for keys in ({"rome", "bern", "atlantis"}, {"lima": 0, "atlantis": 1, "oslo": 2},
                      {"lima": 2, "atlantis": 0, "oslo": 1}, ["oslo", "lima", "oslo"], set()):
             store = load_embeddings(path, keys)
-            assert store.in_order_of(keys) == (keys == {"lima": 0, "atlantis": 1, "oslo": 2})
+            units, usable = store.rows(keys)
+            assert (units is store.vectors and usable is store.usable) \
+                == (keys == {"lima": 0, "atlantis": 1, "oslo": 2})
             keys = list(dict.fromkeys(keys))
+            copies, copied = store.rows(dict(zip(keys, range(len(keys)))))
+            assert copies.flags.writeable and copied.flags.writeable
+            assert copies.tobytes() == store.vectors.tobytes()
+            assert copied.tolist() == store.usable.tolist()
             assert len(store) == len(set(keys) & set(rows))
             assert store.vectors.shape == (len(keys), 2)
             assert store.vectors.tobytes() == unit_rows(raw, list(keys))[0].tobytes()

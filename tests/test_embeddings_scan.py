@@ -299,16 +299,16 @@ def test_undecodable_header_is_named(tmp_path):
     assert str(err.value) == f"{path}:1: not valid UTF-8"
 
 
-def spy_entries(monkeypatch):
-    """Line numbers of the lines parsed on their own by `_Loader.entry`."""
+def spy_lines(monkeypatch):
+    """Line numbers of the lines parsed on their own by `_Loader.line`."""
     lines = []
-    entry = embeddings._Loader.entry
+    line = embeddings._Loader.line
 
-    def spy(self, key, values, line_no):
+    def spy(self, raw, line_no):
         lines.append(line_no)
-        return entry(self, key, values, line_no)
+        return line(self, raw, line_no)
 
-    monkeypatch.setattr(embeddings._Loader, "entry", spy)
+    monkeypatch.setattr(embeddings._Loader, "line", spy)
     return lines
 
 
@@ -316,7 +316,7 @@ def test_value_only_float_accepts_loads_through_the_fallback(tmp_path, monkeypat
     """numpy's reader refuses "1_0"; each kept line of its block is then parsed by float()."""
     path = tmp_path / "emb.txt"
     path.write_text("4 2\nparis 1 2\nrome 1_0 3\noslo 4 5\nbern 6 1e5_0\n")
-    fallback = spy_entries(monkeypatch)
+    fallback = spy_lines(monkeypatch)
     store = load_embeddings(path, {"paris", "rome", "bern"})
     assert fallback == [2, 3, 5]
     want = units([[10.0, 3.0], [6.0, 1e50], [1.0, 2.0]])
@@ -329,7 +329,7 @@ def test_value_only_float_accepts_loads_through_the_fallback(tmp_path, monkeypat
 def test_block_of_accepted_values_takes_no_fallback(tmp_path, monkeypatch):
     path = tmp_path / "emb.txt"
     path.write_text("3 2\nparis 1 2\nrome -0 .5\noslo 5. +1E-3\n")
-    fallback = spy_entries(monkeypatch)
+    fallback = spy_lines(monkeypatch)
     store = load_embeddings(path)
     assert fallback == []
     assert store.vectors.tobytes() == units([[1, 2], [-0.0, 0.5], [5, 1e-3]]).tobytes()

@@ -279,13 +279,11 @@ class TestExtract:
 class RecordingStore:
     """A store that records every key its rows are gathered for.
 
-    It is in the order of no plan, so extract gathers every row it reads."""
+    Its rows are a gather for any keys, even `plan.rows`, so extract gathers
+    every row it reads."""
 
     def __init__(self, store):
         self.store, self.dim, self.keys = store, store.dim, set()
-
-    def in_order_of(self, keys):
-        return False
 
     def rows(self, keys):
         keys = list(keys)
@@ -311,25 +309,34 @@ def load_world(world: Path):
             load_triples(world / "triples.tsv", Relation.PROFESSION))
 
 
+# 64 bytes is less than one page's products with the universe rows (12 x 8
+# doubles), so `_Pages.outer` then takes one page a chunk
+@pytest.mark.parametrize("chunk_bytes", [64, features._CHUNK_BYTES])
 @pytest.mark.parametrize("denominator, table", [("embedded", "features.tsv"),
                                                 ("all", "features_all.tsv")])
-def test_dirty_world_reproduces_the_committed_feature_tables(denominator, table):
+def test_dirty_world_reproduces_the_committed_feature_tables(denominator, table, chunk_bytes):
     corpus, universe, triples = load_world(DIRTY)
-    vectors = extract(load_embeddings(DIRTY / "embeddings.txt"),
-                      KeyPlan.of_run(corpus, universe, triples), ops_denominator=denominator)
+    with mock.patch.object(features, "_CHUNK_BYTES", chunk_bytes):
+        vectors = extract(load_embeddings(DIRTY / "embeddings.txt"),
+                          KeyPlan.of_run(corpus, universe, triples), ops_denominator=denominator)
     assert matrix_to_tsv(triples, vectors) == (DIRTY / table).read_text()
 
 
 def test_a_store_in_plan_order_is_read_as_it_is_by_two_extracts():
-    # the CLI's store: _Pages reads its matrix and mask without a copy, and a
-    # second extract reads the same bits, as does one that gathers from a
+    # the CLI's store: its rows for plan.rows are its own matrix and mask, not
+    # a copy, and for an equal copy of plan.rows a bit-equal, writable gather;
+    # a second extract reads the same bits, as does one that gathers from a
     # store in file order
     corpus, universe, triples = load_world(PLANTED)
     plan = KeyPlan.of_run(corpus, universe, triples)
     store = load_embeddings(PLANTED / "embeddings.txt", plan.rows)
-    units, usable = features._unit_rows(store, plan.rows)
+    units, usable = store.rows(plan.rows)
     assert units is store.vectors and usable is store.usable
-    assert not store.in_order_of(dict(plan.rows))
+    copies, copied = store.rows(dict(plan.rows))
+    assert copies.flags.writeable and copied.flags.writeable
+    assert not np.shares_memory(copies, store.vectors)
+    assert not np.shares_memory(copied, store.usable)
+    assert copies.tobytes() == units.tobytes() and copied.tolist() == usable.tolist()
     first = matrix_to_tsv(triples, extract(store, plan))
     assert matrix_to_tsv(triples, extract(store, plan)) == first
     gathered = extract(load_embeddings(PLANTED / "embeddings.txt"), plan)
