@@ -55,14 +55,14 @@ def model_from_dict(data: dict) -> LearnedModel:
 
     try:
         _numbers(data, model_cls.param_names)
-        std = data.get("standardizer")
+        # only null, or no key at all, means none: {}, false, 0, [] and "" are refused
+        std, relation = data.get("standardizer"), data.get("relation")
         return model_cls(
             **{name: np.array(data[name], dtype=float) for name in model_cls.param_names},
             feature_names=tuple(data["feature_names"]),
-            standardizer=(
-                Standardizer.from_dict(_numbers(std, ("means", "stddevs"))) if std else None
-            ),
-            relation=Relation.parse(data["relation"]) if data.get("relation") else None,
+            standardizer=None if std is None else Standardizer.from_dict(
+                _numbers(std, ("means", "stddevs"))),
+            relation=None if relation is None else Relation.parse(relation),
             fit_config=_fit_config(data["fit_config"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

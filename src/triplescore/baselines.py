@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, first_mentioned
-from .features import Relation, Standardizer, Triple
+from .features import Triple
 from .model import NUM_CLASSES, OUTER_LIMIT, FitConfig, LearnedModel, fit_model
 
 FIRST_MATCH_SCORE = 7
@@ -147,13 +147,9 @@ def _all_classes(x: np.ndarray, p: int, observed: np.ndarray) -> dict:
     return {"W": W, "b": b}
 
 
-def fit_multinomial(X, y, config: FitConfig | None = None, *,
-                    feature_names: tuple[str, ...] | None = None,
-                    standardizer: Standardizer | None = None,
-                    relation: Relation | None = None) -> MultinomialModel:
-    """Deterministic penalized fit from a zero start."""
+def fit_multinomial(X, y, config: FitConfig | None = None) -> MultinomialModel:
+    """Deterministic penalized fit from a zero start; no standardizer or relation."""
     return fit_model(
         MultinomialModel, newton_objective,
         lambda y, p, k: np.zeros(k * p + k), _all_classes, X, y, config,
-        feature_names=feature_names, standardizer=standardizer, relation=relation,
     )

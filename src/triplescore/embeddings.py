@@ -103,17 +103,14 @@ class EmbeddingStore:
 def _unit(rows: np.ndarray) -> np.ndarray:
     """Unit-normalise rows in place, zero the unusable ones, and return which are usable.
 
-    A row is usable iff its norm is a positive finite number. Each row's
-    norm and division are its own, so a row gets the same bits whatever
-    rows it is normalised with.
+    A row is usable iff its norm is a positive finite number; the others are
+    divided by 1, then zeroed. Each row's norm and division are its own, so
+    a row gets the same bits whatever rows it is normalised with.
     """
     norms = np.linalg.norm(rows, axis=1)
     usable = (norms > 0.0) & np.isfinite(norms)
-    if usable.all():   # the common case, with fewer numpy calls
-        rows /= norms[:, None]
-    else:
-        rows /= np.where(usable, norms, 1.0)[:, None]
-        rows[~usable] = 0.0
+    rows /= np.where(usable, norms, 1.0)[:, None]
+    rows[~usable] = 0.0
     return usable
 
 
@@ -304,11 +301,7 @@ class _Loader:
             self.held[at] = True
 
     def record(self, keys) -> None:
-        """Add keys to `seen` in line order; one seen before is a duplicate."""
-        batch = set(keys)
-        if len(batch) == len(keys) and self.seen.isdisjoint(batch):
-            self.seen |= batch
-            return
+        """Add keys to `seen` in line order; the first seen before is a duplicate."""
         for key in keys:
             if key in self.seen:
                 raise DuplicateKeyError(key, self.path)

@@ -316,10 +316,11 @@ def extract(store: EmbeddingStore, plan: KeyPlan, *,
     `plan` is `KeyPlan.of_run` of the corpus, universe and triples. The
     store's unit rows are read in plan order (`EmbeddingStore.rows`), and
     each entity's page is summed once.
-    The universe ops are computed for a chunk of entities at a time; each
-    of the chunk's rows then gets its ops, its place among that universe
-    row, and its similarity, a chunk of rows at a time. Each page is
-    lowercased once for all of its entity's mention searches.
+    One loop walks the rows, sorted by entity, a chunk at a time: the chunk's
+    entities get their universe ops (twice, with the same bits, for one whose
+    rows span two chunks), then each row its ops, its place in its entity's
+    universe row, and its similarity. Each page is lowercased once for all of
+    its entity's mention searches.
     """
     triples, objects = plan.triples, plan.universe.objects
     n_objects = len(objects)
@@ -335,20 +336,16 @@ def extract(store: EmbeddingStore, plan: KeyPlan, *,
     ranks = np.zeros(len(triples), dtype=int)
     sims = np.zeros(len(triples))
     order = np.argsort(entity, kind="stable")
-    by_entity = entity[order]
-    step = _per_chunk(8 * n_objects)
-    row_step = _per_chunk(8 * max(n_objects, units.shape[1]))
-    for first in range(0, len(plan.entities), step):
-        universe_ops = pages.outer(first, first + step, n_objects)
-        lo, hi = np.searchsorted(by_entity, (first, first + step))
-        for i in range(lo, hi, row_step):
-            part = order[i:min(i + row_step, hi)]
-            values[part] = pages.paired(entity[part], obj[part])
-            ranks[part] = _places(universe_ops[entity[part] - first], values[part],
-                                  position[part])
-            # one `@` per row: numpy's stacked matmul calls dot for each 1 x d by d x 1 pair
-            a, b = units[e_row[part]], units[obj[part]]
-            sims[part] = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    step = _per_chunk(8 * max(n_objects, units.shape[1]))
+    for i in range(0, len(triples), step):
+        part = order[i:i + step]
+        first, last = entity[part[0]], entity[part[-1]]
+        universe_ops = pages.outer(first, last + 1, n_objects)
+        values[part] = pages.paired(entity[part], obj[part])
+        ranks[part] = _places(universe_ops[entity[part] - first], values[part], position[part])
+        # one `@` per row: numpy's stacked matmul calls dot for each 1 x d by d x 1 pair
+        a, b = units[e_row[part]], units[obj[part]]
+        sims[part] = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
     sims = np.where(usable[e_row] & usable[obj], sims, 0.0)
 
     no_record = np.array([record is None for record in plan.records], dtype=bool)

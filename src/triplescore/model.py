@@ -172,8 +172,7 @@ def _newton(objective, x: np.ndarray, config: FitConfig):
     return x, value, grad, n_iter
 
 
-def fit_model(model_cls, objective, start, unpack, X, y,
-              config: FitConfig | None, *, feature_names, standardizer, relation):
+def fit_model(model_cls, objective, start, unpack, X, y, config: FitConfig | None):
     """Fit model_cls by Newton's method over the classes y contains.
 
     A class absent from y has no finite maximum-likelihood parameters: they
@@ -191,7 +190,8 @@ def fit_model(model_cls, objective, start, unpack, X, y,
     later calls is still the one at its x. `start(y, p, K)` gives the
     starting point. A fit that stops above `config.tol` warns with a
     RuntimeWarning. Deterministic: identical inputs produce bit-identical
-    models.
+    models. The model names its columns FEATURE_NAMES if there are four,
+    else x0..x{p-1}, and has no standardizer or relation.
     """
     config = config or FitConfig()
     X = np.asarray(X, dtype=float)
@@ -207,11 +207,6 @@ def fit_model(model_cls, objective, start, unpack, X, y,
         raise DegenerateLabelsError("training labels contain a single class")
 
     p = X.shape[1]
-    if feature_names is None:
-        feature_names = FEATURE_NAMES if p == len(FEATURE_NAMES) else tuple(
-            f"x{i}" for i in range(p)
-        )
-
     ranks = np.searchsorted(observed, y)
     x, value, grad, n_iter = _newton(objective(X, ranks, config.reg_lambda, observed.size),
                                      start(ranks, p, observed.size), config)
@@ -224,10 +219,6 @@ def fit_model(model_cls, objective, start, unpack, X, y,
                       f"{n_iter} Newton iterations with max|gradient| {grad_max:.3g} "
                       f"> tol {config.tol:g}", RuntimeWarning)
 
-    return model_cls(
-        **unpack(x, p, observed),
-        feature_names=tuple(feature_names),
-        standardizer=standardizer,
-        relation=relation,
-        fit_config=config,
-    )
+    feature_names = FEATURE_NAMES if p == len(FEATURE_NAMES) else tuple(
+        f"x{i}" for i in range(p))
+    return model_cls(**unpack(x, p, observed), feature_names=feature_names, fit_config=config)

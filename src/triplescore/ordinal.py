@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import Relation, Standardizer
 from .model import NUM_CLASSES, OUTER_LIMIT, FitConfig, LearnedModel, fit_model
 
 NUM_THRESHOLDS = NUM_CLASSES - 1
@@ -228,11 +227,8 @@ def _all_cuts(fitted: np.ndarray, observed: np.ndarray) -> np.ndarray:
                            [fitted[-1] + OUTER_LIMIT]))[below]
 
 
-def fit(X, y, config: FitConfig | None = None, *,
-        feature_names: tuple[str, ...] | None = None,
-        standardizer: Standardizer | None = None,
-        relation: Relation | None = None) -> OrdinalModel:
-    """Fit the model on an already-standardized matrix.
+def fit(X, y, config: FitConfig | None = None) -> OrdinalModel:
+    """Fit the model on an already-standardized matrix; no standardizer or relation.
 
     Deterministic: fixed initialization, no randomized steps; identical
     inputs produce bit-identical models.
@@ -242,5 +238,4 @@ def fit(X, y, config: FitConfig | None = None, *,
         lambda x, p, observed: {
             "w": x[:p], "theta": _all_cuts(thresholds_from_params(x, p), observed)},
         X, y, config,
-        feature_names=feature_names, standardizer=standardizer, relation=relation,
     )

@@ -7,6 +7,8 @@ of library operations.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .baselines import MultinomialModel, first_baseline_predictions, fit_multinomial
@@ -34,14 +36,14 @@ def extract_matrix(store: EmbeddingStore, plan: KeyPlan, *,
 def train_model(triples: list[Triple], X, *, model_type: str = MODEL_ORDINAL,
                 fit_config: FitConfig | None = None,
                 relation: Relation | None = None):
-    """Standardize on the given rows, then fit the requested model."""
+    """Standardize on the given rows, fit, and attach that standardizer and the relation."""
     fit = {MODEL_ORDINAL: fit_ordinal, MODEL_MULTINOMIAL: fit_multinomial}.get(model_type)
     if fit is None:
         raise ValueError(f"unknown model type {model_type!r}")
     y = truth_labels(triples)
     standardizer = fit_standardizer(X)
-    return fit(standardizer.apply(X), y, fit_config, standardizer=standardizer,
-               relation=relation)
+    return dataclasses.replace(fit(standardizer.apply(X), y, fit_config),
+                               standardizer=standardizer, relation=relation)
 
 
 def predict_scores(model: LearnedModel, X, rule: str = ARGMAX) -> list[int]:

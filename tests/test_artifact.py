@@ -1,5 +1,6 @@
 """Saving and reloading fitted models through versioned JSON."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -32,15 +33,15 @@ def training_data():
 def ordinal_model(training_data):
     X, y = training_data
     std = Standardizer(means=(0.1, 0.2, 0.3, 0.4), stddevs=(1.0, 2.0, 1.5, 0.5))
-    return fit(X, y, FitConfig(reg_lambda=0.01), standardizer=std,
-               relation=Relation.PROFESSION)
+    return dataclasses.replace(fit(X, y, FitConfig(reg_lambda=0.01)), standardizer=std,
+                               relation=Relation.PROFESSION)
 
 
 @pytest.fixture(scope="module")
 def multinomial_model(training_data):
     X, y = training_data
-    return fit_multinomial(X, y, FitConfig(reg_lambda=0.01),
-                           relation=Relation.NATIONALITY)
+    return dataclasses.replace(fit_multinomial(X, y, FitConfig(reg_lambda=0.01)),
+                               relation=Relation.NATIONALITY)
 
 
 def with_value(data, path, value):
@@ -129,6 +130,22 @@ class TestMalformedArtifacts:
         data[field] = value
         with pytest.raises(ArtifactError, match=field):
             model_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        *(("standardizer", v) for v in ({}, False, 0, [])),
+        *(("relation", v) for v in ("", False, 0, [])),
+    ])
+    def test_falsy_standardizer_or_relation_rejected(self, ordinal_model, field, value):
+        data = model_to_dict(ordinal_model)
+        data[field] = value
+        with pytest.raises(ArtifactError):
+            model_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["standardizer", "relation"])
+    def test_null_standardizer_or_relation_loads(self, ordinal_model, field):
+        data = model_to_dict(ordinal_model)
+        data[field] = None
+        assert getattr(model_from_dict(data), field) is None
 
     @pytest.mark.parametrize("field", ["version", "model_type", "w", "theta", "fit_config"])
     def test_missing_field(self, ordinal_model, field):

@@ -198,6 +198,6 @@ class TestFitMultinomial:
     def test_metadata_carried(self):
         X, y = multiclass_instance(107, n=80)
         cfg = FitConfig(reg_lambda=0.1)
-        model = fit_multinomial(X, y, cfg, feature_names=("u", "v", "w"))
-        assert model.feature_names == ("u", "v", "w")
+        model = fit_multinomial(X, y, cfg)
+        assert model.feature_names == ("x0", "x1", "x2")
         assert model.fit_config == cfg

@@ -332,8 +332,8 @@ class TestFit:
     def test_metadata_carried(self):
         X, y = synthetic(61, 120, [1.0, 1.0], THETA_LADDER)
         cfg = FitConfig(reg_lambda=0.5, max_iters=200, tol=1e-5)
-        model = fit(X, y, cfg, feature_names=("a", "b"))
-        assert model.feature_names == ("a", "b")
+        model = fit(X, y, cfg)
+        assert model.feature_names == ("x0", "x1")
         assert model.fit_config == cfg
 
     def test_regularization_shrinks_weights(self):

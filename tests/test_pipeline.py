@@ -7,12 +7,13 @@ import pytest
 
 from conftest import micro_plan
 from triplescore import evaluation, pipeline
-from triplescore.baselines import MultinomialModel
+from triplescore.baselines import MultinomialModel, fit_multinomial
 from triplescore.errors import InputFormatError
 from triplescore.evaluation import FoldPlan, cross_validate
 from triplescore.features import Relation, Triple, fit_standardizer
 from triplescore.model import EXPECTED_ROUNDED, FitConfig
 from triplescore.ordinal import OrdinalModel
+from triplescore.ordinal import fit as fit_ordinal
 from triplescore.pipeline import (
     CV_MODEL_TYPES,
     MODEL_FIRST,
@@ -53,6 +54,23 @@ class TestTrainAndPredict:
         model = train_model(micro["triples"], X, model_type="multinomial")
         assert isinstance(model, MultinomialModel)
         assert all(0 <= s <= 7 for s in predict_scores(model, X))
+
+    @pytest.mark.parametrize("model_type, fit", [("ordinal", fit_ordinal),
+                                                 ("multinomial", fit_multinomial)])
+    def test_attaches_standardizer_and_relation_to_the_fit(self, micro, model_type, fit):
+        _, X = extract_matrix(micro["store"], micro_plan(micro))
+        cfg = FitConfig(reg_lambda=0.05)
+        model = train_model(micro["triples"], X, model_type=model_type, fit_config=cfg,
+                            relation=Relation.PROFESSION)
+        standardizer = fit_standardizer(X)
+        bare = fit(standardizer.apply(X), truth_labels(micro["triples"]), cfg)
+        assert bare.standardizer is None and bare.relation is None
+        for name in model.param_names:
+            assert getattr(model, name).tobytes() == getattr(bare, name).tobytes()
+        assert model.standardizer == standardizer
+        assert model.relation is Relation.PROFESSION
+        assert model.feature_names == bare.feature_names
+        assert model.fit_config == cfg
 
     def test_unknown_model_type(self, micro):
         _, X = extract_matrix(micro["store"], micro_plan(micro))
