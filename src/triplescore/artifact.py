@@ -40,11 +40,7 @@ def model_to_dict(model: LearnedModel) -> dict:
 
 
 def model_from_dict(data: dict) -> LearnedModel:
-    try:
-        version = data["version"]
-        model_type = data["model_type"]
-    except KeyError as exc:
-        raise ArtifactError(f"model artifact is missing field {exc.args[0]!r}") from exc
+    version, model_type = _field(data, "version"), _field(data, "model_type")
     if version != ARTIFACT_VERSION:
         raise ArtifactError(
             f"unsupported artifact version {version!r}; this build reads {ARTIFACT_VERSION!r}"
@@ -52,37 +48,62 @@ def model_from_dict(data: dict) -> LearnedModel:
     model_cls = MODEL_TYPES.get(model_type) if isinstance(model_type, str) else None
     if model_cls is None:
         raise ArtifactError(f"unknown model_type {model_type!r}")
+    _numbers(data, model_cls.param_names)
+    names = _field(data, "feature_names")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ArtifactError("model artifact field 'feature_names' must be an array of strings")
+    # only null, or no key at all, means none: {}, false, 0, [] and "" are refused
+    std, relation = data.get("standardizer"), data.get("relation")
+    if std is not None:
+        std = _numbers(_section(data, "standardizer", ("means", "stddevs")), ("means", "stddevs"))
+        for name in ("means", "stddevs"):
+            if not isinstance(std[name], list):
+                raise ArtifactError(f"model artifact field {name!r} must be an array of numbers")
 
     try:
-        _numbers(data, model_cls.param_names)
-        # only null, or no key at all, means none: {}, false, 0, [] and "" are refused
-        std, relation = data.get("standardizer"), data.get("relation")
         return model_cls(
             **{name: np.array(data[name], dtype=float) for name in model_cls.param_names},
-            feature_names=tuple(data["feature_names"]),
-            standardizer=None if std is None else Standardizer.from_dict(
-                _numbers(std, ("means", "stddevs"))),
+            feature_names=tuple(names),
+            standardizer=None if std is None else Standardizer.from_dict(std),
             relation=None if relation is None else Relation.parse(relation),
-            fit_config=_fit_config(data["fit_config"]),
+            fit_config=_fit_config(data),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"model artifact is malformed: {exc}") from exc
+
+
+def _field(data: dict, name: str):
+    if name not in data:
+        raise ArtifactError(f"model artifact is missing field {name!r}")
+    return data[name]
+
+
+def _section(data: dict, name: str, keys) -> dict:
+    """The object in field `name`, once it holds each of `keys`."""
+    section = _field(data, name)
+    if not isinstance(section, dict):
+        raise ArtifactError(f"model artifact field {name!r} must be an object")
+    for key in keys:
+        if key not in section:
+            raise ArtifactError(f"model artifact field {name!r} is missing {key!r}")
+    return section
 
 
 def _numbers(section: dict, names) -> dict:
     """`section`, once each of its `names` fields holds a JSON number or nested
     lists of them; float() would take true, false and numeric strings."""
     for name in names:
-        if not all(type(v) in (int, float) for v in np.array(section[name], dtype=object).flat):
+        values = np.array(_field(section, name), dtype=object).flat
+        if not all(type(v) in (int, float) for v in values):
             raise ArtifactError(f"model artifact field {name!r} holds a value that is not a number")
     return section
 
 
-def _fit_config(section: dict) -> FitConfig:
+def _fit_config(data: dict) -> FitConfig:
     """The artifact's fit settings, once each is a value its run setting takes:
     within the setting's bound, and a whole number for an int setting."""
     names = ("reg_lambda", "max_iters", "tol")
-    _numbers(section, names)
+    section = _numbers(_section(data, "fit_config", names), names)
     for name in names:
         value = section[name]
         broken = broken_bound(name, value)

@@ -118,14 +118,13 @@ class MultinomialModel(LearnedModel):
     def logits(self, X) -> np.ndarray:
         return self._rows(X) @ self.W.T + self.b
 
-    def class_probs(self, X) -> np.ndarray:
-        logits = self.logits(X)
+    def _probs(self, logits: np.ndarray) -> np.ndarray:
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
         return shifted / shifted.sum(axis=1, keepdims=True)
 
-    def _argmax_basis(self, X) -> np.ndarray:
+    def _argmax_basis(self, logits: np.ndarray) -> np.ndarray:
         # softmax is order-preserving, so the logits decide the argmax
-        return self.logits(X)
+        return logits
 
     def summary(self) -> str:
         return (f"fitted multinomial model: {NUM_CLASSES} classes"

@@ -149,7 +149,10 @@ def cmd_predict(config: RunConfig) -> int:
         )
     relation = _resolve_relation(config, fallback=model.relation)
     _, triples, _, X = _load_and_extract(config, relation)
-    scores = predict_scores(model, X, config.prediction_rule)
+    try:
+        scores = predict_scores(model, X, config.prediction_rule)
+    except ArtifactError as exc:
+        raise ArtifactError(f"{config.model}: {exc}") from None
     text = "".join(f"{t.entity}\t{t.object}\t{s}\n" for t, s in zip(triples, scores))
     _emit(text, config.output)
     return 0

@@ -48,6 +48,7 @@ def load_corpus(path) -> Corpus:
 
     Each line is an object with fields "person" (string), "entities"
     (array of strings, document order), "abstract" and "page" (strings).
+    The person and each linked entity must have a non-empty normalized key.
     """
     records: dict[str, PageRecord] = {}
     for line_no, line in text_lines(path):
@@ -70,6 +71,10 @@ def load_corpus(path) -> Corpus:
             raise MalformedRecordError(path, line_no, "'person' must be a non-empty string")
         if not isinstance(entities, list) or any(not isinstance(e, str) for e in entities):
             raise MalformedRecordError(path, line_no, "'entities' must be an array of strings")
+        if not all(map(str.strip, entities)):
+            empty = next(e for e in entities if not e.strip())
+            raise MalformedRecordError(path, line_no,
+                                       f"'entities' must hold non-empty names, got {empty!r}")
         if not isinstance(abstract, str) or not isinstance(page, str):
             raise MalformedRecordError(path, line_no, "'abstract' and 'page' must be strings")
         key = normalize_key(person)

@@ -114,9 +114,12 @@ def _unit(rows: np.ndarray) -> np.ndarray:
     return usable
 
 
-# Bytes per read. A block is cut after its last line end, so a line longer
-# than this is read across several reads and scanned whole.
-_BLOCK_BYTES = 1 << 16
+# Bytes per read, into one buffer that `_blocks` reuses for the whole file. A
+# block is cut after its last line end, so a line longer than this grows the
+# buffer and is scanned whole. At 64 KiB the numpy scan's fixed cost per block
+# dominated a big vocabulary's load; at 1 MiB a small file's load paid for the
+# first touch of every fresh page of its read buffer, masks and text.
+_BLOCK_BYTES = 1 << 18
 
 
 def load_embeddings(path, keys=None) -> EmbeddingStore:
@@ -204,21 +207,36 @@ def _numbers_in_order(keys) -> bool:
 
 
 def _blocks(fh):
-    """Read fh in blocks that each start a line and end one (the last may not)."""
-    parts = []
-    while data := fh.read(_BLOCK_BYTES):
+    """Read fh in blocks that each start a line and end one (the last may not).
+
+    Every read goes into one buffer, reused for the whole file. A block is
+    copied out of it once, up to its last line end, and the start of the
+    line after that moves to the buffer's front, where the next read
+    continues it. A line that fills the buffer grows it, so the line is
+    still yielded whole.
+    """
+    buf = bytearray(_BLOCK_BYTES)
+    n = 0   # bytes held at the buffer's front
+    while True:
+        with memoryview(buf) as view:
+            got = fh.readinto(view[n:])
+        if not got:
+            break
+        n += got
         # Cut after the last "\n", or after a "\r" whose next byte is read
         # and so is not the "\n" of a "\r\n": no line end is split.
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        cut = max(buf.rfind(b"\n", 0, n), buf.rfind(b"\r", 0, n - 1)) + 1
         if cut:
-            parts.append(data[:cut])
-            yield b"".join(parts)
-            parts = [data[cut:]]
-        else:
-            parts.append(data)
-    tail = b"".join(parts)
-    if tail:
-        yield tail
+            with memoryview(buf) as view:
+                block = bytes(view[:cut])
+            buf[:n - cut] = buf[cut:n]
+            n -= cut
+            yield block
+        elif n == len(buf):
+            # both views are released: resizing an exported buffer raises BufferError
+            buf.extend(bytes(n))
+    if n:
+        yield bytes(buf[:n])
 
 
 def _decode(raw: bytes, path, line_no) -> str:

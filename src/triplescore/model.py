@@ -12,7 +12,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, NonFiniteError
+from .errors import ArtifactError, DegenerateLabelsError, NonFiniteError
 from .features import FEATURE_NAMES, Relation, Standardizer
 
 NUM_CLASSES = 8
@@ -53,7 +53,7 @@ class LearnedModel:
     """Fitted model over feature rows; immutable in practice, safe to share.
 
     Subclasses add their parameter arrays as fields, weights first, and
-    define `_check_shapes()` and `class_probs(X)`.
+    define `_check_shapes()`, `logits(X)` and `_probs(logits)`.
     """
 
     model_type: ClassVar[str]
@@ -79,22 +79,44 @@ class LearnedModel:
         """Width of a feature row: the last axis of the weight array."""
         return getattr(self, self.param_names[0]).shape[-1]
 
-    def class_probs(self, X) -> np.ndarray:
-        """(n, 8) class probabilities; each row is nonnegative and sums to 1."""
+    def logits(self, X) -> np.ndarray:
+        """(n, k) values that the class probabilities are a function of, per row."""
         raise NotImplementedError
 
-    def _argmax_basis(self, X) -> np.ndarray:
+    def _probs(self, logits: np.ndarray) -> np.ndarray:
+        """(n, 8) class probabilities of the rows' logits."""
+        raise NotImplementedError
+
+    def class_probs(self, X) -> np.ndarray:
+        """(n, 8) class probabilities; each row is nonnegative and sums to 1."""
+        return self._probs(self.logits(X))
+
+    def _argmax_basis(self, logits: np.ndarray) -> np.ndarray:
         """(n, 8) values whose row argmax is the predicted class."""
-        return self.class_probs(X)
+        return self._probs(logits)
 
     def predict(self, X, rule: str = ARGMAX) -> list[int]:
-        """Integer score 0..7 per row; argmax ties resolve to the lower class."""
+        """Integer score 0..7 per row; argmax ties resolve to the lower class.
+
+        A row whose logits or class probabilities are not finite raises
+        ArtifactError: a fit keeps its parameters bounded, so only parameters
+        read from an artifact can overflow on finite features.
+        """
+        if rule not in (ARGMAX, EXPECTED_ROUNDED):
+            raise ValueError(f"unknown prediction rule {rule!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = self.logits(X)
+            basis = self._argmax_basis(logits) if rule == ARGMAX else self._probs(logits)
+        bad = ~(np.isfinite(logits).all(axis=1) & np.isfinite(basis).all(axis=1))
+        if bad.any():
+            raise ArtifactError(f"the {self.model_type} model's parameters give non-finite "
+                                f"logits or class probabilities on {np.count_nonzero(bad)} "
+                                f"of {len(bad)} feature rows, the first at row "
+                                f"{np.argmax(bad) + 1}")
         if rule == ARGMAX:
-            return np.argmax(self._argmax_basis(X), axis=1).tolist()
-        if rule == EXPECTED_ROUNDED:
-            expectation = self.class_probs(X) @ np.arange(NUM_CLASSES)
-            return np.clip(np.rint(expectation), 0, NUM_CLASSES - 1).astype(int).tolist()
-        raise ValueError(f"unknown prediction rule {rule!r}")
+            return np.argmax(basis, axis=1).tolist()
+        expectation = basis @ np.arange(NUM_CLASSES)
+        return np.clip(np.rint(expectation), 0, NUM_CLASSES - 1).astype(int).tolist()
 
     def _rows(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -177,12 +177,16 @@ class OrdinalModel(LearnedModel):
         if np.any(np.diff(self.theta) < 0):
             raise ValueError("thresholds must be nondecreasing")
 
+    def logits(self, X) -> np.ndarray:
+        """(n, 7) matrix of the cumulative logits theta_j - w.x, j = 0..6."""
+        return self.theta[None, :] - (self._rows(X) @ self.w)[:, None]
+
     def cumulative_probs(self, X) -> np.ndarray:
         """(n, 7) matrix of P(y <= j | x) for the cut indices j = 0..6."""
-        return logistic(self.theta[None, :] - (self._rows(X) @ self.w)[:, None])
+        return logistic(self.logits(X))
 
-    def class_probs(self, X) -> np.ndarray:
-        return np.diff(self.cumulative_probs(X), axis=1, prepend=0.0, append=1.0)
+    def _probs(self, logits: np.ndarray) -> np.ndarray:
+        return np.diff(logistic(logits), axis=1, prepend=0.0, append=1.0)
 
     def feature_weights(self) -> list[tuple[str, float]]:
         """(name, weight) pairs in descending |weight| order."""

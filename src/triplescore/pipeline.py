@@ -47,10 +47,15 @@ def train_model(triples: list[Triple], X, *, model_type: str = MODEL_ORDINAL,
 
 
 def predict_scores(model: LearnedModel, X, rule: str = ARGMAX) -> list[int]:
-    """Apply the model's own standardizer, then predict raw feature rows."""
+    """Apply the model's own standardizer, then predict raw feature rows.
+
+    An artifact's standardizer can overflow a row; `model.predict` refuses
+    the row, as ArtifactError, once it reaches a non-finite logit.
+    """
     X = np.asarray(X, dtype=float)
     if model.standardizer is not None:
-        X = model.standardizer.apply(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = model.standardizer.apply(X)
     return model.predict(X, rule)
 
 

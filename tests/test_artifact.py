@@ -44,13 +44,20 @@ def multinomial_model(training_data):
                                relation=Relation.NATIONALITY)
 
 
+MISSING = object()
+
+
 def with_value(data, path, value):
-    """A deep copy of an artifact dict with the entry at `path` set to `value`."""
+    """A deep copy of an artifact dict with the entry at `path` set to `value`,
+    or deleted if `value` is MISSING."""
     data = json.loads(json.dumps(data))
     holder = data
     for key in path[:-1]:
         holder = holder[key]
-    holder[path[-1]] = value
+    if value is MISSING:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
     return data
 
 
@@ -153,6 +160,27 @@ class TestMalformedArtifacts:
         del data[field]
         with pytest.raises(ArtifactError):
             model_from_dict(data)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("standardizer",), {}, "model artifact field 'standardizer' is missing 'means'"),
+        (("standardizer",), [1.0], "model artifact field 'standardizer' must be an object"),
+        (("standardizer", "stddevs"), 2.0,
+         "model artifact field 'stddevs' must be an array of numbers"),
+        (("fit_config",), MISSING, "model artifact is missing field 'fit_config'"),
+        (("fit_config",), [1e-3, 500, 1e-6], "model artifact field 'fit_config' must be an object"),
+        (("fit_config", "tol"), MISSING, "model artifact field 'fit_config' is missing 'tol'"),
+        (("feature_names",), "abcd",
+         "model artifact field 'feature_names' must be an array of strings"),
+        (("feature_names",), ["x0", 1, "x2", "x3"],
+         "model artifact field 'feature_names' must be an array of strings"),
+        (("feature_names",), MISSING, "model artifact is missing field 'feature_names'"),
+        (("theta",), MISSING, "model artifact is missing field 'theta'"),
+    ])
+    def test_refusal_names_its_field(self, ordinal_model, path, value, message):
+        data = with_value(model_to_dict(ordinal_model), path, value)
+        with pytest.raises(ArtifactError) as err:
+            model_from_dict(data)
+        assert str(err.value) == message
 
     def test_corrupt_values(self, ordinal_model):
         data = model_to_dict(ordinal_model)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -483,6 +484,27 @@ class TestPredict:
         assert out == ""
         assert "model artifact is malformed" in err and "finite" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model_type, field", [("ordinal", "w"), ("multinomial", "W")])
+    @pytest.mark.parametrize("rule", ["argmax", "expected-rounded"])
+    def test_weights_that_overflow_are_exit_2(self, tmp_path, capsys, model_type, field, rule):
+        """Finite weights of 1e308 overflow the logits of some planted rows,
+        which would otherwise be scored from nan."""
+        planted = input_args({name: PLANTED / f"{name}.{ext}" for name, ext in (
+            ("embeddings", "txt"), ("corpus", "jsonl"), ("universe", "txt"), ("triples", "tsv"))})
+        model_path, scores = tmp_path / "model.json", tmp_path / "scores.tsv"
+        assert main(["train", *planted, "--model", str(model_path),
+                     "--model-type", model_type]) == 0
+        data = json.loads(model_path.read_text())
+        data[field] = np.full(np.shape(data[field]), 1e308).tolist()
+        model_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        code, out, err = invoke(capsys, "predict", *planted, "--model", str(model_path),
+                                "--prediction-rule", rule, "--output", str(scores))
+        assert (code, out, scores.exists()) == (2, "", False)
+        assert re.fullmatch(rf"error: {re.escape(str(model_path))}: the {model_type} model's "
+                            r"parameters give non-finite logits or class probabilities on "
+                            r"\d+ of 300 feature rows, the first at row \d+\n", err), err
 
     @pytest.mark.parametrize("field, value, rule", [
         ("reg_lambda", -5, "must be >= 0, got -5"),

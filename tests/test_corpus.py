@@ -80,6 +80,17 @@ class TestLoad:
         with pytest.raises(MalformedRecordError):
             load_corpus(write_corpus(tmp_path, [rec]))
 
+    @pytest.mark.parametrize("name", ["", "   ", "\t"])
+    def test_entity_with_an_empty_name_is_named(self, tmp_path, name):
+        path = write_corpus(tmp_path, [
+            {"person": "a", "entities": ["b"], "abstract": "", "page": ""},
+            {"person": "c", "entities": ["d", name, "e"], "abstract": "", "page": ""},
+        ])
+        with pytest.raises(MalformedRecordError) as err:
+            load_corpus(path)
+        assert err.value.line_no == 2
+        assert str(err.value) == f"{path}:2: 'entities' must hold non-empty names, got {name!r}"
+
     def test_absent_person_is_none(self, tmp_path):
         corpus = load_corpus(write_corpus(tmp_path, [
             {"person": "a", "entities": [], "abstract": "", "page": ""}

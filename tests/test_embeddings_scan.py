@@ -21,9 +21,11 @@ stores are compared by their unit rows and usable flags. Fixed files
 cover what random ones rarely reach: a first block longer than the ones
 after it, so the loader's reused masks hold stale bytes past a block's
 end, and lines around the length where the scan's token counts change
-width.
+width. `_blocks` is checked on its own for where it may cut, and a file
+of several default-size blocks must load as it does in 64 KiB blocks.
 """
 
+import io
 from unittest import mock
 
 import numpy as np
@@ -35,8 +37,10 @@ from conftest import EMBEDDINGS_TEXT, store_from
 from oracle_units import units
 from triplescore import embeddings
 from triplescore.cli import main
+from triplescore.corpus import Corpus
 from triplescore.embeddings import EmbeddingStore, load_embeddings, normalize_key
 from triplescore.errors import DuplicateKeyError, MalformedLineError
+from triplescore.features import KeyPlan
 
 
 def oracle_load_embeddings(path, keys=None) -> EmbeddingStore:
@@ -361,3 +365,114 @@ def test_block_mixing_a_failing_kept_line_names_the_first_bad_line(tmp_path):
     assert str(err.value) == f"{path}:5: non-numeric vector component"
     store = load_embeddings(path, {"paris": 0, "rome": 1, "riga": 2})
     assert store.vectors.tolist() == units([[1.0, 2.0], [10.0, 3.0], [5.0, 6.0]]).tolist()
+
+
+# "a" runs of up to 700 bytes, so that lines longer than a small buffer occur
+BLOCK_BYTES_DATA = st.lists(st.one_of(st.sampled_from([b"a", b" ", b"\n", b"\r"]),
+                                      st.integers(1, 700).map(b"a".__mul__)),
+                            max_size=60).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(BLOCK_BYTES_DATA, st.integers(1, 300))
+def test_blocks_cut_only_after_line_ends(data, block):
+    """`_blocks` cuts at line ends only, whatever the buffer size: the blocks
+    add up to the input, and every line, longer than the buffer or not, is
+    in one block. Where the cuts fall is not pinned: no output depends on it."""
+    with mock.patch.object(embeddings, "_BLOCK_BYTES", block):
+        blocks = list(embeddings._blocks(io.BytesIO(data)))
+    assert b"".join(blocks) == data
+    assert all(blocks)
+    assert all(b.endswith((b"\n", b"\r")) for b in blocks[:-1])
+    assert not any(a.endswith(b"\r") and b.startswith(b"\n") for a, b in zip(blocks, blocks[1:]))
+    cuts = set(np.cumsum([len(b) for b in blocks]).tolist())
+    start = 0
+    for line in data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n"):
+        # the line's bytes in data run to the end of its "\r\n", "\r" or "\n", if any
+        stop = start + len(line)
+        stop += 2 if data[stop:stop + 2] == b"\r\n" else stop < len(data)
+        assert not cuts & set(range(start + 1, stop)), (start, stop, block)
+        start = stop
+
+
+def many_block_file(bad_line: str | None = None) -> tuple[bytes, list[str]]:
+    """A file that spans at least 4 blocks of the default size, and its keys.
+
+    Most lines are clean; some hold a tab, a non-ASCII key or an upper-case
+    key, and some end in "\\r\\n", so each block mixes the scan and `line`.
+    With bad_line, that line replaces the first vector line of the third block.
+    """
+    rng = np.random.default_rng(26)
+    dim = 40
+    keys, lines = [], []
+    while sum(map(len, lines)) < 4.5 * embeddings._BLOCK_BYTES:
+        i = len(lines)
+        key = [f"k{i}", f"K{i}x", f"ké{i}", f"k{i}_t"][i % 4] if i % 53 == 0 else f"k{i}"
+        values = [f"{v:.6f}" for v in rng.normal(size=dim)]
+        sep = "\t" if key.endswith("_t") else " "
+        end = "\r\n" if i % 31 == 0 else "\n"
+        keys.append(normalize_key(key))
+        lines.append(sep.join([key, *values]) + end)
+    header = f"{len(lines)} {dim}\n"
+    if bad_line is not None:
+        at, i = len(header), 0
+        while at <= 2 * embeddings._BLOCK_BYTES:
+            at += len(lines[i])
+            i += 1
+        lines[i] = bad_line.replace("KEY", keys[i]) + "\n"
+    return (header + "".join(lines)).encode(), keys
+
+
+def store_bytes(store, keys):
+    """The store's rows and usable flags in the order of keys, and with a key
+    plan or set, its own matrix, masks and index as well. (Without keys, a
+    line that takes `line` is numbered before the scanned lines of its block,
+    so the numbering follows the block cuts.)"""
+    rows, usable = store.rows(keys)
+    own = () if store._index.keys() == set(keys) else (
+        store.vectors.tobytes(), store.usable.tobytes(), store._held.tobytes(), store._index)
+    return rows.tobytes(), usable.tobytes(), *own
+
+
+@pytest.fixture(scope="module")
+def many_block_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("blocks") / "emb.txt"
+    data, keys = many_block_file()
+    assert len(data) >= 4 * embeddings._BLOCK_BYTES
+    path.write_bytes(data)
+    return path, keys
+
+
+@pytest.mark.parametrize("pick", ["all", "set", "plan"])
+def test_many_blocks_load_as_at_64_kib_and_as_the_oracle(many_block_path, pick):
+    path, keys = many_block_path
+    picked = keys[5::7] + ["absent", "k0"]
+    wanted = {"all": None, "set": set(picked),
+              "plan": KeyPlan(Corpus(), picked[::2], picked[1::2]).rows}[pick]
+    store = load_embeddings(path, wanted)
+    with mock.patch.object(embeddings, "_BLOCK_BYTES", 1 << 16):
+        small = load_embeddings(path, wanted)
+    assert store_bytes(store, keys) == store_bytes(small, keys)
+    oracle = oracle_load_embeddings(path, None if wanted is None else picked)
+    assert len(store) == len(oracle) == (len(keys) if wanted is None else len(set(picked)) - 1)
+    assert store_bytes(store, keys)[:2] == store_bytes(oracle, keys)[:2]
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("KEY 1 2", "expected 1 key + 40 values, got 3 tokens"),
+    ("KEY" + " 0.5" * 39 + " x", "non-numeric vector component"),
+])
+def test_malformed_line_in_the_third_block_is_named_at_either_size(tmp_path, bad_line, message):
+    data, keys = many_block_file(bad_line)
+    path = tmp_path / "emb.txt"
+    path.write_bytes(data)
+    errors = []
+    for block in (embeddings._BLOCK_BYTES, 1 << 16):
+        with mock.patch.object(embeddings, "_BLOCK_BYTES", block):
+            with pytest.raises(MalformedLineError) as err:
+                load_embeddings(path, set(keys))
+        errors.append(str(err.value))
+    with pytest.raises(MalformedLineError) as err:
+        oracle_load_embeddings(path, keys)
+    assert errors == [str(err.value)] * 2
+    assert err.value.line_no > 2 and message in str(err.value)
