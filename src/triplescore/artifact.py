@@ -7,6 +7,7 @@ training are byte-identical except for the created timestamp.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,14 +29,16 @@ def model_to_dict(model: LearnedModel) -> dict:
     """Serializable form of a fitted model, without the timestamp."""
     if type(model) not in MODEL_TYPES.values():
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    std = model.standardizer
     return {
         "version": ARTIFACT_VERSION,
         "model_type": model.model_type,
         "feature_names": list(model.feature_names),
         "relation": str(model.relation) if model.relation is not None else None,
-        "standardizer": model.standardizer.to_dict() if model.standardizer else None,
-        "fit_config": model.fit_config.to_dict(),
-        **{name: getattr(model, name).tolist() for name in model.param_names},
+        "standardizer": None if std is None else {
+            name: list(values) for name, values in dataclasses.asdict(std).items()},
+        "fit_config": dataclasses.asdict(model.fit_config),
+        **{name: getattr(model, name).tolist() for name in model.param_shapes},
     }
 
 
@@ -48,23 +51,29 @@ def model_from_dict(data: dict) -> LearnedModel:
     model_cls = MODEL_TYPES.get(model_type) if isinstance(model_type, str) else None
     if model_cls is None:
         raise ArtifactError(f"unknown model_type {model_type!r}")
-    _numbers(data, model_cls.param_names)
+    # `created` is written by save_model and read by no one
+    for name in sorted(data.keys() - {"version", "model_type", "feature_names", "relation",
+                                      "standardizer", "fit_config", "created",
+                                      *model_cls.param_shapes}):
+        raise ArtifactError(f"model artifact has unknown field {name!r}")
+    _numbers(data, model_cls.param_shapes)
     names = _field(data, "feature_names")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise ArtifactError("model artifact field 'feature_names' must be an array of strings")
     # only null, or no key at all, means none: {}, false, 0, [] and "" are refused
     std, relation = data.get("standardizer"), data.get("relation")
     if std is not None:
-        std = _numbers(_section(data, "standardizer", ("means", "stddevs")), ("means", "stddevs"))
-        for name in ("means", "stddevs"):
-            if not isinstance(std[name], list):
+        std = _section(data, "standardizer", Standardizer)
+        for name, values in std.items():
+            if not isinstance(values, list):
                 raise ArtifactError(f"model artifact field {name!r} must be an array of numbers")
 
     try:
         return model_cls(
-            **{name: np.array(data[name], dtype=float) for name in model_cls.param_names},
+            **{name: np.array(data[name], dtype=float) for name in model_cls.param_shapes},
             feature_names=tuple(names),
-            standardizer=None if std is None else Standardizer.from_dict(std),
+            standardizer=None if std is None else Standardizer(
+                **{name: tuple(values) for name, values in std.items()}),
             relation=None if relation is None else Relation.parse(relation),
             fit_config=_fit_config(data),
         )
@@ -78,15 +87,20 @@ def _field(data: dict, name: str):
     return data[name]
 
 
-def _section(data: dict, name: str, keys) -> dict:
-    """The object in field `name`, once it holds each of `keys`."""
+def _section(data: dict, name: str, cls) -> dict:
+    """The object in field `name`, in the order of the fields of dataclass `cls`,
+    once it holds each of them, each as numbers (`_numbers`), and no other key."""
     section = _field(data, name)
     if not isinstance(section, dict):
         raise ArtifactError(f"model artifact field {name!r} must be an object")
+    keys = [f.name for f in dataclasses.fields(cls)]
     for key in keys:
         if key not in section:
             raise ArtifactError(f"model artifact field {name!r} is missing {key!r}")
-    return section
+    for key in section:
+        if key not in keys:
+            raise ArtifactError(f"model artifact field {name!r} has unknown key {key!r}")
+    return _numbers({key: section[key] for key in keys}, keys)
 
 
 def _numbers(section: dict, names) -> dict:
@@ -100,19 +114,18 @@ def _numbers(section: dict, names) -> dict:
 
 
 def _fit_config(data: dict) -> FitConfig:
-    """The artifact's fit settings, once each is a value its run setting takes:
-    within the setting's bound, and a whole number for an int setting."""
-    names = ("reg_lambda", "max_iters", "tol")
-    section = _numbers(_section(data, "fit_config", names), names)
-    for name in names:
-        value = section[name]
+    """The artifact's fit settings, once each is a value its run setting takes
+    (within its bound, and whole for an int setting), cast to that setting's type."""
+    section = _section(data, "fit_config", FitConfig)
+    for name, value in section.items():
         broken = broken_bound(name, value)
         if not broken and SETTINGS[name].metadata["type"] is int \
                 and isinstance(value, float) and not value.is_integer():
             broken = "must be a whole number"
         if broken:
             raise ArtifactError(f"model artifact field {name!r} {broken}, got {value!r}")
-    return FitConfig.from_dict(section)
+    return FitConfig(**{name: SETTINGS[name].metadata["type"](value)
+                        for name, value in section.items()})
 
 
 def save_model(model: LearnedModel, path) -> None:

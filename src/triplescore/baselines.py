@@ -106,14 +106,10 @@ class MultinomialModel(LearnedModel):
     """8-way softmax classifier: one weight row W[k] and bias b[k] per class."""
 
     model_type = "multinomial"
-    param_names = ("W", "b")
+    param_shapes = {"W": (NUM_CLASSES, "p"), "b": (NUM_CLASSES,)}
 
     W: np.ndarray
     b: np.ndarray
-
-    def _check_shapes(self) -> None:
-        if self.W.ndim != 2 or self.W.shape[0] != NUM_CLASSES or self.b.shape != (NUM_CLASSES,):
-            raise ValueError(f"expected {NUM_CLASSES} rows of weights and biases")
 
     def logits(self, X) -> np.ndarray:
         return self._rows(X) @ self.W.T + self.b

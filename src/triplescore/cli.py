@@ -8,6 +8,7 @@ codes: 0 success, 2 input or format error, 3 numerical fit failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -103,9 +104,7 @@ def _load_and_extract(config: RunConfig, relation: Relation):
 
 
 def _fit_config(config: RunConfig) -> FitConfig:
-    return FitConfig(
-        reg_lambda=config.reg_lambda, max_iters=config.max_iters, tol=config.tol
-    )
+    return FitConfig(**{name: getattr(config, name) for name in _FIT})
 
 
 def cmd_extract(config: RunConfig) -> int:
@@ -227,7 +226,7 @@ def cmd_cv(config: RunConfig) -> int:
     return 0
 
 
-_FIT = ("reg_lambda", "max_iters", "tol")
+_FIT = tuple(f.name for f in dataclasses.fields(FitConfig))
 _EVAL = ("delta", "tau_variant", "singleton_policy")
 
 # subcommand: (function, help, the settings it takes as flags, in --help order)

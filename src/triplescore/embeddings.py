@@ -174,9 +174,9 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
         if count < 1:
             raise MalformedLineError(path, 1, f"header must declare an entry, got {count}")
 
-        # Kept vectors go into one matrix, in file order or at their keys' rows. A
-        # vector line takes at least 2 * dim + 1 bytes, so a header cannot make the
-        # matrix longer, or wider, than the file could fill.
+        # Kept vectors go into one matrix, at their keys' rows. A vector line
+        # takes at least 2 * dim + 1 bytes, so a header cannot make the matrix
+        # longer, or wider, than the file could fill.
         size = os.fstat(fh.fileno()).st_size
         if keys is None:
             order, rows = None, min(count, size // (2 * dim + 1))
@@ -193,11 +193,7 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
         raise MalformedLineError(
             path, 1, f"header declares {count} entries, file holds {len(loader.seen)}"
         )
-    if order is None:
-        n = len(loader.keys)
-        return EmbeddingStore._of_units(dict(zip(loader.keys, range(n))), loader.vectors[:n],
-                                        loader.usable[:n], np.ones(n, dtype=bool))
-    return EmbeddingStore._of_units(order, loader.vectors, loader.usable, loader.held)
+    return EmbeddingStore._of_units(loader.order, loader.vectors, loader.usable, loader.held)
 
 
 def _numbers_in_order(keys) -> bool:
@@ -258,23 +254,25 @@ class _Loader:
     byte other than a line end gets a mask of the lines that hold one. A
     line without one that starts with its key and holds 1 + dim tokens
     splits the same as bytes and as text, so the scan reads its key; the
-    lines it cannot vouch for go to `line`. One set intersection with
-    `order` picks the block's kept keys, and only the kept lines are cut
-    out and read: they go to numpy's C text reader in one call (`_parse`).
-    If it refuses one of them, each kept line goes to `line`, in line order,
-    whose `float()` parse loads a value only `float()` accepts (such as
-    "1_0") and names the first bad line.
+    lines it cannot vouch for go to `line`. One set intersection with a
+    given `order` picks the block's kept keys (without one, all are kept),
+    and only the kept lines are cut out and read: they go to numpy's C text
+    reader in one call (`_parse`). If it refuses one of them, each kept line
+    goes to `line`, in line order, whose `float()` parse loads a value only
+    `float()` accepts (such as "1_0") and names the first bad line.
     """
 
     def __init__(self, path, dim: int, order: dict | None, vectors: np.ndarray):
         self.path = path
         self.dim = dim
-        self.order = order
-        self.keys: list[str] = []   # kept keys in file order, without `order`
         self.vectors = vectors
         self.usable = np.zeros(len(vectors), dtype=bool)
-        self.held = None if order is None else np.zeros(len(vectors), dtype=bool)
-        self.seen: set[str] = set()
+        self.held = np.zeros(len(vectors), dtype=bool)
+        # Without `order`, every key is kept at its line's place among the
+        # vector lines: `seen` numbers the keys as `record` adds them, and is
+        # the order.
+        self.seen = _Numbering() if order is None else set()
+        self.order = self.seen if order is None else order
         # the odd-byte, space and token-start masks; grown to the longest block
         self.masks = np.empty((3, 0), dtype=bool)
 
@@ -291,7 +289,7 @@ class _Loader:
         # a token holds no whitespace and lower() adds none: lower() normalizes it
         key = tokens[0].lower()
         self.record((key,))
-        if self.order is not None and key not in self.order:
+        if key not in self.order:
             return
         try:
             vec = np.array(tokens[1:], dtype=float)
@@ -302,21 +300,17 @@ class _Loader:
         self.keep([key], vec[None])
 
     def keep(self, keys: list[str], rows: np.ndarray) -> None:
-        """Unit-normalise kept keys' rows in place and write them into `vectors`:
-        at their rows in `order`, or else next in file order, dropping any past
-        its end (only a file with more lines than its header declares has those)."""
+        """Unit-normalise kept keys' rows in place and write them into `vectors`
+        at their rows in `order`, dropping any past its end (only a file with
+        more lines than its header declares numbers those, without `keys`)."""
         usable = _unit(rows)
-        if self.order is None:
-            at = len(self.keys)
-            room = max(0, len(self.vectors) - at)
-            self.vectors[at:at + len(keys)] = rows[:room]
-            self.usable[at:at + len(keys)] = usable[:room]
-            self.keys += keys
-        else:
-            at = np.array([self.order[key] for key in keys], dtype=np.intp)
-            self.vectors[at] = rows
-            self.usable[at] = usable
-            self.held[at] = True
+        at = np.array([self.order[key] for key in keys], dtype=np.intp)
+        if at.max() >= len(self.vectors):
+            inside = at < len(self.vectors)
+            at, rows, usable = at[inside], rows[inside], usable[inside]
+        self.vectors[at] = rows
+        self.usable[at] = usable
+        self.held[at] = True
 
     def record(self, keys) -> None:
         """Add keys to `seen` in line order; the first seen before is a duplicate."""
@@ -376,7 +370,7 @@ class _Loader:
         fast_lines = np.flatnonzero(fast)
         firsts = begins[fast_lines].tolist()
         keys = [text[b:text.find(" ", b)].lower() for b in firsts]
-        if self.order is None:
+        if self.order is self.seen:
             kept = list(range(len(keys)))
         else:
             wanted = self.order.keys() & keys
@@ -404,6 +398,13 @@ class _Loader:
         if vectors is not None:
             self.keep([keys[j] for j in kept], vectors)
         return line_no + len(ends)
+
+
+class _Numbering(dict):
+    """A set of keys that numbers them 0, 1, ... in the order they are added."""
+
+    def add(self, key: str) -> None:
+        self[key] = len(self)
 
 
 def _parse(lines: list[str]) -> np.ndarray | None:

@@ -401,13 +401,6 @@ class Standardizer:
         scale = np.where(stds == 0.0, 1.0, stds)
         return (X - means) / scale
 
-    def to_dict(self) -> dict:
-        return {"means": list(self.means), "stddevs": list(self.stddevs)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Standardizer":
-        return cls(means=tuple(data["means"]), stddevs=tuple(data["stddevs"]))
-
 
 def fit_standardizer(X) -> Standardizer:
     """Column means and population stddevs of a non-empty training matrix."""

@@ -36,28 +36,19 @@ class FitConfig:
     max_iters: int = 500
     tol: float = 1e-6
 
-    def to_dict(self) -> dict:
-        return {"reg_lambda": self.reg_lambda, "max_iters": self.max_iters, "tol": self.tol}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FitConfig":
-        return cls(
-            reg_lambda=float(data["reg_lambda"]),
-            max_iters=int(data["max_iters"]),
-            tol=float(data["tol"]),
-        )
-
 
 @dataclass(eq=False, kw_only=True)
 class LearnedModel:
     """Fitted model over feature rows; immutable in practice, safe to share.
 
-    Subclasses add their parameter arrays as fields, weights first, and
-    define `_check_shapes()`, `logits(X)` and `_probs(logits)`.
+    Subclasses add their parameter arrays as fields, declare each one's
+    shape in `param_shapes`, the weight array first and "p" standing for the
+    feature count (its last axis), and define `logits(X)` and
+    `_probs(logits)`. The declared arrays are the ones an artifact holds.
     """
 
     model_type: ClassVar[str]
-    param_names: ClassVar[tuple[str, ...]]  # the weight array first
+    param_shapes: ClassVar[dict[str, tuple]]
 
     feature_names: tuple[str, ...] = FEATURE_NAMES
     standardizer: Standardizer | None = None
@@ -65,19 +56,26 @@ class LearnedModel:
     fit_config: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
-        for name in self.param_names:
+        for name in self.param_shapes:
             value = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{self.model_type} parameter {name} is not finite")
             setattr(self, name, value)
-        self._check_shapes()
+        weights = getattr(self, next(iter(self.param_shapes)))
+        p = weights.shape[-1] if weights.ndim else None
+        for name, shape in self.param_shapes.items():
+            got = getattr(self, name).shape
+            if got != tuple(p if n == "p" else n for n in shape):
+                declared = str(shape).replace("'", "")
+                raise ValueError(f"{self.model_type} parameter {name} must have shape "
+                                 f"{declared}, got {got}")
         if len(self.feature_names) != self.n_features:
             raise ValueError(f"feature_names length must match the {self.n_features} features")
 
     @property
     def n_features(self) -> int:
         """Width of a feature row: the last axis of the weight array."""
-        return getattr(self, self.param_names[0]).shape[-1]
+        return getattr(self, next(iter(self.param_shapes))).shape[-1]
 
     def logits(self, X) -> np.ndarray:
         """(n, k) values that the class probabilities are a function of, per row."""

@@ -164,16 +164,13 @@ class OrdinalModel(LearnedModel):
     """Fitted proportional-odds model: weights w and ordered thresholds theta."""
 
     model_type = "ordinal"
-    param_names = ("w", "theta")
+    param_shapes = {"w": ("p",), "theta": (NUM_THRESHOLDS,)}
 
     w: np.ndarray
     theta: np.ndarray
 
-    def _check_shapes(self) -> None:
-        if self.w.ndim != 1:
-            raise ValueError(f"expected a weight vector, got shape {self.w.shape}")
-        if self.theta.shape != (NUM_THRESHOLDS,):
-            raise ValueError(f"expected {NUM_THRESHOLDS} thresholds, got {self.theta.shape}")
+    def __post_init__(self):
+        super().__post_init__()
         if np.any(np.diff(self.theta) < 0):
             raise ValueError("thresholds must be nondecreasing")
 

@@ -15,7 +15,7 @@ from triplescore.artifact import (
 )
 from triplescore.baselines import MultinomialModel, fit_multinomial
 from triplescore.errors import ArtifactError
-from triplescore.features import Relation, Standardizer
+from triplescore.features import Relation, Standardizer, fit_standardizer
 from triplescore.model import FitConfig
 from triplescore.ordinal import OrdinalModel, fit
 
@@ -112,6 +112,24 @@ class TestRoundTrip:
         assert "created" in data
         assert list(data.keys()) == sorted(data.keys())
 
+    def test_standardizer_round_trip(self, training_data, tmp_path):
+        X, y = training_data
+        std = fit_standardizer(np.array([[1.0, 2.0], [3.0, 5.0]]))
+        model = dataclasses.replace(fit(X[:, :2], y), standardizer=std)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert load_model(path).standardizer == std
+
+    def test_fit_config_round_trip(self, training_data, tmp_path):
+        X, y = training_data
+        cfg = FitConfig(0.25, 77, 1e-8)
+        model = dataclasses.replace(fit(X, y), fit_config=cfg)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path).fit_config
+        assert loaded == cfg
+        assert type(loaded.max_iters) is int
+
     def test_dict_round_trip_without_file(self, multinomial_model):
         again = model_from_dict(model_to_dict(multinomial_model))
         assert np.array_equal(again.W, multinomial_model.W)
@@ -175,6 +193,11 @@ class TestMalformedArtifacts:
          "model artifact field 'feature_names' must be an array of strings"),
         (("feature_names",), MISSING, "model artifact is missing field 'feature_names'"),
         (("theta",), MISSING, "model artifact is missing field 'theta'"),
+        (("notes",), "hand-edited", "model artifact has unknown field 'notes'"),
+        (("W",), [[0.0] * 4] * 8, "model artifact has unknown field 'W'"),
+        (("fit_config", "lr"), 0.1, "model artifact field 'fit_config' has unknown key 'lr'"),
+        (("standardizer", "scale"), [1.0] * 4,
+         "model artifact field 'standardizer' has unknown key 'scale'"),
     ])
     def test_refusal_names_its_field(self, ordinal_model, path, value, message):
         data = with_value(model_to_dict(ordinal_model), path, value)

@@ -726,6 +726,13 @@ class TestCv:
             "model", "accuracy(delta=2)", "avg_score_diff", "kendall_tau",
         ]
 
+    def test_output_file_holds_the_json_payload(self, micro_paths, tmp_path, capsys):
+        out_path = tmp_path / "cv.json"
+        args = ["cv", *input_args(micro_paths), "--folds", "3", "--seed", "11"]
+        code, out, _ = invoke(capsys, *args, "--output", str(out_path))
+        assert code == 0
+        assert out_path.read_text() == out[out.index("{"):]
+
     def test_seed_changes_folds(self, micro_paths, capsys):
         # seed 0 holds out cyd (3 triples), seed 6 holds out ada (4 triples)
         base = ["cv", *input_args(micro_paths), "--folds", "2"]

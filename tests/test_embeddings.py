@@ -346,16 +346,20 @@ class TestAllocation:
         assert err.value.line_no == 1
         assert str(err.value).endswith(f"header declares 1 entries, file holds {1 + extra}")
 
-    @pytest.mark.parametrize("sep", [" ", "\t"])
+    # each line's separator: the scan reads every line, `line` does, or they
+    # alternate, so a line that `line` reads follows one the scan reads
+    @pytest.mark.parametrize("seps", [" " * 5, "\t" * 5, " \t \t "])
     def test_a_store_holds_unit_rows_in_file_order_or_in_the_order_of_its_keys(
-            self, tmp_path, sep):
+            self, tmp_path, seps):
         rows = {"paris": (1.0, 0.0), "rome": (0.0, 1.0), "oslo": (0.5, 2.0),
                 "bern": (3.0, -1.0), "lima": (-2.0, 0.25)}
-        text = "".join(f"{sep.join([key, *map(repr, v)])}\n" for key, v in rows.items())
+        text = "".join(f"{sep.join([key, *map(repr, v)])}\n"
+                       for sep, (key, v) in zip(seps, rows.items()))
         path = write(tmp_path, f"{len(rows)} 2\n{text}")
         raw = RawStore(2, rows)
         store = load_embeddings(path)
         assert len(store) == len(rows)
+        assert store._index == {key: i for i, key in enumerate(rows)}
         assert store.vectors.tobytes() == unit_rows(raw, list(rows))[0].tobytes()
         # the keys are numbered in their order, whatever a dict maps them to;
         # a key the file lacks keeps a zero row that the store does not hold

@@ -424,14 +424,11 @@ def many_block_file(bad_line: str | None = None) -> tuple[bytes, list[str]]:
 
 
 def store_bytes(store, keys):
-    """The store's rows and usable flags in the order of keys, and with a key
-    plan or set, its own matrix, masks and index as well. (Without keys, a
-    line that takes `line` is numbered before the scanned lines of its block,
-    so the numbering follows the block cuts.)"""
+    """The store's rows and usable flags in the order of keys, then its own
+    matrix, masks and index, which maps each key to its row."""
     rows, usable = store.rows(keys)
-    own = () if store._index.keys() == set(keys) else (
-        store.vectors.tobytes(), store.usable.tobytes(), store._held.tobytes(), store._index)
-    return rows.tobytes(), usable.tobytes(), *own
+    return (rows.tobytes(), usable.tobytes(), store.vectors.tobytes(), store.usable.tobytes(),
+            store._held.tobytes(), store._index)
 
 
 @pytest.fixture(scope="module")
@@ -456,6 +453,9 @@ def test_many_blocks_load_as_at_64_kib_and_as_the_oracle(many_block_path, pick):
     oracle = oracle_load_embeddings(path, None if wanted is None else picked)
     assert len(store) == len(oracle) == (len(keys) if wanted is None else len(set(picked)) - 1)
     assert store_bytes(store, keys)[:2] == store_bytes(oracle, keys)[:2]
+    if wanted is None:
+        # every key at its line's place among the vector lines, at either block size
+        assert store._index == small._index == dict(zip(keys, range(len(keys))))
 
 
 @pytest.mark.parametrize("bad_line, message", [

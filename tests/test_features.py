@@ -33,7 +33,6 @@ from triplescore.features import (
     KeyPlan,
     ObjectUniverse,
     Relation,
-    Standardizer,
     Triple,
     extract,
     fit_standardizer,
@@ -521,11 +520,6 @@ class TestStandardizer:
         with pytest.raises(EmptyTrainingSetError):
             fit_standardizer(np.empty((0, 4)))
 
-    def test_round_trip_dict(self):
-        std = fit_standardizer(np.array([[1.0, 2.0], [3.0, 5.0]]))
-        again = Standardizer.from_dict(std.to_dict())
-        assert again == std
-
     def test_column_count_checked(self):
         std = fit_standardizer(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
@@ -612,6 +606,21 @@ class TestLoaders:
             load_triples(path, Relation.PROFESSION)
         assert str(err.value) == f"duplicate key 'ada lovelace/Coder' in {path}"
 
+    def test_triples_blank_and_whitespace_lines_skip(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("\na\tcoder\t7\n  \t \n\nb\tpoet\n \n")
+        triples = load_triples(path, Relation.PROFESSION)
+        assert [(t.entity, t.object, t.truth) for t in triples] == [
+            ("a", "coder", 7), ("b", "poet", None)]
+
+    @pytest.mark.parametrize("line", ["\tcoder\t7", "ada\t \t7", "  \tcoder"])
+    def test_triples_empty_entity_or_object_refused(self, tmp_path, line):
+        path = tmp_path / "t.tsv"
+        path.write_text(f"a\tpoet\n{line}\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_triples(path, Relation.PROFESSION)
+        assert str(err.value) == f"{path}:2: entity and object must be non-empty"
+
     def test_triples_empty_file(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("")
@@ -620,6 +629,12 @@ class TestLoaders:
     def test_universe_sorted_unique(self, tmp_path):
         path = tmp_path / "u.txt"
         path.write_text("# comment\npoet\ncoder\n")
+        uni = load_universe(path, Relation.PROFESSION)
+        assert uni.objects == ("coder", "poet")
+
+    def test_universe_blank_and_whitespace_lines_skip(self, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text("\npoet\n   \n\t\ncoder\n\n")
         uni = load_universe(path, Relation.PROFESSION)
         assert uni.objects == ("coder", "poet")
 

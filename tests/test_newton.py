@@ -29,6 +29,7 @@ import triplescore
 from conftest import objective_at
 from triplescore import baselines, ordinal
 from triplescore.baselines import MultinomialModel, fit_multinomial
+from triplescore.errors import NonFiniteError
 from triplescore.evaluation import truth_labels
 from triplescore.features import fit_standardizer
 from triplescore.model import NUM_CLASSES, FitConfig
@@ -189,6 +190,15 @@ class TestNonConvergence:
         assert "after 1 Newton iterations" in message
         assert "max|gradient|" in message
         assert model.fit_config.max_iters == 1
+
+    @pytest.mark.parametrize("fitter, model_type", [(fit, ORDINAL),
+                                                     (fit_multinomial, MULTINOMIAL)])
+    def test_nan_feature_diverges(self, fitter, model_type):
+        X, y = drawn_problem(5, 200, 3, NUM_CLASSES, 1.0)
+        X[17, 1] = np.nan
+        with pytest.raises(NonFiniteError) as err:
+            fitter(X, y)
+        assert str(err.value) == f"{model_type} objective diverged; check feature scaling"
 
     def test_cli_warns_on_stderr_and_keeps_stdout(self, micro_paths, tmp_path):
         src = str(Path(triplescore.__file__).resolve().parent.parent)

@@ -363,6 +363,3 @@ class TestModelValidation:
                        names=("a", "b", "c", "d"))
         assert m.feature_weights() == [("b", -2.0), ("d", 1.0), ("a", 0.5), ("c", 0.5)]
 
-    def test_fit_config_round_trip(self):
-        cfg = FitConfig(reg_lambda=0.25, max_iters=77, tol=1e-8)
-        assert FitConfig.from_dict(cfg.to_dict()) == cfg

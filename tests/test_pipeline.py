@@ -65,7 +65,7 @@ class TestTrainAndPredict:
         standardizer = fit_standardizer(X)
         bare = fit(standardizer.apply(X), truth_labels(micro["triples"]), cfg)
         assert bare.standardizer is None and bare.relation is None
-        for name in model.param_names:
+        for name in model.param_shapes:
             assert getattr(model, name).tobytes() == getattr(bare, name).tobytes()
         assert model.standardizer == standardizer
         assert model.relation is Relation.PROFESSION
