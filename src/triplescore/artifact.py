@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,23 +24,16 @@ from .ordinal import OrdinalModel
 
 ARTIFACT_VERSION = "1"
 MODEL_TYPES = {cls.model_type: cls for cls in (OrdinalModel, MultinomialModel)}
+_NESTED = ("a number", "an array of numbers", "an array of arrays of numbers")  # by depth
 
 
 def model_to_dict(model: LearnedModel) -> dict:
-    """Serializable form of a fitted model, without the timestamp."""
+    """Plain JSON values of a fitted model's dataclass fields (arrays and
+    tuples as lists), without the timestamp, by way of JSON text."""
     if type(model) not in MODEL_TYPES.values():
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    std = model.standardizer
-    return {
-        "version": ARTIFACT_VERSION,
-        "model_type": model.model_type,
-        "feature_names": list(model.feature_names),
-        "relation": str(model.relation) if model.relation is not None else None,
-        "standardizer": None if std is None else {
-            name: list(values) for name, values in dataclasses.asdict(std).items()},
-        "fit_config": dataclasses.asdict(model.fit_config),
-        **{name: getattr(model, name).tolist() for name in model.param_shapes},
-    }
+    return json.loads(json.dumps({"version": ARTIFACT_VERSION, "model_type": model.model_type,
+                                  **dataclasses.asdict(model)}, default=np.ndarray.tolist))
 
 
 def model_from_dict(data: dict) -> LearnedModel:
@@ -52,28 +46,23 @@ def model_from_dict(data: dict) -> LearnedModel:
     if model_cls is None:
         raise ArtifactError(f"unknown model_type {model_type!r}")
     # `created` is written by save_model and read by no one
-    for name in sorted(data.keys() - {"version", "model_type", "feature_names", "relation",
-                                      "standardizer", "fit_config", "created",
-                                      *model_cls.param_shapes}):
+    for name in sorted(data.keys() - {"version", "model_type", "created",
+                                      *(f.name for f in dataclasses.fields(model_cls))}):
         raise ArtifactError(f"model artifact has unknown field {name!r}")
-    _numbers(data, model_cls.param_shapes)
+    _numbers(data, {name: len(shape) for name, shape in model_cls.param_shapes.items()})
     names = _field(data, "feature_names")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise ArtifactError("model artifact field 'feature_names' must be an array of strings")
     # only null, or no key at all, means none: {}, false, 0, [] and "" are refused
     std, relation = data.get("standardizer"), data.get("relation")
     if std is not None:
-        std = _section(data, "standardizer", Standardizer)
-        for name, values in std.items():
-            if not isinstance(values, list):
-                raise ArtifactError(f"model artifact field {name!r} must be an array of numbers")
-
+        std = _section(data, "standardizer", Standardizer, depth=1)
     try:
         return model_cls(
             **{name: np.array(data[name], dtype=float) for name in model_cls.param_shapes},
             feature_names=tuple(names),
             standardizer=None if std is None else Standardizer(
-                **{name: tuple(values) for name, values in std.items()}),
+                **{name: tuple(map(float, values)) for name, values in std.items()}),
             relation=None if relation is None else Relation.parse(relation),
             fit_config=_fit_config(data),
         )
@@ -87,9 +76,9 @@ def _field(data: dict, name: str):
     return data[name]
 
 
-def _section(data: dict, name: str, cls) -> dict:
+def _section(data: dict, name: str, cls, depth: int) -> dict:
     """The object in field `name`, in the order of the fields of dataclass `cls`,
-    once it holds each of them, each as numbers (`_numbers`), and no other key."""
+    once it holds each of them as numbers `depth` arrays deep (`_numbers`), and no other key."""
     section = _field(data, name)
     if not isinstance(section, dict):
         raise ArtifactError(f"model artifact field {name!r} must be an object")
@@ -100,23 +89,28 @@ def _section(data: dict, name: str, cls) -> dict:
     for key in section:
         if key not in keys:
             raise ArtifactError(f"model artifact field {name!r} has unknown key {key!r}")
-    return _numbers({key: section[key] for key in keys}, keys)
+    return _numbers({key: section[key] for key in keys}, dict.fromkeys(keys, depth))
 
 
-def _numbers(section: dict, names) -> dict:
-    """`section`, once each of its `names` fields holds a JSON number or nested
-    lists of them; float() would take true, false and numeric strings."""
-    for name in names:
-        values = np.array(_field(section, name), dtype=object).flat
-        if not all(type(v) in (int, float) for v in values):
+def _numbers(section: dict, depths: dict) -> dict:
+    """`section`, once each field `name` in `depths` holds JSON numbers in
+    `depths[name]` levels of arrays; float() would take true, false and
+    numeric strings, and overflow on an integer beyond the float range."""
+    for name, depth in depths.items():
+        values = np.array(_field(section, name), dtype=object)
+        if values.ndim != depth:
+            raise ArtifactError(f"model artifact field {name!r} must be {_NESTED[depth]}")
+        if not all(type(v) in (int, float) for v in values.flat):
             raise ArtifactError(f"model artifact field {name!r} holds a value that is not a number")
+        if any(type(v) is int and abs(v) > sys.float_info.max for v in values.flat):
+            raise ArtifactError(f"model artifact field {name!r} holds a number beyond float range")
     return section
 
 
 def _fit_config(data: dict) -> FitConfig:
     """The artifact's fit settings, once each is a value its run setting takes
     (within its bound, and whole for an int setting), cast to that setting's type."""
-    section = _section(data, "fit_config", FitConfig)
+    section = _section(data, "fit_config", FitConfig, depth=0)
     for name, value in section.items():
         broken = broken_bound(name, value)
         if not broken and SETTINGS[name].metadata["type"] is int \
@@ -135,15 +129,14 @@ def save_model(model: LearnedModel, path) -> None:
 
 
 def load_model(path) -> LearnedModel:
+    """The model in the artifact file at `path`; each refusal names the file."""
     try:
         data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ArtifactError(f"{path}: expected a JSON object")
-    model = model_from_dict(data)
-    std = model.standardizer
-    if std is not None and {len(std.means), len(std.stddevs)} != {model.n_features}:
-        raise ArtifactError(f"{path}: standardizer has {len(std.means)} means and "
-                            f"{len(std.stddevs)} stddevs for {model.n_features} weights")
-    return model
+    try:
+        if not isinstance(data, dict):
+            raise ArtifactError("expected a JSON object")
+        return model_from_dict(data)
+    except ArtifactError as exc:
+        raise ArtifactError(f"{path}: {exc}") from exc

@@ -44,7 +44,8 @@ class LearnedModel:
     Subclasses add their parameter arrays as fields, declare each one's
     shape in `param_shapes`, the weight array first and "p" standing for the
     feature count (its last axis), and define `logits(X)` and
-    `_probs(logits)`. The declared arrays are the ones an artifact holds.
+    `_probs(logits)`. `feature_names` and the standardizer must be as wide
+    as the weights. An artifact holds the dataclass fields.
     """
 
     model_type: ClassVar[str]
@@ -71,6 +72,10 @@ class LearnedModel:
                                  f"{declared}, got {got}")
         if len(self.feature_names) != self.n_features:
             raise ValueError(f"feature_names length must match the {self.n_features} features")
+        std = self.standardizer
+        if std is not None and {len(std.means), len(std.stddevs)} != {self.n_features}:
+            raise ValueError(f"standardizer has {len(std.means)} means and "
+                             f"{len(std.stddevs)} stddevs for {self.n_features} weights")
 
     @property
     def n_features(self) -> int:

@@ -172,7 +172,7 @@ class OrdinalModel(LearnedModel):
     def __post_init__(self):
         super().__post_init__()
         if np.any(np.diff(self.theta) < 0):
-            raise ValueError("thresholds must be nondecreasing")
+            raise ValueError("ordinal parameter theta must be nondecreasing")
 
     def logits(self, X) -> np.ndarray:
         """(n, 7) matrix of the cumulative logits theta_j - w.x, j = 0..6."""

@@ -1,10 +1,16 @@
 """Saving and reloading fitted models through versioned JSON."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from triplescore.artifact import (
     ARTIFACT_VERSION,
@@ -14,6 +20,7 @@ from triplescore.artifact import (
     save_model,
 )
 from triplescore.baselines import MultinomialModel, fit_multinomial
+from triplescore.cli import main
 from triplescore.errors import ArtifactError
 from triplescore.features import Relation, Standardizer, fit_standardizer
 from triplescore.model import FitConfig
@@ -198,12 +205,25 @@ class TestMalformedArtifacts:
         (("fit_config", "lr"), 0.1, "model artifact field 'fit_config' has unknown key 'lr'"),
         (("standardizer", "scale"), [1.0] * 4,
          "model artifact field 'standardizer' has unknown key 'scale'"),
+        (("standardizer", "stddevs"), [[1.0, 2.0, 1.5, 0.5]],
+         "model artifact field 'stddevs' must be an array of numbers"),
+        *((("fit_config", key), [], f"model artifact field {key!r} must be a number")
+          for key in ("reg_lambda", "max_iters", "tol")),
+        (("w",), [[0.5]] * 4, "model artifact field 'w' must be an array of numbers"),
+        (("theta",), 0.0, "model artifact field 'theta' must be an array of numbers"),
+        (("theta",), [3.0, 2.0, 1.0, 0.0, -1.0, -2.0, -3.0],
+         "model artifact is malformed: ordinal parameter theta must be nondecreasing"),
     ])
-    def test_refusal_names_its_field(self, ordinal_model, path, value, message):
+    def test_refusal_names_its_field(self, ordinal_model, tmp_path, path, value, message):
         data = with_value(model_to_dict(ordinal_model), path, value)
         with pytest.raises(ArtifactError) as err:
             model_from_dict(data)
         assert str(err.value) == message
+        file = tmp_path / "model.json"
+        file.write_text(json.dumps(data))
+        with pytest.raises(ArtifactError) as err:
+            load_model(file)
+        assert str(err.value) == f"{file}: {message}"
 
     def test_corrupt_values(self, ordinal_model):
         data = model_to_dict(ordinal_model)
@@ -279,10 +299,30 @@ class TestMalformedArtifacts:
         with pytest.raises(ArtifactError, match="stddevs must be >= 0"):
             model_from_dict(data)
 
-    def test_integer_beyond_float_range_rejected(self, ordinal_model):
-        data = with_value(model_to_dict(ordinal_model), ("w", 0), 10**400)
-        with pytest.raises(ArtifactError, match="malformed"):
+    @pytest.mark.parametrize("model_name, path", [
+        ("ordinal_model", ("w", 0)),
+        ("ordinal_model", ("theta", 6)),
+        ("multinomial_model", ("W", 3, 1)),
+        ("multinomial_model", ("b", 7)),
+        ("ordinal_model", ("standardizer", "means", 2)),
+        ("ordinal_model", ("fit_config", "reg_lambda")),
+        ("ordinal_model", ("fit_config", "tol")),
+    ])
+    def test_integer_beyond_float_range_rejected(self, request, model_name, path):
+        data = with_value(model_to_dict(request.getfixturevalue(model_name)), path, 10**400)
+        field = [key for key in path if isinstance(key, str)][-1]
+        with pytest.raises(ArtifactError) as err:
             model_from_dict(data)
+        assert str(err.value) == f"model artifact field {field!r} holds a number beyond float range"
+
+    @pytest.mark.parametrize("path", [("w",), ("standardizer", "means"),
+                                      ("standardizer", "stddevs")])
+    def test_integers_beyond_int64_load_as_floats(self, ordinal_model, path):
+        data = with_value(model_to_dict(ordinal_model), path, [10**20] * 4)
+        loaded = model_from_dict(data)
+        for key in path:
+            loaded = getattr(loaded, key)
+        assert np.asarray(loaded).dtype == np.float64 and list(loaded) == [1e20] * 4
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -293,9 +333,111 @@ class TestMalformedArtifacts:
     def test_non_object_json(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]\n")
-        with pytest.raises(ArtifactError):
+        with pytest.raises(ArtifactError) as err:
             load_model(path)
+        assert str(err.value) == f"{path}: expected a JSON object"
 
     def test_unfittable_type_rejected(self):
         with pytest.raises(TypeError):
             model_to_dict(object())
+
+
+class TestStandardizerWidth:
+    """The model refuses a standardizer that is not as wide as its weights,
+    however the model is built."""
+
+    @pytest.mark.parametrize("model_name", ["ordinal_model", "multinomial_model"])
+    @pytest.mark.parametrize("means, stddevs", [(3, 3), (3, 4), (4, 3), (5, 5)])
+    def test_another_width_refused(self, request, model_name, means, stddevs):
+        model = request.getfixturevalue(model_name)
+        std = Standardizer(means=(0.0,) * means, stddevs=(1.0,) * stddevs)
+        message = f"standardizer has {means} means and {stddevs} stddevs for 4 weights"
+        params = {name: getattr(model, name) for name in model.param_shapes}
+        with pytest.raises(ValueError) as built:
+            type(model)(**params, standardizer=std)
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(model, standardizer=std)
+        assert str(built.value) == str(replaced.value) == message
+
+
+PLANTED = Path(__file__).parent / "data" / "planted"
+PLANTED_INPUTS = [f"--{key}={PLANTED / file}" for key, file in (
+    ("embeddings", "embeddings.txt"), ("corpus", "corpus.jsonl"),
+    ("universe", "universe.txt"), ("triples", "triples.tsv"))]
+RETYPED = [None, True, "text", [], {}, 0, 1.5]
+
+
+@pytest.fixture(scope="module")
+def planted_artifacts(tmp_path_factory):
+    """The ordinal and multinomial artifacts `train` writes on the planted world."""
+    artifacts = {}
+    for model_type in ("ordinal", "multinomial"):
+        path = tmp_path_factory.mktemp("planted") / "model.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", *PLANTED_INPUTS, "--model", str(path),
+                         "--model-type", model_type]) == 0
+        artifacts[model_type] = json.loads(path.read_text())
+    return artifacts
+
+
+def rescaled(value, scale):
+    """`value` with each number in it replaced by scale(number)."""
+    if isinstance(value, list):
+        return [rescaled(v, scale) for v in value]
+    if isinstance(value, dict):
+        return {k: rescaled(v, scale) for k, v in value.items()}
+    return scale(value) if type(value) in (int, float) else value
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_an_edited_artifact_predicts_or_is_refused_by_name(planted_artifacts, tmp_path, data):
+    """One top-level field, or one key of `standardizer` or `fit_config`, of a
+    planted artifact is dropped, retyped, resized or rescaled (each number in
+    it times +-1e300, or made an integer beyond the float or the int64
+    range). `predict` then writes every row, or exits 2 naming the file and
+    a field or key; any other exception propagates."""
+    artifact = planted_artifacts[data.draw(st.sampled_from(sorted(planted_artifacts)))]
+    names = {*artifact, *artifact["standardizer"], *artifact["fit_config"]}
+    *section, key = data.draw(st.sampled_from(
+        [(name,) for name in sorted(artifact)]
+        + [(part, name) for part in ("standardizer", "fit_config")
+           for name in sorted(artifact[part])]))
+    edited = json.loads(json.dumps(artifact))
+    holder = edited[section[0]] if section else edited
+    old = holder.pop(key)
+    kind = data.draw(st.sampled_from(["drop", "retype", "resize", "rescale"]))
+    if kind == "retype":
+        holder[key] = data.draw(st.sampled_from(RETYPED))
+    elif kind == "resize":
+        how = data.draw(st.sampled_from(["append", "pop", "nest"]))
+        if isinstance(old, list) and how != "nest":
+            holder[key] = old + old[-1:] if how == "append" else old[:-1]
+        else:
+            holder[key] = [old]
+    elif kind == "rescale":
+        how, by = data.draw(st.sampled_from(
+            [("times", 1e300), ("times", -1e300), ("integer", 10**400), ("integer", 10**20)]))
+        holder[key] = rescaled(old, lambda x: x * by if how == "times" else by)
+
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(edited))
+    scores = tmp_path / "scores.tsv"
+    scores.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["predict", *PLANTED_INPUTS, "--model", str(model),
+                     "--output", str(scores)])
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        rows = scores.read_text().splitlines()
+        triples = (PLANTED / "triples.tsv").read_text().splitlines()
+        assert [row.split("\t")[:2] for row in rows] == \
+            [line.split("\t")[:2] for line in triples]
+        assert all(row.split("\t")[2] in set("01234567") for row in rows)
+    else:
+        message = err.getvalue()
+        assert message.startswith(f"error: {model}: "), message
+        assert re.search(r"\b(%s)\b" % "|".join(map(re.escape, names)),
+                         message[len(f"error: {model}: "):]), message

@@ -523,7 +523,7 @@ class TestPredict:
             capsys, "predict", *input_args(micro_paths), "--model", str(model_path)
         )
         assert (code, out) == (2, "")
-        assert err == f"error: model artifact field {field!r} {rule}\n"
+        assert err == f"error: {model_path}: model artifact field {field!r} {rule}\n"
 
 
 class TestErrorFamilies:
@@ -556,8 +556,8 @@ class TestErrorFamilies:
         code, out, err = invoke(capsys, "predict", *input_args(micro_paths),
                                 "--model", str(model_path))
         assert (code, out) == (2, "")
-        assert err == \
-            f"error: model artifact is malformed: unknown relation 'bogus'; {self.RELATIONS}\n"
+        assert err == (f"error: {model_path}: model artifact is malformed: "
+                       f"unknown relation 'bogus'; {self.RELATIONS}\n")
 
     @pytest.mark.parametrize("fields", [("means", "stddevs"), ("means",), ("stddevs",)])
     def test_standardizer_of_another_width_fails_before_any_input_is_read(
@@ -568,8 +568,8 @@ class TestErrorFamilies:
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(data))
         means, stddevs = (len(data["standardizer"][f]) for f in ("means", "stddevs"))
-        message = (f"{model_path}: standardizer has {means} means and {stddevs} stddevs "
-                   "for 4 weights")
+        message = (f"{model_path}: model artifact is malformed: standardizer has {means} means "
+                   f"and {stddevs} stddevs for 4 weights")
         with pytest.raises(ArtifactError) as exc:
             load_model(model_path)
         assert str(exc.value) == message
