@@ -9,6 +9,7 @@ vector.
 from __future__ import annotations
 
 import codecs
+import io
 import os
 import re
 
@@ -118,7 +119,7 @@ def _unit(rows: np.ndarray) -> np.ndarray:
 # block is cut after its last line end, so a line longer than this grows the
 # buffer and is scanned whole. At 64 KiB the numpy scan's fixed cost per block
 # dominated a big vocabulary's load; at 1 MiB a small file's load paid for the
-# first touch of every fresh page of its read buffer, masks and text.
+# first touch of every fresh page of its read buffer and masks.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -152,9 +153,11 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
     """
     with open(path, "rb") as fh:
         blocks = _blocks(fh)
-        first = next(blocks, b"").removeprefix(codecs.BOM_UTF8)
-        end = re.search(rb"\r\n?|\n", first)
-        header = _decode(first[: end.start()] if end else first, path, 1)
+        buf, n = next(blocks, (bytearray(), 0))
+        bom = len(codecs.BOM_UTF8) if buf.startswith(codecs.BOM_UTF8, 0, n) else 0
+        end = re.compile(rb"\r\n?|\n").search(buf, bom, n)
+        stop = end.start() if end else n
+        header = _decode(buf[bom:stop], path, 1)
         if not header.strip():
             raise MalformedLineError(path, 1, "missing header line '<count> <dim>'")
         parts = header.split()
@@ -185,9 +188,12 @@ def load_embeddings(path, keys=None) -> EmbeddingStore:
                 key: i for i, key in enumerate(dict.fromkeys(keys))}
             rows = len(order)
         loader = _Loader(path, dim, order, np.zeros((rows, min(dim, size))))
-        line_no = loader.block(first[end.end():] if end else b"", 2)
-        for block in blocks:
-            line_no = loader.block(block, line_no)
+        # The header line, blanked in place, is a blank line 1 to the scan, so
+        # the first block is scanned where it was read, like the others.
+        buf[:stop] = b" " * stop
+        line_no = loader.block(buf, n, 1)
+        for buf, n in blocks:
+            line_no = loader.block(buf, n, line_no)
 
     if len(loader.seen) != count:
         raise MalformedLineError(
@@ -205,11 +211,14 @@ def _numbers_in_order(keys) -> bool:
 def _blocks(fh):
     """Read fh in blocks that each start a line and end one (the last may not).
 
-    Every read goes into one buffer, reused for the whole file. A block is
-    copied out of it once, up to its last line end, and the start of the
-    line after that moves to the buffer's front, where the next read
-    continues it. A line that fills the buffer grows it, so the line is
-    still yielded whole.
+    Every read goes into one buffer, reused for the whole file, and each
+    block is yielded in place as (buffer, n): its first n bytes, cut after
+    their last line end. The caller may read and overwrite buf[:n], and
+    keeps no view of the buffer once it asks for the next block, since the
+    buffer is then refilled, and grown when one line fills it (resizing a
+    buffer that a view still exports raises BufferError). The start of the
+    line after the cut moves to the buffer's front, where the next read
+    continues it.
     """
     buf = bytearray(_BLOCK_BYTES)
     n = 0   # bytes held at the buffer's front
@@ -219,20 +228,18 @@ def _blocks(fh):
         if not got:
             break
         n += got
-        # Cut after the last "\n", or after a "\r" whose next byte is read
-        # and so is not the "\n" of a "\r\n": no line end is split.
-        cut = max(buf.rfind(b"\n", 0, n), buf.rfind(b"\r", 0, n - 1)) + 1
+        # Cut after the last "\n", or after a later "\r" whose next byte is
+        # read and so is not the "\n" of a "\r\n": no line end is split.
+        cut = buf.rfind(b"\n", 0, n)
+        cut = max(cut, buf.rfind(b"\r", cut + 1, n - 1)) + 1
         if cut:
-            with memoryview(buf) as view:
-                block = bytes(view[:cut])
+            yield buf, cut
             buf[:n - cut] = buf[cut:n]
             n -= cut
-            yield block
         elif n == len(buf):
-            # both views are released: resizing an exported buffer raises BufferError
             buf.extend(bytes(n))
     if n:
-        yield bytes(buf[:n])
+        yield buf, n
 
 
 def _decode(raw: bytes, path, line_no) -> str:
@@ -245,21 +252,26 @@ def _decode(raw: bytes, path, line_no) -> str:
 class _Loader:
     """The checks of the lines after the header, and the vectors they keep.
 
-    `line` checks one line as text. `block` turns a block's "\\r\\n" and
-    "\\r" line ends into "\\n" and scans it with numpy in a few whole-block
-    passes, each written into a bool buffer the loader keeps across blocks:
-    one marks the control bytes and the bytes from 0x80 up (the "\\n"s among
-    them end the lines), one the bytes up to the space, and one the token
-    starts, which one more pass sums per line. Only a block with an odd
-    byte other than a line end gets a mask of the lines that hold one. A
+    `line` checks one line as text. `block` scans a block where `_blocks`
+    read it, with numpy, in a few whole-block passes, each written into a
+    bool buffer the loader keeps across blocks: one marks the control bytes
+    and the bytes from 0x80 up (the "\\n"s among them end the lines), one
+    the bytes up to the space, and one the token starts, which one more pass
+    sums per line. The first pass also shows whether the block holds a
+    "\\r": only such a block, or a last block without a final line end, is
+    copied, with its line ends made "\\n", and scanned instead. Only a
+    block with another odd byte gets a mask of the lines that hold one. A
     line without one that starts with its key and holds 1 + dim tokens
-    splits the same as bytes and as text, so the scan reads its key; the
-    lines it cannot vouch for go to `line`. One set intersection with a
-    given `order` picks the block's kept keys (without one, all are kept),
-    and only the kept lines are cut out and read: they go to numpy's C text
-    reader in one call (`_parse`). If it refuses one of them, each kept line
-    goes to `line`, in line order, whose `float()` parse loads a value only
-    `float()` accepts (such as "1_0") and names the first bad line.
+    splits the same as bytes and as text, so the scan reads its key: the
+    block's keys are cut out as bytes, then joined, lowered and decoded
+    once. The lines it cannot vouch for go to `line`. `record` checks a
+    batch of keys against `seen` with one set operation. One set
+    intersection with a given `order` picks the block's kept keys (without
+    one, all are kept), and only the kept lines are cut out and joined:
+    they go to numpy's C text reader in one call (`_parse`). If it refuses
+    one of them, each kept line goes to `line`, in line order, whose
+    `float()` parse loads a value only `float()` accepts (such as "1_0")
+    and names the first bad line.
     """
 
     def __init__(self, path, dim: int, order: dict | None, vectors: np.ndarray):
@@ -314,31 +326,44 @@ class _Loader:
 
     def record(self, keys) -> None:
         """Add keys to `seen` in line order; the first seen before is a duplicate."""
+        size = len(self.seen)
+        if self.seen.isdisjoint(keys):
+            self.seen.update(keys)
+            if len(self.seen) == size + len(keys):
+                return
+            earlier = ()   # a key repeats within keys
+        else:
+            earlier = self.seen
+        # Name the first key, in line order, seen before it.
+        batch = set()
         for key in keys:
-            if key in self.seen:
+            if key in earlier or key in batch:
                 raise DuplicateKeyError(key, self.path)
-            self.seen.add(key)
+            batch.add(key)
 
-    def block(self, buf: bytes, line_no: int) -> int:
-        """Check the lines of buf, numbered from line_no; return the next number."""
-        if not buf:
+    def block(self, buf, n: int, line_no: int) -> int:
+        """Check the lines of buf[:n], numbered from line_no; return the next number.
+
+        buf is scanned in place. A block that holds a "\\r", or that does not
+        end in a "\\n", is copied with its line ends made "\\n" and scanned
+        instead. No view of buf outlives the call.
+        """
+        if not n:
             return line_no
-        if b"\r" in buf:
-            buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if not buf.endswith(b"\n"):
-            buf += b"\n"
-        n = len(buf)
         if n > self.masks.shape[1]:
             self.masks = np.empty((3, n), dtype=bool)
         odd, space, starts = self.masks[:, :n]
-        a = np.frombuffer(buf, dtype=np.uint8)
+        a = np.frombuffer(buf, dtype=np.uint8, count=n)
         # The odd bytes, below 32 when read as int8: the control bytes and those
         # from 0x80 up. Each "\n" is one of them, and a clean line holds no
         # other. DEL may stay: it is ASCII and not whitespace, so it decodes,
         # splits and lowers the same in `line`.
         np.less(a.view(np.int8), 32, out=odd)
         odd_at = np.flatnonzero(odd)
-        is_end = a[odd_at] == 10
+        odd_bytes = a[odd_at]
+        if a[-1] != 10 or (odd_bytes == 13).any():
+            return self.block(*_newlines(buf, n), line_no)
+        is_end = odd_bytes == 10
         if is_end.all():
             ends, clean = odd_at, None
         else:
@@ -364,19 +389,21 @@ class _Loader:
             fast &= clean
             blank &= clean
 
-        # A fast line's key runs from its first byte to its first space.
-        # latin-1 maps each byte to one character, so offsets carry over.
-        text = buf.decode("latin-1")
+        # A fast line's key runs from its first byte to its first space. The
+        # line is ASCII, so the keys are cut out as bytes and lowered and
+        # decoded together, and each key's length is its length in bytes.
         fast_lines = np.flatnonzero(fast)
         firsts = begins[fast_lines].tolist()
-        keys = [text[b:text.find(" ", b)].lower() for b in firsts]
+        find = buf.find
+        keys = b"\n".join([buf[b:find(b" ", b)] for b in firsts]).lower().decode(
+            "ascii").split("\n") if firsts else []
         if self.order is self.seen:
             kept = list(range(len(keys)))
         else:
             wanted = self.order.keys() & keys
             kept = [j for j, key in enumerate(keys) if key in wanted] if wanted else []
         stops = ends[fast_lines[kept]].tolist()
-        lines = [text[firsts[j] + len(keys[j]):e] for j, e in zip(kept, stops)]
+        lines = b"\n".join([buf[firsts[j] + len(keys[j]):e] for j, e in zip(kept, stops)])
         # The kept fast lines are parsed together; with none kept there is no
         # call, as numpy warns on empty input. If that fails, each goes to
         # `line`, in line order below, so the first error is raised.
@@ -406,17 +433,33 @@ class _Numbering(dict):
     def add(self, key: str) -> None:
         self[key] = len(self)
 
+    def update(self, keys) -> None:
+        dict.update(self, zip(keys, range(len(self), len(self) + len(keys))))
 
-def _parse(lines: list[str]) -> np.ndarray | None:
+    def isdisjoint(self, keys) -> bool:
+        return self.keys().isdisjoint(keys)
+
+
+def _newlines(buf, n: int) -> tuple:
+    """buf[:n] with its "\\r\\n" and "\\r" line ends made "\\n", ending in one,
+    and its length."""
+    text = buf[:n].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    return text, len(text)
+
+
+def _parse(lines: bytes) -> np.ndarray | None:
     """The rows of whitespace-separated values in lines, or None if one is refused.
 
-    numpy's C text reader converts each token with the routine `float()`
-    uses, and accepts a subset of what `float()` does (no underscores), so
-    every row it returns has the bits `float()` gives. comments=None keeps
+    lines is ASCII text, one row a line, the lines joined by "\\n". numpy's
+    C text reader converts each token with the routine `float()` uses, and
+    accepts a subset of what `float()` does (no underscores), so every row
+    it returns has the bits `float()` gives. comments=None keeps
     "5#" from reading as 5.0. A non-finite value is refused too.
     """
     try:
-        rows = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+        rows = np.loadtxt(io.BytesIO(lines), dtype=float, comments=None, ndmin=2)
     except ValueError:
         return None
     return rows if np.isfinite(rows).all() else None

@@ -62,16 +62,18 @@ class LearnedModel:
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{self.model_type} parameter {name} is not finite")
             setattr(self, name, value)
-        weights = getattr(self, next(iter(self.param_shapes)))
+        weights_name = next(iter(self.param_shapes))
+        weights = getattr(self, weights_name)
         p = weights.shape[-1] if weights.ndim else None
+        if p is not None and p != len(self.feature_names):
+            raise ValueError(f"{self.model_type} parameter {weights_name} has {p} weights "
+                             f"for {len(self.feature_names)} feature_names")
         for name, shape in self.param_shapes.items():
             got = getattr(self, name).shape
             if got != tuple(p if n == "p" else n for n in shape):
                 declared = str(shape).replace("'", "")
                 raise ValueError(f"{self.model_type} parameter {name} must have shape "
                                  f"{declared}, got {got}")
-        if len(self.feature_names) != self.n_features:
-            raise ValueError(f"feature_names length must match the {self.n_features} features")
         std = self.standardizer
         if std is not None and {len(std.means), len(std.stddevs)} != {self.n_features}:
             raise ValueError(f"standardizer has {len(std.means)} means and "

@@ -213,9 +213,24 @@ class TestMalformedArtifacts:
         (("theta",), 0.0, "model artifact field 'theta' must be an array of numbers"),
         (("theta",), [3.0, 2.0, 1.0, 0.0, -1.0, -2.0, -3.0],
          "model artifact is malformed: ordinal parameter theta must be nondecreasing"),
+        (("w",), lambda w: w + [0.5],
+         "model artifact is malformed: ordinal parameter w has 5 weights for 4 feature_names"),
+        (("w",), lambda w: w[:-1],
+         "model artifact is malformed: ordinal parameter w has 3 weights for 4 feature_names"),
+        (("W",), lambda W: [row + [0.5] for row in W],
+         "model artifact is malformed: multinomial parameter W has 5 weights for 4 "
+         "feature_names"),
     ])
-    def test_refusal_names_its_field(self, ordinal_model, tmp_path, path, value, message):
-        data = with_value(model_to_dict(ordinal_model), path, value)
+    def test_refusal_names_its_field(self, ordinal_model, multinomial_model, tmp_path, path,
+                                     value, message):
+        """A callable value edits the field's current value, in the artifact
+        that holds the field."""
+        data = model_to_dict(ordinal_model)
+        if callable(value):
+            if path[0] not in data:
+                data = model_to_dict(multinomial_model)
+            value = value(data[path[0]])
+        data = with_value(data, path, value)
         with pytest.raises(ArtifactError) as err:
             model_from_dict(data)
         assert str(err.value) == message

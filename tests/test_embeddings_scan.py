@@ -22,7 +22,10 @@ cover what random ones rarely reach: a first block longer than the ones
 after it, so the loader's reused masks hold stale bytes past a block's
 end, and lines around the length where the scan's token counts change
 width. `_blocks` is checked on its own for where it may cut, and a file
-of several default-size blocks must load as it does in 64 KiB blocks.
+of several default-size blocks must load as it does in 64 KiB blocks, and
+still when a line longer than a block makes the shared buffer grow after
+blocks were scanned in it. Keys that repeat in crossing order must name
+the oracle's duplicate, within one block and across blocks.
 """
 
 import io
@@ -378,9 +381,11 @@ BLOCK_BYTES_DATA = st.lists(st.one_of(st.sampled_from([b"a", b" ", b"\n", b"\r"]
 def test_blocks_cut_only_after_line_ends(data, block):
     """`_blocks` cuts at line ends only, whatever the buffer size: the blocks
     add up to the input, and every line, longer than the buffer or not, is
-    in one block. Where the cuts fall is not pinned: no output depends on it."""
+    in one block. Where the cuts fall is not pinned: no output depends on it.
+    Each block is yielded in the reused buffer, so it is copied before the
+    next one is read."""
     with mock.patch.object(embeddings, "_BLOCK_BYTES", block):
-        blocks = list(embeddings._blocks(io.BytesIO(data)))
+        blocks = [bytes(buf[:n]) for buf, n in embeddings._blocks(io.BytesIO(data))]
     assert b"".join(blocks) == data
     assert all(blocks)
     assert all(b.endswith((b"\n", b"\r")) for b in blocks[:-1])
@@ -456,6 +461,49 @@ def test_many_blocks_load_as_at_64_kib_and_as_the_oracle(many_block_path, pick):
     if wanted is None:
         # every key at its line's place among the vector lines, at either block size
         assert store._index == small._index == dict(zip(keys, range(len(keys))))
+
+
+@pytest.mark.parametrize("crlf", [True, False])
+@pytest.mark.parametrize("keys", [None, "every other"])
+def test_a_line_longer_than_a_block_grows_the_buffer_after_scanned_blocks(tmp_path, keys, crlf):
+    """The buffer grows for a line longer than it after whole blocks have
+    been scanned in it; a view of the buffer that outlived a scan would make
+    that raise BufferError. Without the file's "\\r\\n" line ends, every
+    block before the long line is scanned in place, not copied."""
+    long_line = "KEY" + (" " * 7000 + "0.25") * 40
+    assert len(long_line) > embeddings._BLOCK_BYTES
+    data, names = many_block_file(long_line)
+    if not crlf:
+        data = data.replace(b"\r\n", b"\n")
+    path = tmp_path / "emb.txt"
+    path.write_bytes(data)
+    picked = None if keys is None else names[::2]
+    store = load_embeddings(path, None if picked is None else set(picked))
+    oracle = oracle_load_embeddings(path, picked)
+    assert len(store) == len(oracle) == len(names if picked is None else picked)
+    assert store_bytes(store, names)[:2] == store_bytes(oracle, names)[:2]
+
+
+@pytest.mark.parametrize("keys", [None, {"a"}, {"a", "b", "c"}])
+@pytest.mark.parametrize("block", [embeddings._BLOCK_BYTES, 1, 9, 20])
+@pytest.mark.parametrize("lines", [
+    ["A 1 2", "b 3 4", "B 5 6", "a 7 8"],
+    ["a 1 2", "c 0 1", "B 3 4", "b\t5 6", "A 7 8"],
+    ["c 0 1", "a 1 2", "b 3 4", "", "B 5 6", "A 7 8", "a 9 9"],
+])
+def test_the_first_repeated_key_in_line_order_is_named(tmp_path, keys, block, lines):
+    """Two keys that repeat in crossing order: the duplicate named is the
+    first line whose key was seen before, as in the oracle, whether both
+    repeats fall in one block or in different ones."""
+    path = tmp_path / "emb.txt"
+    path.write_text(f"{sum(1 for line in lines if line)} 2\n" + "\n".join(lines) + "\n")
+    with pytest.raises(DuplicateKeyError) as want:
+        oracle_load_embeddings(path, keys)
+    with mock.patch.object(embeddings, "_BLOCK_BYTES", block):
+        with pytest.raises(DuplicateKeyError) as got:
+            load_embeddings(path, keys)
+    assert str(got.value) == str(want.value)
+    assert want.value.key == "b"
 
 
 @pytest.mark.parametrize("bad_line, message", [
