@@ -32,7 +32,7 @@ from .errors import (
     InputFormatError,
     RelationMismatchError,
 )
-from .evaluation import evaluate, format_comparison_table
+from .evaluation import evaluate, format_comparison_table, truth_labels
 from .features import (
     FEATURE_NAMES,
     KeyPlan,
@@ -88,15 +88,22 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_and_extract(config: RunConfig, relation: Relation):
+def _load_and_extract(config: RunConfig, relation: Relation, scored: bool = False):
     """Load the four extract inputs; return the corpus, triples, feature vectors and matrix.
 
     Only the vectors extract can reach are parsed, and the key plan that
-    lists them is the one extract reads.
+    lists them is the one extract reads. With `scored`, a triple without a
+    truth score is refused, naming the triples file, before the embeddings
+    are read.
     """
     corpus = load_corpus(config.corpus)
     universe = load_universe(config.universe, relation)
     triples = load_triples(config.triples, relation)
+    if scored:
+        try:
+            truth_labels(triples)
+        except InputFormatError as exc:
+            raise InputFormatError(f"{config.triples}: {exc}") from None
     plan = KeyPlan.of_run(corpus, universe, triples)
     store = load_embeddings(config.embeddings, plan.rows)
     vectors, X = extract_matrix(store, plan, ops_denominator=config.ops_denominator)
@@ -120,7 +127,7 @@ def cmd_train(config: RunConfig) -> int:
     _require_inputs(config, _EXTRACT_INPUTS)
     _require_output(config, "model")
     relation = _resolve_relation(config)
-    _, triples, _, X = _load_and_extract(config, relation)
+    _, triples, _, X = _load_and_extract(config, relation, scored=True)
     model = train_model(
         triples, X, model_type=config.model_type,
         fit_config=_fit_config(config), relation=relation,
@@ -207,7 +214,7 @@ def cmd_evaluate(config: RunConfig) -> int:
 def cmd_cv(config: RunConfig) -> int:
     _require_inputs(config, _EXTRACT_INPUTS)
     relation = _resolve_relation(config)
-    corpus, triples, _, X = _load_and_extract(config, relation)
+    corpus, triples, _, X = _load_and_extract(config, relation, scored=True)
     results = run_cv_comparison(
         triples, X, corpus,
         fit_config=_fit_config(config), folds=config.folds, seed=config.seed,

@@ -10,6 +10,7 @@ read them from the field, and a value is typed by its field's default.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from dataclasses import dataclass
 
@@ -85,11 +86,16 @@ def flag(name: str) -> str:
 
 def broken_bound(name: str, value) -> str | None:
     """The bound of setting `name` that `value` breaks, as "must be >= 1", or
-    None when the value is within it or the setting has none."""
-    bound = SETTINGS[name].metadata["bound"]
+    None when the value is within it or the setting has none. A float
+    setting's value must also be finite: inf within the bound breaks "must be
+    finite"."""
+    meta = SETTINGS[name].metadata
+    bound = meta["bound"]
     # nan is within no bound
     if bound and not _BOUNDS[bound[0]](value, bound[1]):
         return f"must be {bound[0]} {bound[1]}"
+    if meta["type"] is float and not math.isfinite(value):
+        return "must be finite"
     return None
 
 

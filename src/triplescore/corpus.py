@@ -106,6 +106,8 @@ def _phrase_pattern(phrase: str) -> re.Pattern:
 def _search(phrase: str, text: str, lowered: str) -> tuple[int, int] | None:
     """(start, end) of the first match of the phrase's pattern in text, or None.
 
+    A phrase without words (the surface form of a key made only of
+    underscores) is found in no text; this is the one place that decides it.
     lowered is text.lower(). When phrase and text are both ASCII, the match
     is found without the re module, over lowered: under IGNORECASE an ASCII
     letter matches only its own two cases among ASCII characters, `\\s`
@@ -115,7 +117,9 @@ def _search(phrase: str, text: str, lowered: str) -> tuple[int, int] | None:
     Any other phrase or text is searched with the compiled pattern.
     """
     tokens = phrase.lower().split()
-    if not (tokens and phrase.isascii() and text.isascii()):
+    if not tokens:
+        return None
+    if not (phrase.isascii() and text.isascii()):
         match = _phrase_pattern(phrase).search(text)
         return match.span() if match else None
     first, rest, n = tokens[0], tokens[1:], len(lowered)
@@ -143,7 +147,7 @@ def mentions(record: PageRecord, obj: str) -> bool:
     Case-insensitive whole-phrase match, token-boundary delimited.
     """
     phrase, text = surface_form(normalize_key(obj)), record.page_text
-    return bool(phrase) and _search(phrase, text, text.lower()) is not None
+    return _search(phrase, text, text.lower()) is not None
 
 
 def first_mentioned(record: PageRecord, keys: list[str]) -> str | None:
@@ -158,8 +162,7 @@ def first_mentioned(record: PageRecord, keys: list[str]) -> str | None:
     text = record.abstract_text
     lowered = text.lower()
     for key in keys:
-        phrase = surface_form(key)
-        span = _search(phrase, text, lowered) if phrase else None
+        span = _search(surface_form(key), text, lowered)
         if span is None:
             continue
         rank = (span[0], span[0] - span[1], key)

@@ -346,10 +346,9 @@ class _Loader:
 
         buf is scanned in place. A block that holds a "\\r", or that does not
         end in a "\\n", is copied with its line ends made "\\n" and scanned
-        instead. No view of buf outlives the call.
+        instead. No view of buf outlives the call. n is at least 1: `_blocks`
+        yields no empty block, and an empty file is refused at its header.
         """
-        if not n:
-            return line_no
         if n > self.masks.shape[1]:
             self.masks = np.empty((3, n), dtype=bool)
         odd, space, starts = self.masks[:, :n]
@@ -429,9 +428,6 @@ class _Loader:
 
 class _Numbering(dict):
     """A set of keys that numbers them 0, 1, ... in the order they are added."""
-
-    def add(self, key: str) -> None:
-        self[key] = len(self)
 
     def update(self, keys) -> None:
         dict.update(self, zip(keys, range(len(self), len(self) + len(keys))))

@@ -144,12 +144,14 @@ class KeyPlan:
     The keys are numbered in one pass, each at its first appearance: the
     objects first, so that universe objects put first take rows 0..U-1,
     then the entities, then the linked keys of the entities' page
-    records. The objects and entities given are normalized keys. A plan
-    holds no vectors, so one plan serves any store.
+    records. `entities` numbers the distinct entities 0, 1, ... and
+    `records` holds their page records, both in first-appearance order. The
+    objects and entities given are normalized keys. A plan holds no
+    vectors, so one plan serves any store.
     """
 
     def __init__(self, corpus: Corpus, objects, entities):
-        self.entities = list(dict.fromkeys(entities))
+        self.entities = {key: i for i, key in enumerate(dict.fromkeys(entities))}
         self.records = [corpus.records.get(key) for key in self.entities]
         keys = dict.fromkeys(chain(objects, self.entities, *(
             record.linked_keys for record in self.records if record is not None)))
@@ -325,8 +327,7 @@ def extract(store: EmbeddingStore, plan: KeyPlan, *,
     triples, objects = plan.triples, plan.universe.objects
     n_objects = len(objects)
     pages = _Pages(plan, store, ops_denominator)
-    entity_of = {key: i for i, key in enumerate(plan.entities)}
-    entity = np.array([entity_of[t.entity_key] for t in triples], dtype=int)
+    entity = np.array([plan.entities[t.entity_key] for t in triples], dtype=int)
     obj = np.array([plan.rows[t.object_key] for t in triples], dtype=int)
     e_row = np.array([plan.rows[t.entity_key] for t in triples], dtype=int)
     position = np.array([bisect_left(objects, t.object_key) for t in triples], dtype=int)
@@ -354,15 +355,8 @@ def extract(store: EmbeddingStore, plan: KeyPlan, *,
 
     texts = [None if record is None else (record.page_text, record.page_text.lower())
              for record in plan.records]
-    phrases: dict[str, str] = {}
-    mention = []
-    for t, e in zip(triples, entity.tolist()):
-        phrase = phrases.get(t.object_key)
-        if phrase is None:
-            phrase = phrases[t.object_key] = surface_form(t.object_key)
-        text = texts[e]
-        found = text is not None and phrase and _search(phrase, *text) is not None
-        mention.append(1.0 if found else 0.0)
+    mention = [0.0 if text is None or _search(surface_form(t.object_key), *text) is None
+               else 1.0 for t, text in zip(triples, map(texts.__getitem__, entity.tolist()))]
 
     return [
         FeatureVector(sim, value, float(rank), mentioned, _FLAG_SETS[code])

@@ -287,6 +287,8 @@ class TestMalformedArtifacts:
         ("reg_lambda", float("nan"), "must be >= 0, got nan"),
         ("tol", float("nan"), "must be > 0, got nan"),
         ("max_iters", float("nan"), "must be >= 1, got nan"),
+        ("reg_lambda", float("inf"), "must be finite, got inf"),
+        ("tol", float("inf"), "must be finite, got inf"),
     ])
     def test_fit_setting_its_run_setting_refuses_rejected(self, ordinal_model, field, value,
                                                           rule):

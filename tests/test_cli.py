@@ -512,6 +512,8 @@ class TestPredict:
         ("max_iters", 2.5, "must be a whole number, got 2.5"),
         ("max_iters", 0, "must be >= 1, got 0"),
         ("tol", float("nan"), "must be > 0, got nan"),
+        ("tol", float("inf"), "must be finite, got inf"),
+        ("reg_lambda", float("inf"), "must be finite, got inf"),
     ])
     def test_fit_setting_out_of_bounds_is_exit_2(self, micro_paths, trained, tmp_path, capsys,
                                                  field, value, rule):
@@ -595,6 +597,23 @@ class TestErrorFamilies:
                                 *(["--model", str(model)] if model else []))
         assert (code, out) == (2, "")
         assert err == f"error: duplicate key '{entity}/{obj}' in {triples}\n"
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_unscored_row_is_refused_before_the_embeddings_are_read(
+            self, micro_paths, tmp_path, capsys, command):
+        # the embeddings file would itself be refused, at its header
+        emb, triples = tmp_path / "emb.txt", tmp_path / "triples.tsv"
+        emb.write_text("not a header\n")
+        triples.write_text(micro_paths["triples"].read_text() + "ben\tsailor\n")
+        args = input_args(micro_paths)
+        args[args.index(str(micro_paths["embeddings"]))] = str(emb)
+        args[args.index(str(micro_paths["triples"]))] = str(triples)
+        model = ["--model", str(tmp_path / "model.json")] if command == "train" else []
+        code, out, err = invoke(capsys, command, *args, *model)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {triples}: triple ben/sailor has no truth score; "
+                       "training and evaluation need three-column rows\n")
+        assert not (tmp_path / "model.json").exists()
 
     def test_a_broken_internal_contract_propagates(self, micro_paths, monkeypatch):
         def broken(*args, **kwargs):
@@ -892,6 +911,8 @@ class TestSettingChecks:
         ("reg_lambda", "nan", "reg_lambda must be >= 0"),
         ("tol", "0", "tol must be > 0"),
         ("tol", "nan", "tol must be > 0"),
+        ("reg_lambda", "inf", "reg_lambda must be finite"),
+        ("tol", "inf", "tol must be finite"),
         ("max_workers", "0", "max_workers must be >= 1"),
         ("model_type", "z", "--model-type must be one of ordinal, multinomial, got 'z'"),
         ("prediction_rule", "z",

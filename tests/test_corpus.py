@@ -91,6 +91,32 @@ class TestLoad:
         assert err.value.line_no == 2
         assert str(err.value) == f"{path}:2: 'entities' must hold non-empty names, got {name!r}"
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        rec = json.dumps({"person": "a", "entities": ["b"], "abstract": "", "page": ""})
+        path.write_text(f"\n  \n{rec}\n\t\n")
+        assert list(load_corpus(path).records) == ["a"]
+
+    @pytest.mark.parametrize("line, message", [
+        ('["a"]', "record must be a JSON object"),
+        ('"a"', "record must be a JSON object"),
+        ('{"person": 1, "entities": [], "abstract": "", "page": ""}',
+         "'person' must be a non-empty string"),
+        ('{"person": " ", "entities": [], "abstract": "", "page": ""}',
+         "'person' must be a non-empty string"),
+        ('{"person": "b", "entities": [], "abstract": null, "page": ""}',
+         "'abstract' and 'page' must be strings"),
+        ('{"person": "b", "entities": [], "abstract": "", "page": 3}',
+         "'abstract' and 'page' must be strings"),
+    ])
+    def test_bad_record_names_the_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "corpus.jsonl"
+        rec = json.dumps({"person": "a", "entities": [], "abstract": "", "page": ""})
+        path.write_text(f"{rec}\n\n{line}\n")
+        with pytest.raises(MalformedRecordError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"{path}:3: {message}"
+
     def test_absent_person_is_none(self, tmp_path):
         corpus = load_corpus(write_corpus(tmp_path, [
             {"person": "a", "entities": [], "abstract": "", "page": ""}
@@ -155,7 +181,9 @@ PREFILTER_CHARS = "aAbBkKsSiItT1 _-.\t\nſKİıéß"
 
 
 class TestSearchPrefilter:
-    """_search finds the bare regex's match, with or without the regex."""
+    """_search finds the bare regex's match, with or without the regex, for
+    every phrase with a word; a phrase without one, whose bare pattern is
+    empty and matches at the first boundary, is found nowhere."""
 
     @given(st.text(PREFILTER_CHARS, min_size=1, max_size=12),
            st.text(PREFILTER_CHARS, max_size=30), st.text(PREFILTER_CHARS, max_size=30),
@@ -163,8 +191,6 @@ class TestSearchPrefilter:
     @settings(max_examples=500)
     def test_same_match_as_bare_regex(self, obj, before, after, data):
         phrase = surface_form(normalize_key(obj))
-        if not phrase:
-            return
         # plant the phrase half the time, in mixed case with whitespace runs
         planted = ""
         if data.draw(st.booleans()):
@@ -173,7 +199,7 @@ class TestSearchPrefilter:
                 planted += cased + data.draw(st.sampled_from([" ", "  ", "\t", " \n "]))
         text = before + planted + after
         got = _search(phrase, text, text.lower())
-        want = _phrase_pattern(phrase).search(text)
+        want = _phrase_pattern(phrase).search(text) if phrase.split() else None
         assert got == (want and want.span())
 
     @pytest.mark.parametrize("obj, text", [("sun", "\u017fun"), ("kin", "\u212ain"),

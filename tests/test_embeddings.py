@@ -69,6 +69,13 @@ class TestLoad:
             load_embeddings(path)
         assert err.value.line_no == 1
 
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_header_without_a_positive_dimension_rejected(self, tmp_path, dim):
+        path = write(tmp_path, f"1 {dim}\nparis\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}:1: dimension must be positive, got {dim}"
+
     def test_non_numeric_component(self, tmp_path):
         path = write(tmp_path, "1 2\nparis 1 x\n")
         with pytest.raises(MalformedLineError):

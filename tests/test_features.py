@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import micro_plan, store_from
 from triplescore import features
 from triplescore.baselines import first_baseline_predictions
-from triplescore.corpus import load_corpus
+from triplescore.corpus import Corpus, PageRecord, first_mentioned, load_corpus, mentions
 from triplescore.embeddings import load_embeddings, normalize_key
 from triplescore.errors import (
     DuplicateKeyError,
@@ -179,6 +179,23 @@ class TestObjectMention:
 
     def test_missing_record_is_zero(self, micro):
         assert object_mention_feature(micro["corpus"], "nobody", "coder") == 0.0
+
+    @pytest.mark.parametrize("key", ["_", "__"])
+    def test_key_without_words_is_never_mentioned(self, key):
+        # The surface form of a key made only of underscores is all spaces, a
+        # phrase whose bare pattern is empty and so matches at any boundary.
+        ada = PageRecord("ada", ("poems",), "Ada, a mathematician. Poems.",
+                         "Ada wrote. Poems.")
+        corpus = Corpus({"ada": ada})
+        universe = ObjectUniverse.from_names(Relation.PROFESSION, [key, "mathematician"])
+        triples = [Triple("ada", Relation.PROFESSION, name) for name in (key, "poems")]
+        store = store_from(2, {"ada": (1.0, 0.0), key: (0.0, 1.0), "poems": (0.6, 0.8)})
+        vectors = extract(store, KeyPlan.of_run(corpus, universe, triples))
+        assert [fv.object_mention for fv in vectors] == [0.0, 1.0]
+        assert not mentions(ada, key)
+        assert object_mention_feature(corpus, "ada", key) == 0.0
+        assert first_mentioned(ada, ["mathematician", key]) == "mathematician"
+        assert first_mentioned(ada, [key]) is None
 
 
 class TestExtract:

@@ -32,7 +32,7 @@ from triplescore.baselines import MultinomialModel, fit_multinomial
 from triplescore.errors import NonFiniteError
 from triplescore.evaluation import truth_labels
 from triplescore.features import fit_standardizer
-from triplescore.model import NUM_CLASSES, FitConfig
+from triplescore.model import MIN_STEP, NUM_CLASSES, FitConfig, _newton
 from triplescore.ordinal import (
     OrdinalModel,
     fit,
@@ -199,6 +199,35 @@ class TestNonConvergence:
         with pytest.raises(NonFiniteError) as err:
             fitter(X, y)
         assert str(err.value) == f"{model_type} objective diverged; check feature scaling"
+
+    def test_non_finite_hessian_stops_the_fit(self):
+        # x**4 from x = 1: the first Newton step lands at 2/3 (up to the
+        # Levenberg shift), where the Hessian is made infinite, so no second
+        # step is taken
+        def objective(x):
+            curvature = 12 * x[0] ** 2 if x[0] == 1.0 else np.inf
+            return x[0] ** 4, 4 * x ** 3, lambda: np.array([[curvature]])
+
+        x, value, grad, n_iter = _newton(objective, np.array([1.0]), FitConfig())
+        assert n_iter == 1
+        assert x[0] == pytest.approx(2 / 3, rel=1e-9)
+        assert (value, grad[0]) == (x[0] ** 4, 4 * x[0] ** 3)
+
+    def test_backtracking_that_cannot_decrease_stops_the_fit(self):
+        # the gradient reported for x**2 has the wrong sign, so every step
+        # along the Newton direction raises the objective, down to MIN_STEP
+        steps = []
+
+        def objective(x):
+            steps.append(x[0])
+            return x[0] ** 2, -2 * x, lambda: np.array([[2.0]])
+
+        start = np.array([1.5])
+        x, value, grad, n_iter = _newton(objective, start, FitConfig())
+        assert (x[0], value, grad[0], n_iter) == (1.5, 2.25, -3.0, 0)
+        # the start, then one trial at each step length 1, 1/2, ..., MIN_STEP
+        assert len(steps) == 2 - int(np.log2(MIN_STEP))
+        assert all(trial > 1.5 for trial in steps[1:])
 
     def test_cli_warns_on_stderr_and_keeps_stdout(self, micro_paths, tmp_path):
         src = str(Path(triplescore.__file__).resolve().parent.parent)

@@ -77,10 +77,10 @@ def oracle_ops(store, corpus, entity, obj, denominator):
 
 
 def oracle_mention(corpus, entity, obj):
-    record = corpus.get(entity)
-    if record is None:
+    record, phrase = corpus.get(entity), surface_form(obj)
+    if record is None or not phrase.split():  # a key without words is never mentioned
         return 0.0
-    return 1.0 if _phrase_pattern(surface_form(obj)).search(record.page_text) else 0.0
+    return 1.0 if _phrase_pattern(phrase).search(record.page_text) else 0.0
 
 
 class OracleEntityContext:
