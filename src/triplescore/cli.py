@@ -94,7 +94,9 @@ def _load_and_extract(config: RunConfig, relation: Relation, scored: bool = Fals
     Only the vectors extract can reach are parsed, and the key plan that
     lists them is the one extract reads. With `scored`, a triple without a
     truth score is refused, naming the triples file, before the embeddings
-    are read.
+    are read. An embeddings file that holds none of the plan's keys is
+    refused too, naming that file: every row would be flagged, with 0.0
+    for both similarity features.
     """
     corpus = load_corpus(config.corpus)
     universe = load_universe(config.universe, relation)
@@ -106,6 +108,9 @@ def _load_and_extract(config: RunConfig, relation: Relation, scored: bool = Fals
             raise InputFormatError(f"{config.triples}: {exc}") from None
     plan = KeyPlan.of_run(corpus, universe, triples)
     store = load_embeddings(config.embeddings, plan.rows)
+    if not len(store):
+        raise InputFormatError(f"{config.embeddings}: holds none of the "
+                               f"{len(plan.rows)} keys the run reads")
     vectors, X = extract_matrix(store, plan, ops_denominator=config.ops_denominator)
     return corpus, triples, vectors, X
 
@@ -127,7 +132,7 @@ def cmd_train(config: RunConfig) -> int:
     _require_inputs(config, _EXTRACT_INPUTS)
     _require_output(config, "model")
     relation = _resolve_relation(config)
-    _, triples, _, X = _load_and_extract(config, relation, scored=True)
+    _, triples, vectors, X = _load_and_extract(config, relation, scored=True)
     model = train_model(
         triples, X, model_type=config.model_type,
         fit_config=_fit_config(config), relation=relation,
@@ -135,6 +140,7 @@ def cmd_train(config: RunConfig) -> int:
     save_model(model, config.model)
     print(model.summary())
     print(f"model written to {config.model}")
+    print(missing_summary(vectors), file=sys.stderr)
     return 0
 
 
@@ -154,13 +160,14 @@ def cmd_predict(config: RunConfig) -> int:
             f"{list(model.feature_names)}, expected {list(FEATURE_NAMES)}"
         )
     relation = _resolve_relation(config, fallback=model.relation)
-    _, triples, _, X = _load_and_extract(config, relation)
+    _, triples, vectors, X = _load_and_extract(config, relation)
     try:
         scores = predict_scores(model, X, config.prediction_rule)
     except ArtifactError as exc:
         raise ArtifactError(f"{config.model}: {exc}") from None
     text = "".join(f"{t.entity}\t{t.object}\t{s}\n" for t, s in zip(triples, scores))
     _emit(text, config.output)
+    print(missing_summary(vectors), file=sys.stderr)
     return 0
 
 
@@ -214,7 +221,7 @@ def cmd_evaluate(config: RunConfig) -> int:
 def cmd_cv(config: RunConfig) -> int:
     _require_inputs(config, _EXTRACT_INPUTS)
     relation = _resolve_relation(config)
-    corpus, triples, _, X = _load_and_extract(config, relation, scored=True)
+    corpus, triples, vectors, X = _load_and_extract(config, relation, scored=True)
     results = run_cv_comparison(
         triples, X, corpus,
         fit_config=_fit_config(config), folds=config.folds, seed=config.seed,
@@ -230,6 +237,7 @@ def cmd_cv(config: RunConfig) -> int:
     sys.stdout.write(text)
     if config.output:
         Path(config.output).write_text(text, encoding="utf-8")
+    print(missing_summary(vectors), file=sys.stderr)
     return 0
 
 

@@ -26,7 +26,9 @@ class PageRecord:
 
     @cached_property
     def linked_keys(self) -> tuple[str, ...]:
-        """Normalized keys of the linked entities, computed on first use."""
+        """Normalized keys of the linked entities, computed with
+        `normalize_key` on first use: in a run, when `KeyPlan` numbers the
+        keys of the records its entities reach."""
         return tuple(map(normalize_key, self.linked_entities))
 
 

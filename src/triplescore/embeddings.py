@@ -26,6 +26,16 @@ def normalize_key(raw: str) -> str:
     return "_".join(raw.lower().split())
 
 
+class KeyCache(dict):
+    """Maps each name looked up to `normalize_key(name)`, computed on its
+    first lookup, so a file whose names repeat normalizes each distinct
+    name once."""
+
+    def __missing__(self, name: str) -> str:
+        key = self[name] = normalize_key(name)
+        return key
+
+
 class EmbeddingStore:
     """Immutable map from normalized key to the unit row of its vector.
 

@@ -24,7 +24,7 @@ from itertools import chain
 import numpy as np
 
 from .corpus import Corpus, _search, mentions, surface_form
-from .embeddings import EmbeddingStore, normalize_key
+from .embeddings import EmbeddingStore, KeyCache, normalize_key
 from .errors import (
     DuplicateKeyError,
     EmptyTrainingSetError,
@@ -63,12 +63,15 @@ class Relation(str, Enum):
         raise UnknownRelationError(f"unknown relation {name!r}; expected one of: {valid}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """(entity, relation, object) with an optional ground-truth score 0..7.
 
     The normalized entity and object keys are computed once, at
     construction; they take no part in equality, hashing or repr.
+    `Triple(...)` computes them with `normalize_key`; `load_triples` hands
+    a file's to `Triple._keyed`, from a `KeyCache` that calls
+    `normalize_key` once per distinct name.
     """
 
     entity: str
@@ -79,10 +82,40 @@ class Triple:
     object_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.truth is not None and not (0 <= self.truth <= 7):
-            raise ValueError(f"truth score must be in [0, 7], got {self.truth}")
+        _check_truth(self.truth)
         object.__setattr__(self, "entity_key", normalize_key(self.entity))
         object.__setattr__(self, "object_key", normalize_key(self.object))
+
+    @classmethod
+    def _keyed(cls, relation: Relation, rows) -> list[Triple]:
+        """`Triple(entity, relation, obj, truth)` of each (entity, obj, truth,
+        entity_key, object_key) row, whose keys are those `normalize_key`
+        gives its names.
+
+        Each slot is set through its descriptor, looked up by field name,
+        instead of through the frozen `__init__`'s `object.__setattr__`.
+        """
+        slot = {name: getattr(cls, name).__set__ for name in cls.__slots__}
+        set_entity, set_relation, set_object = slot["entity"], slot["relation"], slot["object"]
+        set_truth, set_entity_key, set_object_key = (
+            slot["truth"], slot["entity_key"], slot["object_key"])
+        new, triples = object.__new__, []
+        for entity, obj, truth, entity_key, object_key in rows:
+            _check_truth(truth)
+            triple = new(cls)
+            set_entity(triple, entity)
+            set_relation(triple, relation)
+            set_object(triple, obj)
+            set_truth(triple, truth)
+            set_entity_key(triple, entity_key)
+            set_object_key(triple, object_key)
+            triples.append(triple)
+        return triples
+
+
+def _check_truth(truth) -> None:
+    if truth is not None and not (0 <= truth <= 7):
+        raise ValueError(f"truth score must be in [0, 7], got {truth}")
 
 
 @dataclass(frozen=True)
@@ -413,10 +446,11 @@ def load_triples(path, relation: Relation) -> list[Triple]:
     An absent or empty score column means unscored; otherwise the score
     must be an integer in [0, 7]. A normalized (entity, object) pair may
     occur once: a repeat is a `DuplicateKeyError` naming the file and the
-    pair.
+    pair. Each distinct name is normalized once, however often it occurs.
     """
-    triples = []
+    rows = []
     pairs = set()
+    keys = KeyCache()
     for line_no, line in text_lines(path):
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
@@ -439,13 +473,12 @@ def load_triples(path, relation: Relation) -> list[Triple]:
                 ) from None
             if not (0 <= truth <= 7):
                 raise MalformedLineError(path, line_no, f"score must be in [0, 7], got {truth}")
-        triple = Triple(entity=entity, relation=relation, object=obj, truth=truth)
-        pair = (triple.entity_key, triple.object_key)
+        pair = (keys[entity], keys[obj])
         if pair in pairs:
             raise DuplicateKeyError(f"{entity}/{obj}", path)
         pairs.add(pair)
-        triples.append(triple)
-    return triples
+        rows.append((entity, obj, truth, *pair))
+    return Triple._keyed(relation, rows)
 
 
 def load_universe(path, relation: Relation) -> ObjectUniverse:

@@ -18,7 +18,17 @@ from triplescore.cli import main
 from triplescore.config import RunConfig, apply_overrides, parse_config_file
 from triplescore.errors import ArtifactError, MalformedLineError
 from triplescore.evaluation import FoldPlan
-from triplescore.features import FEATURE_NAMES, KeyPlan, extract, matrix_to_tsv
+from triplescore.corpus import load_corpus
+from triplescore.features import (
+    FEATURE_NAMES,
+    KeyPlan,
+    Relation,
+    extract,
+    load_triples,
+    load_universe,
+    matrix_to_tsv,
+    missing_summary,
+)
 from triplescore.ordinal import OrdinalModel
 from triplescore.pipeline import extract_matrix, predict_scores, run_cv_comparison
 
@@ -145,6 +155,18 @@ class TestExtract:
         code, _, _ = invoke(capsys, command, *input_args(micro_paths), *extra)
         assert code == 0
         assert len(made) == 1
+
+    @pytest.mark.parametrize("command", ["extract", "train", "predict", "cv"])
+    def test_every_command_that_extracts_reports_coverage(self, micro, micro_paths, trained,
+                                                          tmp_path, capsys, command):
+        extra = {"train": ["--model", str(tmp_path / "m.json")],
+                 "predict": ["--model", str(trained)],
+                 "cv": ["--folds", "3"]}.get(command, [])
+        code, _, err = invoke(capsys, command, *input_args(micro_paths), *extra)
+        assert code == 0
+        summary = missing_summary(extract(micro["store"], micro_plan(micro)))
+        assert summary.startswith("missing data: 4/10 rows flagged")
+        assert err == summary + "\n"
 
     def test_stdout_by_default(self, micro_paths, capsys):
         code, out, err = invoke(capsys, "extract", *input_args(micro_paths))
@@ -613,6 +635,24 @@ class TestErrorFamilies:
         assert (code, out) == (2, "")
         assert err == (f"error: {triples}: triple ben/sailor has no truth score; "
                        "training and evaluation need three-column rows\n")
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("command", ["extract", "train", "predict", "cv"])
+    def test_embeddings_that_share_no_key_are_exit_2(self, trained, tmp_path, capsys, command):
+        # the planted vectors, every key renamed: held, but by no key the run reads
+        head, *lines = (PLANTED / "embeddings.txt").read_text().splitlines(keepends=True)
+        emb = tmp_path / "embeddings.txt"
+        emb.write_text(head + "".join(f"renamed_{line}" for line in lines))
+        paths = {"embeddings": emb, "corpus": PLANTED / "corpus.jsonl",
+                 "universe": PLANTED / "universe.txt", "triples": PLANTED / "triples.tsv"}
+        plan = KeyPlan.of_run(load_corpus(paths["corpus"]),
+                              load_universe(paths["universe"], Relation.PROFESSION),
+                              load_triples(paths["triples"], Relation.PROFESSION))
+        model = {"train": tmp_path / "model.json", "predict": trained}.get(command)
+        code, out, err = invoke(capsys, command, *input_args(paths),
+                                *(["--model", str(model)] if model else []))
+        assert (code, out) == (2, "")
+        assert err == f"error: {emb}: holds none of the {len(plan.rows)} keys the run reads\n"
         assert not (tmp_path / "model.json").exists()
 
     def test_a_broken_internal_contract_propagates(self, micro_paths, monkeypatch):

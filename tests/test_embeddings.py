@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from oracle_units import RawStore, unit_rows, units
 from triplescore.corpus import Corpus
-from triplescore.embeddings import EmbeddingStore, load_embeddings, normalize_key
+from triplescore import embeddings
+from triplescore.embeddings import EmbeddingStore, KeyCache, load_embeddings, normalize_key
 from triplescore.errors import DimensionMismatchError, DuplicateKeyError, MalformedLineError
 from triplescore.features import KeyPlan
 
@@ -179,6 +180,16 @@ class TestLookup:
         assert store.lookup("atlantis_xyz") is None
 
 
+# Parts of names whose keys are easy to get wrong: whitespace runs and ends,
+# Unicode whitespace that `str.split` splits at (U+00A0, U+2028, U+0085,
+# "\x1c"), a "\n" inside a name, the empty name, and capital sigma, whose
+# lower case depends on what follows it.
+NAME_PARTS = ["Ada", "LOVE", "lace", "x1", "_", "-", " ", "  ", "\t", "\u00a0", "\u2028",
+              "\u0085", "\x1c", "\n", "", "\u03a3", "\u039f\u0394\u039f\u03a3"]
+NAMES = st.lists(st.one_of(st.lists(st.sampled_from(NAME_PARTS), max_size=6).map("".join),
+                           st.text(max_size=12)), max_size=8)
+
+
 class TestNormalizeKey:
     def test_examples(self):
         assert normalize_key("United States of America") == "united_states_of_america"
@@ -189,6 +200,21 @@ class TestNormalizeKey:
     def test_idempotent(self, raw):
         once = normalize_key(raw)
         assert normalize_key(once) == once
+
+    @given(NAMES)
+    def test_key_cache_gives_normalize_key_name_by_name(self, names):
+        # each name twice, so that every key is also read back from the cache
+        keys = KeyCache()
+        assert [keys[name] for name in names + names] == [normalize_key(name)
+                                                          for name in names + names]
+
+    def test_key_cache_normalizes_each_distinct_name_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(embeddings, "normalize_key",
+                            lambda raw: calls.append(raw) or normalize_key(raw))
+        keys = KeyCache()
+        assert [keys[name] for name in ["Ada  B", "ada b", "Ada  B", "ada b"]] == ["ada_b"] * 4
+        assert calls == ["Ada  B", "ada b"]
 
 
 class TestStore:

@@ -623,6 +623,36 @@ class TestLoaders:
             load_triples(path, Relation.PROFESSION)
         assert str(err.value) == f"duplicate key 'ada lovelace/Coder' in {path}"
 
+    @pytest.mark.parametrize("bad, message", [
+        (b"b\n", "expected 2 or 3 tab-separated fields, got 1"),
+        (b"b\tc\t9\n", "score must be in [0, 7], got 9"),
+    ])
+    def test_triples_first_fault_in_file_order_is_reported(self, tmp_path, bad, message):
+        # a repeated pair is reported only if no bad line comes before it
+        path = tmp_path / "t.tsv"
+        repeat = b"Ada\tcoder\nADA \tCoder\n"
+        path.write_bytes(repeat + bad)
+        with pytest.raises(DuplicateKeyError) as err:
+            load_triples(path, Relation.PROFESSION)
+        assert str(err.value) == f"duplicate key 'ADA/Coder' in {path}"
+        path.write_bytes(b"Ada\tcoder\n" + bad + repeat)
+        with pytest.raises(MalformedLineError) as err:
+            load_triples(path, Relation.PROFESSION)
+        assert str(err.value) == f"{path}:2: {message}"
+
+    def test_loaded_triples_equal_constructed_ones(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("Ada  Lovelace\tCoder\t7\nben\tUnited\u00a0States \t\n")
+        triples = load_triples(path, Relation.NATIONALITY)
+        built = [Triple("Ada  Lovelace", Relation.NATIONALITY, "Coder", 7),
+                 Triple("ben", Relation.NATIONALITY, "United\u00a0States", None)]
+        assert triples == built
+        assert [(t.entity_key, t.object_key, repr(t), hash(t)) for t in triples] == \
+            [(t.entity_key, t.object_key, repr(t), hash(t)) for t in built]
+        assert [t.object_key for t in triples] == ["coder", "united_states"]
+        with pytest.raises(ValueError, match=r"must be in \[0, 7\], got 8"):
+            Triple._keyed(Relation.NATIONALITY, [("Ada", "Coder", 8, "ada", "coder")])
+
     def test_triples_blank_and_whitespace_lines_skip(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("\na\tcoder\t7\n  \t \n\nb\tpoet\n \n")

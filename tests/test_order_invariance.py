@@ -109,9 +109,10 @@ def test_shuffled_corpus_lines_change_no_byte(lines):
 
 
 def respell(name: str, rng: random.Random) -> str:
-    """name with each letter's case drawn, its spaces widened and its ends padded."""
+    """name with each letter's case drawn, each gap between its words widened
+    (runs of spaces, U+00A0 or U+2003) and its ends padded."""
     words = ["".join(rng.choice((c.lower(), c.upper())) for c in word) for word in name.split()]
-    gaps = [rng.choice([" ", "  ", "   "]) for _ in words[1:]]
+    gaps = [rng.choice([" ", "  ", "   ", "\u00a0", "\u2003"]) for _ in words[1:]]
     pad = [rng.choice(["", " ", "  "]) for _ in range(2)]
     return pad[0] + words[0] + "".join(g + w for g, w in zip(gaps, words[1:])) + pad[1]
 
