@@ -227,7 +227,7 @@ def cmd_cv(config: RunConfig) -> int:
         fit_config=_fit_config(config), folds=config.folds, seed=config.seed,
         delta=config.delta, tau_variant=config.tau_variant,
         singleton_policy=config.singleton_policy,
-        prediction_rule=config.prediction_rule, max_workers=config.max_workers,
+        prediction_rule=config.prediction_rule,
     )
     print(format_comparison_table(
         [(name, results[name].mean) for name in CV_MODEL_TYPES]

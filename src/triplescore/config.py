@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import InputFormatError, MalformedLineError, read_text
+from .errors import InputFormatError, MalformedLineError, text_lines
 from .evaluation import SINGLETON_ONE, SINGLETON_SKIP, TAU_A, TAU_B
 from .features import OPS_DENOM_ALL, OPS_DENOM_EMBEDDED
 from .model import ARGMAX, EXPECTED_ROUNDED, FitConfig
@@ -69,8 +69,8 @@ class RunConfig:
     singleton_policy: str = _setting(
         SINGLETON_ONE, "one-triple entity groups: ", (SINGLETON_ONE, SINGLETON_SKIP))
     max_workers: int = _setting(
-        1, "at most this many worker threads for cross-validation folds; small folds "
-        "run in the calling thread", bound=(">=", 1))
+        1, "accepted, but has no effect: cv runs every fold in the calling thread",
+        bound=(">=", 1))
     # feature extraction
     ops_denominator: str = _setting(
         OPS_DENOM_EMBEDDED, "ops average denominator: ", (OPS_DENOM_EMBEDDED, OPS_DENOM_ALL))
@@ -120,8 +120,7 @@ def _unquote(raw: str) -> str:
 def parse_config_file(path) -> RunConfig:
     """Read `key = value` lines; # starts a comment, blank lines skip."""
     values = {}
-    text = read_text(path)
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in text_lines(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -5,7 +5,7 @@ code 2) and numerical/fit problems (CLI exit code 3). Everything derives
 from TripleScoreError so library users can catch broadly. `text_lines`
 and `read_text` read the text input files, skipping one leading UTF-8
 byte-order mark, and turn undecodable bytes into an input error that
-names the file.
+names the file (and, for `text_lines`, the line).
 """
 
 
@@ -20,17 +20,30 @@ class InputFormatError(TripleScoreError):
 def text_lines(path):
     """Yield (line number from 1, line) of a UTF-8 text file.
 
-    Bytes that are not UTF-8 raise InputFormatError naming the file and the
-    last line read whole; the decoder reads ahead, so the bad byte is
-    somewhere after it.
+    Lines end at "\n", "\r" or "\r\n". Bytes that are not UTF-8 raise
+    MalformedLineError naming the file and the first line that holds them.
     """
-    line_no = 0
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                yield line_no, line
+            yield from enumerate(fh, start=1)
     except UnicodeDecodeError:
-        raise InputFormatError(f"{path}: not valid UTF-8 after line {line_no}") from None
+        raise MalformedLineError(path, _undecodable_line(path), "not valid UTF-8") from None
+
+
+def _undecodable_line(path) -> int:
+    """The number of the first line of the file that is not valid UTF-8.
+
+    The decoder of `text_lines` reads ahead of the lines it yields, so the
+    file is read again: as latin-1, which keeps one character per byte and
+    ends the lines where `text_lines` does.
+    """
+    with open(path, encoding="latin-1") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    raise InputFormatError(f"{path}: not valid UTF-8")  # changed since the first read
 
 
 def read_text(path) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import warnings
 from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import Callable, Sequence
@@ -23,11 +24,6 @@ TAU_B = "b"
 TAU_A = "a"
 SINGLETON_ONE = "one"
 SINGLETON_SKIP = "skip"
-# Folds run on threads only once every fold trains on at least this many
-# rows. Below it each fit's numpy calls are so short that the threads
-# mostly hand the GIL back and forth, and the folds run as fast or faster
-# in order (README, "--max-workers", has the measured crossover).
-_POOL_MIN_TRAIN_ROWS = 10_000
 
 
 def _group_taus(xs: np.ndarray, ys: np.ndarray, group: np.ndarray, n_groups: int,
@@ -284,35 +280,26 @@ class FoldPlan:
 
 def cross_validate(plan: FoldPlan, X, trainer: Trainer, *, delta: int = 2,
                    tau_variant: str = TAU_B,
-                   singleton_policy: str = SINGLETON_ONE,
-                   max_workers: int = 1) -> CVResult:
+                   singleton_policy: str = SINGLETON_ONE) -> CVResult:
     """Entity-grouped k-fold cross-validation of one trainer over the plan's folds.
 
-    X holds one feature row per triple of the plan. max_workers is an
-    upper bound: the folds run on a pool of max_workers threads only when
-    it is above 1 and every fold trains on at least _POOL_MIN_TRAIN_ROWS
-    rows; otherwise they run in order in the calling thread. Reports come
-    back in fold order either way.
+    X holds one feature row per triple of the plan. The folds run in order
+    in the calling thread. A warning raised while fold k of K trains or
+    predicts is issued again after the fold, as "fold k of K: <message>",
+    from the place it was first raised.
     """
-    if max_workers < 1:
-        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
     X = np.asarray(X, dtype=float)
     if X.shape[0] != plan.labels.size:
         raise ValueError("feature matrix rows must match triple count")
     y = plan.labels
-
-    def run_fold(split: FoldSplit) -> EvalReport:
-        predict_fn = trainer(split.train_triples, X[~split.test], y[~split.test])
-        predicted = predict_fn(split.test_triples, X[split.test])
-        return evaluate(split.test_triples, predicted, delta, tau_variant, singleton_policy)
-
-    train_rows = min(len(split.train_triples) for split in plan.splits)
-    if max_workers == 1 or train_rows < _POOL_MIN_TRAIN_ROWS:
-        reports = list(map(run_fold, plan.splits))
-    else:
-        # imported here, so a run that starts no pool does not load it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(run_fold, plan.splits))
+    reports = []
+    for k, split in enumerate(plan.splits, start=1):
+        with warnings.catch_warnings(record=True) as caught:
+            predict_fn = trainer(split.train_triples, X[~split.test], y[~split.test])
+            predicted = predict_fn(split.test_triples, X[split.test])
+        for w in caught:
+            warnings.warn_explicit(f"fold {k} of {len(plan.splits)}: {w.message}",
+                                   w.category, w.filename, w.lineno, source=w.source)
+        reports.append(evaluate(split.test_triples, predicted, delta, tau_variant,
+                                singleton_policy))
     return CVResult(fold_reports=tuple(reports), mean=mean_report(reports))

@@ -98,16 +98,12 @@ def run_cv_comparison(triples: list[Triple], X, corpus: Corpus, *,
                       fit_config: FitConfig | None = None, folds: int = 5,
                       seed: int = 0, delta: int = 2, tau_variant: str = "b",
                       singleton_policy: str = "one",
-                      prediction_rule: str = ARGMAX,
-                      max_workers: int = 1) -> dict[str, CVResult]:
+                      prediction_rule: str = ARGMAX) -> dict[str, CVResult]:
     """Cross-validate every model type over one fold plan.
 
     The three result sets share the exact same splits, so they are
-    directly comparable. The first-mention rule has nothing to fit, so its
-    folds run in the calling thread whatever max_workers says. The learned
-    models fit theirs on at most max_workers threads: on a pool only when
-    every fold is large enough for threads to pay (see cross_validate),
-    and otherwise in order in the calling thread.
+    directly comparable. Every fold of every model runs in order in the
+    calling thread.
     """
     plan = FoldPlan(triples, folds, seed)
     results = {}
@@ -116,10 +112,8 @@ def run_cv_comparison(triples: list[Triple], X, corpus: Corpus, *,
             model_type, fit_config=fit_config, corpus=corpus,
             prediction_rule=prediction_rule,
         )
-        # min() keeps a max_workers below 1 an error for this model too
-        workers = min(max_workers, 1) if model_type == MODEL_FIRST else max_workers
         results[model_type] = cross_validate(
             plan, X, trainer, delta=delta, tau_variant=tau_variant,
-            singleton_policy=singleton_policy, max_workers=workers,
+            singleton_policy=singleton_policy,
         )
     return results

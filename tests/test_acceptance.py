@@ -409,7 +409,7 @@ def test_criterion_8_determinism(micro_paths, tmp_path, capsys):
         assert first_run == second_run
         assert first_run  # the command actually reported something
 
-        # --max-workers acts only on the cv fold pool
+        # --max-workers is accepted and changes no byte
         assert main([*cv, "--max-workers", "4"]) == 0
         assert capsys.readouterr().out == first_run
 

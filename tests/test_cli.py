@@ -109,7 +109,15 @@ class TestConfigFile:
                                 *input_args(micro_paths))
         assert code == 2
         assert out == ""
-        assert err == f"error: {bad}: not valid UTF-8\n"
+        assert err == f"error: {bad}:2: not valid UTF-8\n"
+
+    def test_a_form_feed_does_not_end_a_config_line(self, micro_paths, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("folds = 3\fseed = 4\n")
+        code, out, err = invoke(capsys, "cv", "--config", str(conf), *input_args(micro_paths))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {conf}:1: invalid value '3\\x0cseed = 4' for key 'folds'\n"
 
     def test_overrides_skip_none(self):
         config = RunConfig(folds=3, delta=1)
@@ -254,15 +262,20 @@ class TestExtract:
 
     @pytest.mark.parametrize("name, message", [
         ("embeddings", ":10: not valid UTF-8"),
-        ("corpus", ": not valid UTF-8 after line"),
-        ("universe", ": not valid UTF-8 after line"),
-        ("triples", ": not valid UTF-8 after line"),
+        ("corpus", ":3: not valid UTF-8"),
+        ("universe", ":3: not valid UTF-8"),
+        ("triples", ":3: not valid UTF-8"),
     ])
     def test_undecodable_input_names_the_file(self, micro_paths, tmp_path, name, message):
         bad = tmp_path / micro_paths[name].name
         data = micro_paths[name].read_bytes()
-        bad.write_bytes(data.replace(b"wing", b"w\xffng") if name == "embeddings"
-                        else data + b"\xff\n")
+        if name == "embeddings":
+            data = data.replace(b"wing", b"w\xffng")
+        else:  # a bad byte inside the third line
+            lines = data.splitlines(keepends=True)
+            lines[2] = lines[2][:2] + b"\xff" + lines[2][2:]
+            data = b"".join(lines)
+        bad.write_bytes(data)
         args = input_args(micro_paths)
         args[args.index(str(micro_paths[name]))] = str(bad)
         src = str(Path(triplescore.__file__).resolve().parent.parent)

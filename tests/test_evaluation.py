@@ -3,12 +3,12 @@
 import itertools
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from triplescore import evaluation
 from triplescore.errors import EmptyInputError, InputFormatError, TooFewEntitiesError
 from triplescore.evaluation import (
     SINGLETON_ONE,
@@ -433,19 +433,6 @@ class TestCrossValidate:
 
         cross_validate(FoldPlan(triples, 2, 0), X, checking)
 
-    def test_worker_count_does_not_change_result(self):
-        triples = toy_triples()
-        X = np.zeros((len(triples), 1))
-        a = cross_validate(FoldPlan(triples, 3, 4), X, oracle_trainer, max_workers=1)
-        b = cross_validate(FoldPlan(triples, 3, 4), X, oracle_trainer, max_workers=3)
-        assert a.to_dict() == b.to_dict()
-
-    def test_nonpositive_workers_rejected(self):
-        triples = toy_triples()
-        with pytest.raises(ValueError):
-            cross_validate(FoldPlan(triples, 3, 0), np.zeros((len(triples), 1)), oracle_trainer,
-                           max_workers=0)
-
     def test_matrix_length_checked(self):
         triples = toy_triples()
         with pytest.raises(ValueError):
@@ -477,48 +464,36 @@ class TestCrossValidate:
         cross_validate(FoldPlan(triples, 3, 4), np.zeros((len(triples), 1)), recording)
         assert threads == {threading.get_ident()}
 
-    def test_more_workers_run_the_folds_on_a_pool(self, monkeypatch):
-        plan = FoldPlan(toy_triples(), 3, 4)
-        monkeypatch.setattr(evaluation, "_POOL_MIN_TRAIN_ROWS", min_train_rows(plan))
-        threads, pooled = fold_threads(plan, max_workers=2)
-        assert len(threads) == 3 and threading.get_ident() not in threads
-        assert pooled.to_dict() == fold_threads(plan, max_workers=1)[1].to_dict()
+    def test_a_warning_names_its_fold(self):
+        def warning_trainer(train_triples, X_train, y_train):
+            warnings.warn(f"fit on {len(train_triples)} rows", RuntimeWarning)
 
-    def test_small_folds_run_in_the_calling_thread_at_any_worker_count(self):
-        plan = FoldPlan(toy_triples(), 3, 4)
-        assert min_train_rows(plan) < evaluation._POOL_MIN_TRAIN_ROWS
-        threads, inline = fold_threads(plan, max_workers=2)
-        assert threads == [threading.get_ident()] * 3
-        assert inline.to_dict() == fold_threads(plan, max_workers=1)[1].to_dict()
+            def predict(test_triples, X_test):
+                warnings.warn("predict", UserWarning)
+                return [t.truth for t in test_triples]
+            return predict
 
-    @pytest.mark.parametrize("above, pool", [(0, True), (1, False)])
-    def test_the_pool_starts_exactly_at_the_constant(self, monkeypatch, above, pool):
         plan = FoldPlan(toy_triples(7, 3), 3, 4)  # folds train on 12 to 15 rows
-        monkeypatch.setattr(evaluation, "_POOL_MIN_TRAIN_ROWS", min_train_rows(plan) + above)
-        threads, result = fold_threads(plan, max_workers=3)
-        if pool:
-            assert len(threads) == 3 and threading.get_ident() not in threads
-        else:
-            assert threads == [threading.get_ident()] * 3
-        assert result.to_dict() == fold_threads(plan, max_workers=1)[1].to_dict()
+        with pytest.warns(Warning) as record:
+            result = cross_validate(plan, np.zeros((plan.labels.size, 1)), warning_trainer)
+        expected = []
+        for k, split in enumerate(plan.splits, start=1):
+            expected += [(RuntimeWarning, f"fold {k} of 3: fit on {len(split.train_triples)} rows"),
+                         (UserWarning, f"fold {k} of 3: predict")]
+        assert [(w.category, str(w.message)) for w in record] == expected
+        assert {w.filename for w in record} == {__file__}
+        assert result.mean.accuracy == 1.0
 
+    def test_an_ignored_warning_stays_ignored(self):
+        def warning_trainer(train_triples, X_train, y_train):
+            warnings.warn("fit", RuntimeWarning)
+            return oracle_trainer(train_triples, X_train, y_train)
 
-def min_train_rows(plan):
-    """The training rows of the plan's smallest training side."""
-    return min(len(split.train_triples) for split in plan.splits)
-
-
-def fold_threads(plan, max_workers):
-    """The thread that fitted each fold of the plan, and the CV result."""
-    threads = []
-
-    def recording(train_triples, X_train, y_train):
-        threads.append(threading.get_ident())
-        return sum_trainer(train_triples, X_train, y_train)
-
-    X = np.arange(plan.labels.size, dtype=float).reshape(-1, 1)
-    result = cross_validate(plan, X, recording, max_workers=max_workers)
-    return threads, result
+        triples = toy_triples()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "fit", RuntimeWarning)
+            cross_validate(FoldPlan(triples, 3, 4), np.zeros((len(triples), 1)), warning_trainer)
 
 
 def sum_trainer(train_triples, X_train, y_train):
@@ -541,17 +516,16 @@ class TestFoldPlan:
             assert split.test_triples == [t for t, h in zip(triples, held) if h]
             assert split.train_triples == [t for t, h in zip(triples, held) if not h]
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_reports_equal_with_and_without_a_plan(self, workers):
+    def test_reports_equal_with_and_without_a_plan(self):
         triples = toy_triples(7, 3)
         X = np.arange(len(triples) * 2, dtype=float).reshape(-1, 2)
         plan = FoldPlan(triples, 3, seed=4)
-        made = cross_validate(FoldPlan(triples, 3, 4), X, sum_trainer, max_workers=workers)
-        given = cross_validate(plan, X, sum_trainer, max_workers=workers)
+        made = cross_validate(FoldPlan(triples, 3, 4), X, sum_trainer)
+        given = cross_validate(plan, X, sum_trainer)
         assert made.to_dict() == given.to_dict()
         # the plan is read, never changed, so it serves a second trainer too
-        again = cross_validate(plan, X, sum_trainer, max_workers=workers)
+        again = cross_validate(plan, X, sum_trainer)
         assert again.to_dict() == made.to_dict()
-        other = cross_validate(plan, X, oracle_trainer, max_workers=workers)
+        other = cross_validate(plan, X, oracle_trainer)
         assert other.to_dict() == cross_validate(FoldPlan(triples, 3, 4), X,
                                                  oracle_trainer).to_dict()

@@ -135,9 +135,9 @@ def test_cli_import_leaves_scipy_stats_out(micro_paths):
 
 
 def test_cv_on_small_folds_leaves_the_thread_pool_out(micro_paths):
-    """Neither importing the CLI nor a `--max-workers 2` cv whose folds are too
-    small for threads loads concurrent.futures, or the logging module it
-    imports; a run that starts no pool has no use for either."""
+    """Neither importing the CLI nor a `--max-workers 2` cv loads
+    concurrent.futures, or the logging module it imports: cv runs every fold
+    in the calling thread."""
     code = ("import contextlib, io, sys, triplescore.cli\n"
             "def loaded():\n"
             "    return [m for m in ('concurrent.futures', 'logging') if m in sys.modules]\n"

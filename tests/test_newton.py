@@ -250,3 +250,27 @@ class TestNonConvergence:
         assert "did not converge" not in converged_err
         assert stopped_err.count("ordinal fit did not converge") == 1
         assert "did not converge" not in stopped_out
+
+    def test_cv_warnings_name_their_fold(self):
+        """Each learned model warns once per fold, naming the fold, and the
+        warnings leave stdout as it is when they are ignored."""
+        planted = Path(__file__).parent / "data" / "planted"
+        args = ["cv", *(f"--{name}={planted / file}" for name, file in (
+            ("embeddings", "embeddings.txt"), ("corpus", "corpus.jsonl"),
+            ("universe", "universe.txt"), ("triples", "triples.tsv"))), "--max-iters", "1"]
+        src = str(Path(triplescore.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "triplescore", *args], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.count("RuntimeWarning: ") == 10
+        for model_type in (MULTINOMIAL, ORDINAL):
+            for k in range(1, 6):
+                assert result.stderr.count(
+                    f"RuntimeWarning: fold {k} of 5: {model_type} fit did not converge") == 1
+        quiet = subprocess.run([sys.executable, "-W", "ignore::RuntimeWarning", "-m",
+                                "triplescore", *args], env=env, capture_output=True, text=True)
+        assert quiet.returncode == 0
+        assert "RuntimeWarning" not in quiet.stderr
+        assert result.stdout == quiet.stdout and "kendall_tau" in result.stdout

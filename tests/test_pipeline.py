@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import micro_plan
-from triplescore import evaluation, pipeline
+from triplescore import pipeline
 from triplescore.baselines import MultinomialModel, fit_multinomial
 from triplescore.errors import InputFormatError
 from triplescore.evaluation import FoldPlan, cross_validate
@@ -145,39 +145,33 @@ class TestRunCvComparison:
         direct = cross_validate(FoldPlan(micro["triples"], 3, 2), X, trainer)
         assert results[MODEL_FIRST].to_dict() == direct.to_dict()
 
-    def test_first_rule_runs_inline_and_learned_fits_on_the_pool(self, micro, monkeypatch):
-        _, X = extract_matrix(micro["store"], micro_plan(micro))
-        splits = FoldPlan(micro["triples"], 3, 2).splits
-        monkeypatch.setattr(evaluation, "_POOL_MIN_TRAIN_ROWS",
-                            min(len(split.train_triples) for split in splits))
-        threads: dict[str, list[int]] = {"first": [], "fit": []}
+    def test_every_fold_of_every_model_runs_in_the_calling_thread(self, monkeypatch):
+        # 2,600 persons of 5 triples: at 5 folds each fold trains on 10,400 rows
+        triples = [Triple(f"p{i}", Relation.PROFESSION, f"o{j}", (i + j) % 8)
+                   for i in range(2600) for j in range(5)]
+        X = np.zeros((len(triples), 4))
+        plan = FoldPlan(triples, 5, 0)
+        assert min(len(split.train_triples) for split in plan.splits) > 10_000
+        threads: dict[str, list[int]] = {"first": [], "fit": [], "predict": []}
 
-        def recorded(name, call):
-            def wrapper(*args, **kwargs):
-                threads[name].append(threading.get_ident())
-                return call(*args, **kwargs)
-            return wrapper
+        def first(corpus, test_triples):
+            threads["first"].append(threading.get_ident())
+            return [0] * len(test_triples)
 
-        # run_cv_comparison looks both up on the module when it calls them
-        monkeypatch.setattr(pipeline, "first_baseline_predictions",
-                            recorded("first", pipeline.first_baseline_predictions))
-        monkeypatch.setattr(pipeline, "train_model", recorded("fit", pipeline.train_model))
-        serial = run_cv_comparison(micro["triples"], X, micro["corpus"], folds=3, seed=2)
-        assert set(threads["first"]) == set(threads["fit"]) == {threading.get_ident()}
-        threads["first"].clear()
-        threads["fit"].clear()
-        pooled = run_cv_comparison(micro["triples"], X, micro["corpus"], folds=3, seed=2,
-                                   max_workers=2)
-        assert threads["first"] == [threading.get_ident()] * 3
-        assert len(threads["fit"]) == 6 and threading.get_ident() not in threads["fit"]
-        assert {k: r.to_dict() for k, r in pooled.items()} == \
-            {k: r.to_dict() for k, r in serial.items()}
+        def fit_nothing(train_triples, X_train, **kwargs):
+            threads["fit"].append(threading.get_ident())
+            return None
 
-    def test_nonpositive_workers_rejected(self, micro, monkeypatch):
-        _, X = extract_matrix(micro["store"], micro_plan(micro))
-        calls = []
-        monkeypatch.setattr(pipeline, "first_baseline_predictions",
-                            lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="max_workers must be at least 1"):
-            run_cv_comparison(micro["triples"], X, micro["corpus"], folds=3, max_workers=0)
-        assert calls == []
+        def predict(model, X_test, rule):
+            threads["predict"].append(threading.get_ident())
+            return [0] * len(X_test)
+
+        # the trainers look all three up on the module when they call them
+        monkeypatch.setattr(pipeline, "first_baseline_predictions", first)
+        monkeypatch.setattr(pipeline, "train_model", fit_nothing)
+        monkeypatch.setattr(pipeline, "predict_scores", predict)
+        results = run_cv_comparison(triples, X, corpus=object(), folds=5, seed=0)
+        assert threads == {"first": [threading.get_ident()] * 5,
+                           "fit": [threading.get_ident()] * 10,
+                           "predict": [threading.get_ident()] * 10}
+        assert [len(results[m].fold_reports) for m in CV_MODEL_TYPES] == [5, 5, 5]
