@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import Corpus, first_mentioned
 from .features import Triple
-from .model import NUM_CLASSES, OUTER_LIMIT, FitConfig, LearnedModel, fit_model
+from .model import NUM_CLASSES, OUTER_LIMIT, FitConfig, LearnedModel, WarmStart, fit_model
 
 FIRST_MATCH_SCORE = 7
 FIRST_MISS_SCORE = 0
@@ -142,9 +142,11 @@ def _all_classes(x: np.ndarray, p: int, observed: np.ndarray) -> dict:
     return {"W": W, "b": b}
 
 
-def fit_multinomial(X, y, config: FitConfig | None = None) -> MultinomialModel:
-    """Deterministic penalized fit from a zero start; no standardizer or relation."""
+def fit_multinomial(X, y, config: FitConfig | None = None, *,
+                    warm: WarmStart | None = None) -> MultinomialModel:
+    """Deterministic penalized fit from a zero start (or `warm`'s point, as
+    `fit_model` says); no standardizer or relation."""
     return fit_model(
         MultinomialModel, newton_objective,
-        lambda y, p, k: np.zeros(k * p + k), _all_classes, X, y, config,
+        lambda y, p, k: np.zeros(k * p + k), _all_classes, X, y, config, warm=warm,
     )

@@ -284,7 +284,9 @@ def cross_validate(plan: FoldPlan, X, trainer: Trainer, *, delta: int = 2,
     """Entity-grouped k-fold cross-validation of one trainer over the plan's folds.
 
     X holds one feature row per triple of the plan. The folds run in order
-    in the calling thread. A warning raised while fold k of K trains or
+    in the calling thread, so a trainer that keeps state between calls (as
+    `pipeline.make_trainer`'s warm start does) sees fold k - 1 before fold
+    k. A warning raised while fold k of K trains or
     predicts is issued again after the fold, as "fold k of K: <message>",
     from the place it was first raised.
     """

@@ -153,6 +153,11 @@ class FeatureVector:
     def values(self) -> tuple[float, float, float, float]:
         return (self.obj_entity_sim, self.ops, self.ops_rank, self.object_mention)
 
+    @classmethod
+    def rows(cls, X: np.ndarray, missing) -> list["FeatureVector"]:
+        """One vector per row of an (n, 4) feature matrix, with that row's flags."""
+        return [cls(*row, flags) for row, flags in zip(X.tolist(), missing)]
+
 
 # Cap on the bytes of each temporary array the features are computed in; a
 # chunk of `_Pages.outer` holds at least one page's U x d products. Every row
@@ -344,9 +349,11 @@ def _flag_sets() -> tuple[frozenset[str], ...]:
 _FLAG_SETS = _flag_sets()
 
 
-def extract(store: EmbeddingStore, plan: KeyPlan, *,
-            ops_denominator: str = "embedded") -> list[FeatureVector]:
-    """Feature vectors for the plan's triples, in input order.
+def extract_columns(store: EmbeddingStore, plan: KeyPlan, *,
+                    ops_denominator: str = "embedded"
+                    ) -> tuple[np.ndarray, list[frozenset[str]]]:
+    """(n, 4) feature matrix of the plan's triples, in input order, with
+    each row's missing flags.
 
     `plan` is `KeyPlan.of_run` of the corpus, universe and triples. The
     store's unit rows are read in plan order (`EmbeddingStore.rows`), and
@@ -391,11 +398,15 @@ def extract(store: EmbeddingStore, plan: KeyPlan, *,
     mention = [0.0 if text is None or _search(surface_form(t.object_key), *text) is None
                else 1.0 for t, text in zip(triples, map(texts.__getitem__, entity.tolist()))]
 
-    return [
-        FeatureVector(sim, value, float(rank), mentioned, _FLAG_SETS[code])
-        for sim, value, rank, mentioned, code in zip(
-            sims.tolist(), values.tolist(), ranks.tolist(), mention, codes.tolist())
-    ]
+    X = np.column_stack((sims, values, ranks.astype(float), mention))
+    return X, [_FLAG_SETS[code] for code in codes.tolist()]
+
+
+def extract(store: EmbeddingStore, plan: KeyPlan, *,
+            ops_denominator: str = "embedded") -> list[FeatureVector]:
+    """Feature vectors for the plan's triples, in input order: the rows of
+    `extract_columns`."""
+    return FeatureVector.rows(*extract_columns(store, plan, ops_denominator=ops_denominator))
 
 
 def matrix(vectors: list[FeatureVector]) -> np.ndarray:
@@ -423,8 +434,8 @@ class Standardizer:
         X = np.asarray(X, dtype=float)
         means = np.asarray(self.means)
         stds = np.asarray(self.stddevs)
-        if X.shape[1] != means.shape[0]:
-            raise ValueError(f"expected {means.shape[0]} columns, got {X.shape[1]}")
+        if X.ndim != 2 or X.shape[1] != means.shape[0]:
+            raise ValueError(f"expected an (n, {means.shape[0]}) matrix, got {X.shape}")
         scale = np.where(stds == 0.0, 1.0, stds)
         return (X - means) / scale
 
@@ -432,7 +443,9 @@ class Standardizer:
 def fit_standardizer(X) -> Standardizer:
     """Column means and population stddevs of a non-empty training matrix."""
     X = np.asarray(X, dtype=float)
-    if X.size == 0 or X.shape[0] == 0:
+    if X.ndim != 2:
+        raise ValueError(f"expected an (n, p) matrix, got {X.shape}")
+    if X.size == 0:
         raise EmptyTrainingSetError("cannot fit a standardizer on an empty matrix")
     means = X.mean(axis=0)
     stds = X.std(axis=0)

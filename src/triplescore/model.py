@@ -199,7 +199,21 @@ def _newton(objective, x: np.ndarray, config: FitConfig):
     return x, value, grad, n_iter
 
 
-def fit_model(model_cls, objective, start, unpack, X, y, config: FitConfig | None):
+@dataclass
+class WarmStart:
+    """Where the last fit handed this state ended, for the next fit to start from.
+
+    `problem` is that fit's (feature width, observed classes) and `x` its
+    reduced parameters. One trainer keeps one, so fold k of a CV run starts
+    where fold k - 1 ended.
+    """
+
+    problem: tuple | None = None
+    x: np.ndarray | None = None
+
+
+def fit_model(model_cls, objective, start, unpack, X, y, config: FitConfig | None, *,
+              warm: WarmStart | None = None):
     """Fit model_cls by Newton's method over the classes y contains.
 
     A class absent from y has no finite maximum-likelihood parameters: they
@@ -215,10 +229,14 @@ def fit_model(model_cls, objective, start, unpack, X, y, config: FitConfig | Non
     `hessian()` computes the analytic Hessian at x from the terms the value
     came from; each call keeps its own terms, so a hessian asked for after
     later calls is still the one at its x. `start(y, p, K)` gives the
-    starting point. A fit that stops above `config.tol` warns with a
-    RuntimeWarning. Deterministic: identical inputs produce bit-identical
-    models. The model names its columns FEATURE_NAMES if there are four,
-    else x0..x{p-1}, and has no standardizer or relation.
+    fixed starting point. Given `warm`, the fit starts instead from the
+    point `warm` holds when that point's fit had the same feature width and
+    observed classes, and leaves the point it reaches in `warm`; the
+    stopping rule is the same from either start. A fit that stops above
+    `config.tol` warns with a RuntimeWarning. Deterministic: identical
+    inputs, and an identical `warm`, produce bit-identical models. The
+    model names its columns FEATURE_NAMES if there are four, else
+    x0..x{p-1}, and has no standardizer or relation.
     """
     config = config or FitConfig()
     X = np.asarray(X, dtype=float)
@@ -235,11 +253,16 @@ def fit_model(model_cls, objective, start, unpack, X, y, config: FitConfig | Non
 
     p = X.shape[1]
     ranks = np.searchsorted(observed, y)
+    problem = (p, tuple(observed.tolist()))
+    x = (warm.x if warm is not None and warm.problem == problem
+         else start(ranks, p, observed.size))
     x, value, grad, n_iter = _newton(objective(X, ranks, config.reg_lambda, observed.size),
-                                     start(ranks, p, observed.size), config)
+                                     x, config)
     if not np.all(np.isfinite(x)) or not np.isfinite(value):
         raise NonFiniteError(f"{model_cls.model_type} objective diverged; "
                              "check feature scaling")
+    if warm is not None:
+        warm.problem, warm.x = problem, x
     grad_max = float(np.max(np.abs(grad)))
     if grad_max > config.tol:
         warnings.warn(f"{model_cls.model_type} fit did not converge: stopped after "

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NUM_CLASSES, OUTER_LIMIT, FitConfig, LearnedModel, fit_model
+from .model import NUM_CLASSES, OUTER_LIMIT, FitConfig, LearnedModel, WarmStart, fit_model
 
 NUM_THRESHOLDS = NUM_CLASSES - 1
 
@@ -228,15 +228,16 @@ def _all_cuts(fitted: np.ndarray, observed: np.ndarray) -> np.ndarray:
                            [fitted[-1] + OUTER_LIMIT]))[below]
 
 
-def fit(X, y, config: FitConfig | None = None) -> OrdinalModel:
+def fit(X, y, config: FitConfig | None = None, *,
+        warm: WarmStart | None = None) -> OrdinalModel:
     """Fit the model on an already-standardized matrix; no standardizer or relation.
 
-    Deterministic: fixed initialization, no randomized steps; identical
-    inputs produce bit-identical models.
+    Deterministic: fixed initialization (or `warm`'s point, as `fit_model`
+    says), no randomized steps; identical inputs produce bit-identical models.
     """
     return fit_model(
         OrdinalModel, newton_objective, initial_params,
         lambda x, p, observed: {
             "w": x[:p], "theta": _all_cuts(thresholds_from_params(x, p), observed)},
-        X, y, config,
+        X, y, config, warm=warm,
     )

@@ -15,8 +15,8 @@ from .baselines import MultinomialModel, first_baseline_predictions, fit_multino
 from .corpus import Corpus
 from .embeddings import EmbeddingStore
 from .evaluation import CVResult, FoldPlan, Trainer, cross_validate, truth_labels
-from .features import KeyPlan, Relation, Triple, extract, fit_standardizer, matrix
-from .model import ARGMAX, FitConfig, LearnedModel
+from .features import FeatureVector, KeyPlan, Relation, Triple, extract_columns, fit_standardizer
+from .model import ARGMAX, FitConfig, LearnedModel, WarmStart
 from .ordinal import OrdinalModel
 from .ordinal import fit as fit_ordinal
 
@@ -28,21 +28,27 @@ CV_MODEL_TYPES = (MODEL_FIRST, MODEL_MULTINOMIAL, MODEL_ORDINAL)
 
 def extract_matrix(store: EmbeddingStore, plan: KeyPlan, *,
                    ops_denominator: str = "embedded"):
-    """Feature vectors of the plan's triples plus their (n, 4) matrix form."""
-    vectors = extract(store, plan, ops_denominator=ops_denominator)
-    return vectors, matrix(vectors)
+    """Feature vectors of the plan's triples plus their (n, 4) matrix form.
+
+    The matrix is the one `extract_columns` computes, and the vectors are its rows.
+    """
+    X, missing = extract_columns(store, plan, ops_denominator=ops_denominator)
+    return FeatureVector.rows(X, missing), X
 
 
 def train_model(triples: list[Triple], X, *, model_type: str = MODEL_ORDINAL,
                 fit_config: FitConfig | None = None,
-                relation: Relation | None = None):
-    """Standardize on the given rows, fit, and attach that standardizer and the relation."""
+                relation: Relation | None = None, warm: WarmStart | None = None):
+    """Standardize on the given rows, fit, and attach that standardizer and the relation.
+
+    `warm`, if given, is handed to the fit (see `model.fit_model`).
+    """
     fit = {MODEL_ORDINAL: fit_ordinal, MODEL_MULTINOMIAL: fit_multinomial}.get(model_type)
     if fit is None:
         raise ValueError(f"unknown model type {model_type!r}")
     y = truth_labels(triples)
     standardizer = fit_standardizer(X)
-    return dataclasses.replace(fit(standardizer.apply(X), y, fit_config),
+    return dataclasses.replace(fit(standardizer.apply(X), y, fit_config, warm=warm),
                                standardizer=standardizer, relation=relation)
 
 
@@ -62,10 +68,15 @@ def predict_scores(model: LearnedModel, X, rule: str = ARGMAX) -> list[int]:
 def make_trainer(model_type: str, *, fit_config: FitConfig | None = None,
                  corpus: Corpus | None = None,
                  prediction_rule: str = ARGMAX) -> Trainer:
-    """Trainer in the cross_validate calling convention.
+    """Trainer in the cross_validate calling convention, for one CV run.
 
     The rule baseline ignores features and labels entirely; the two
-    learned models standardize on the training rows they are handed.
+    learned models standardize on the training rows they are handed. A
+    learned model's trainer keeps one `WarmStart`: each fit starts from
+    where the trainer's previous fit ended when both saw the same observed
+    classes and feature width, and from the model's fixed start otherwise
+    (the first fit, or a changed class set). Every fit still stops at
+    max|gradient| <= tol on its own rows, or at max_iters.
     """
     if model_type == MODEL_FIRST:
         if corpus is None:
@@ -79,10 +90,12 @@ def make_trainer(model_type: str, *, fit_config: FitConfig | None = None,
         return first_trainer
 
     if model_type in (MODEL_ORDINAL, MODEL_MULTINOMIAL):
+        warm = WarmStart()
 
         def model_trainer(train_triples, X_train, y_train):
             model = train_model(
-                train_triples, X_train, model_type=model_type, fit_config=fit_config
+                train_triples, X_train, model_type=model_type, fit_config=fit_config,
+                warm=warm,
             )
 
             def predict(test_triples, X_test):
@@ -103,7 +116,9 @@ def run_cv_comparison(triples: list[Triple], X, corpus: Corpus, *,
 
     The three result sets share the exact same splits, so they are
     directly comparable. Every fold of every model runs in order in the
-    calling thread.
+    calling thread. Each model gets a fresh trainer, so a learned model's
+    first fold starts cold and each later fold from the previous fold's
+    optimum (see `make_trainer`).
     """
     plan = FoldPlan(triples, folds, seed)
     results = {}

@@ -24,8 +24,10 @@ from triplescore import (
     load_universe,
 )
 from triplescore import baselines, ordinal
+from triplescore.model import NUM_CLASSES
 
 PLANTED = Path(__file__).parent / "data" / "planted"
+DIRTY = Path(__file__).parent / "data" / "dirty"
 
 EMBEDDINGS_TEXT = """9 2
 ada 1 0
@@ -101,6 +103,20 @@ def objective_at(module, params, X, y, reg_lambda):
     return module.newton_objective(X, np.asarray(y, dtype=int), reg_lambda, k)(params)
 
 
+def drawn_problem(seed, n, p, n_classes, weight_scale):
+    """Rows with a noisy ordinal signal, binned into n_classes of the 8 classes.
+
+    The bins have equal counts, so every chosen class occurs; the classes
+    left out exercise the fits' unbounded directions.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    latent = X @ rng.normal(scale=weight_scale, size=p) + rng.logistic(size=n)
+    classes = np.sort(rng.choice(NUM_CLASSES, size=n_classes, replace=False))
+    ranks = np.argsort(np.argsort(latent))
+    return X, classes[ranks * n_classes // n]
+
+
 @pytest.fixture(scope="session")
 def micro_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("micro")
@@ -133,12 +149,23 @@ def micro(micro_paths):
     }
 
 
+def world_features(world: Path):
+    """(triples, raw feature matrix, corpus) of a committed world."""
+    triples = load_triples(world / "triples.tsv", Relation.PROFESSION)
+    corpus = load_corpus(world / "corpus.jsonl")
+    universe = load_universe(world / "universe.txt", Relation.PROFESSION)
+    _, X = extract_matrix(load_embeddings(world / "embeddings.txt"),
+                          KeyPlan.of_run(corpus, universe, triples))
+    return triples, X, corpus
+
+
 @pytest.fixture(scope="session")
 def planted():
     """(triples, raw feature matrix, corpus) of the planted world."""
-    triples = load_triples(PLANTED / "triples.tsv", Relation.PROFESSION)
-    corpus = load_corpus(PLANTED / "corpus.jsonl")
-    universe = load_universe(PLANTED / "universe.txt", Relation.PROFESSION)
-    _, X = extract_matrix(load_embeddings(PLANTED / "embeddings.txt"),
-                          KeyPlan.of_run(corpus, universe, triples))
-    return triples, X, corpus
+    return world_features(PLANTED)
+
+
+@pytest.fixture(scope="session")
+def dirty():
+    """(triples, raw feature matrix, corpus) of the dirty world (see test_features.py)."""
+    return world_features(DIRTY)

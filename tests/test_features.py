@@ -1,6 +1,7 @@
 """Feature extraction against hand-computed micro-world values."""
 
 import math
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -46,6 +47,7 @@ from triplescore.features import (
     ops,
     ops_rank,
 )
+from triplescore.pipeline import extract_matrix
 
 # micro-world vectors, restated so the oracle is independent of the store
 VEC = {
@@ -514,6 +516,19 @@ class TestMatrix:
     def test_empty(self):
         assert matrix([]).shape == (0, len(FEATURE_NAMES))
 
+    @pytest.mark.parametrize("world", [PLANTED, DIRTY])
+    @pytest.mark.parametrize("denominator", ["embedded", "all"])
+    def test_extract_matrix_is_the_matrix_of_extract(self, world, denominator):
+        """The CLI's matrix comes from extract's own columns, bit for bit."""
+        corpus, universe, triples = load_world(world)
+        plan = KeyPlan.of_run(corpus, universe, triples)
+        store = load_embeddings(world / "embeddings.txt")
+        vectors, X = extract_matrix(store, plan, ops_denominator=denominator)
+        want = extract(store, plan, ops_denominator=denominator)
+        assert vectors == want
+        assert X.dtype == matrix(want).dtype and X.shape == matrix(want).shape
+        assert X.tobytes() == matrix(want).tobytes()
+
 
 class TestStandardizer:
     def test_zscore(self):
@@ -541,6 +556,19 @@ class TestStandardizer:
         std = fit_standardizer(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             std.apply(np.array([[1.0, 2.0, 3.0]]))
+
+    @pytest.mark.parametrize("row", [[1.0, 2.0], [1.0, 2.0, 3.0], 1.0])
+    def test_apply_refuses_a_row_that_is_not_a_matrix(self, row):
+        std = fit_standardizer(np.array([[1.0, 2.0], [3.0, 5.0]]))
+        message = rf"expected an \(n, 2\) matrix, got {re.escape(str(np.shape(row)))}"
+        with pytest.raises(ValueError, match=message):
+            std.apply(np.array(row))
+
+    @pytest.mark.parametrize("column", [[1.0, 2.0, 4.0], [], 3.0])
+    def test_fit_refuses_an_array_that_is_not_a_matrix(self, column):
+        message = rf"expected an \(n, p\) matrix, got {re.escape(str(np.shape(column)))}"
+        with pytest.raises(ValueError, match=message):
+            fit_standardizer(np.array(column))
 
     def test_accepts_feature_vectors(self, micro):
         vectors = extract(micro["store"], micro_plan(micro))

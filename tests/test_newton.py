@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import triplescore
-from conftest import objective_at
+from conftest import drawn_problem, objective_at
 from triplescore import baselines, ordinal
 from triplescore.baselines import MultinomialModel, fit_multinomial
 from triplescore.errors import NonFiniteError
@@ -105,20 +105,6 @@ def assert_newton_matches_oracle(kind, X, y, config=FitConfig()):
     assert value <= oracle_value + 1e-12 * abs(oracle_value)
     assert np.max(np.abs(grad)) <= config.tol
     assert model.predict(X) == oracle.predict(X)
-
-
-def drawn_problem(seed, n, p, n_classes, weight_scale):
-    """Rows with a noisy ordinal signal, binned into n_classes of the 8 classes.
-
-    The bins have equal counts, so every chosen class occurs; the classes
-    left out exercise the fits' unbounded directions.
-    """
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, p))
-    latent = X @ rng.normal(scale=weight_scale, size=p) + rng.logistic(size=n)
-    classes = np.sort(rng.choice(NUM_CLASSES, size=n_classes, replace=False))
-    ranks = np.argsort(np.argsort(latent))
-    return X, classes[ranks * n_classes // n]
 
 
 class TestAgainstLbfgsOracle:
